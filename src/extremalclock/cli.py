@@ -113,10 +113,15 @@ _GRID_FIELDS = ("n_grid", "u_grid", "t_grid", "s_grid", "delta_grid")
 _POSITIVE_INT_FIELDS = ("replicas", "inner_replicas", "step_budget", "threads",
                         "occupation_d", "distance_steps", "pairs", "env_replicas")
 _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
+# subcommands that build a p-spin schedule, whose alpha_n = gamma/beta needs beta > 0
+_SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
-    """Normalize a raw mapping into ExperimentConfig or raise ConfigError."""
+def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
+    """Normalize a raw mapping into ExperimentConfig or raise ConfigError.
+
+    With ``command`` given, also apply that subcommand's domain checks.
+    """
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     problems = [f"{k} (unknown field)" for k in sorted(set(raw) - known)]
     merged = {f.name: getattr(ExperimentConfig, f.name, None)
@@ -144,6 +149,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not (isinstance(merged["c"], (int, float)) and 0.0 < merged["c"] < 0.5):
         flag("c", "must lie in (0, 0.5)")
     beta = merged["beta"]
+    problems_before_beta = len(problems)
     if isinstance(beta, (list, tuple)):
         if isinstance(merged["n_grid"], tuple) and len(beta) != len(merged["n_grid"]):
             flag("beta", "sequence length must match n_grid")
@@ -153,6 +159,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             merged["beta"] = tuple(float(b) for b in beta)
     elif not (isinstance(beta, (int, float)) and beta >= 0):
         flag("beta", "must be a nonnegative number or sequence")
+    if command in _SCHEDULE_COMMANDS and len(problems) == problems_before_beta \
+            and np.any(np.asarray(merged["beta"]) == 0):
+        flag("beta", f"must be positive for {command}; only variance accepts beta = 0")
     if not (isinstance(merged["epsilon"], (int, float)) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
     if not (isinstance(merged["significance"], (int, float))
@@ -173,7 +182,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None,
+                command: str | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -181,7 +191,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         raw = dict(raw)
         raw.update(overrides)
-    return validate_config(raw)
+    return validate_config(raw, command)
 
 
 _HASH_EXCLUDED = ("threads", "out", "seed")
@@ -372,15 +382,9 @@ def _cmd_verify(cfg: ExperimentConfig):
             conditions.mixing_report(nn, s.theta_n, (0, 1, 2)))
         add("cond0", lambda rng, m=model, e=env, s=sched:
             conditions.condition0_check(m, e, s, cfg.v, cfg.replicas, rng))
-        for u in cfg.u_grid:
-            for t in cfg.t_grid:
-                add("nu", lambda rng, m=model, e=env, s=sched, uu=u, tt=t:
-                    conditions.nu_t(m, e, s, uu, tt, cfg.replicas, rng), u=u, t=t)
-            add("sigma", lambda rng, m=model, e=env, s=sched, uu=u:
-                conditions.sigma_sq_t(m, e, s, uu, t0, cfg.replicas, rng), u=u, t=t0)
-            add("eta", lambda rng, m=model, e=env, s=sched, uu=u:
-                conditions.pair_distance2_functional(m, e, s, uu, t0, cfg.replicas, rng),
-                u=u, t=t0)
+        add("tails", lambda rng, m=model, e=env, s=sched:
+            conditions.tail_functionals(m, e, s, cfg.u_grid, cfg.t_grid,
+                                        cfg.replicas, rng))
         for delta in cfg.delta_grid:
             add("cond31", lambda rng, m=model, e=env, s=sched, dd=delta:
                 conditions.condition31_estimate(m, e, s, dd, t0, cfg.replicas, rng),
@@ -388,16 +392,26 @@ def _cmd_verify(cfg: ExperimentConfig):
 
         def dr_job(rng, m=model, e=env, s=sched):
             steps = max(s.theta_n * s.blocks_in(t0), 1)
-            traj = engine.simulate_trajectory(m, steps, rng, env=e)
+            traj = engine.simulate_trajectory(m, steps, rng)
             return conditions.dr_path_functionals(
                 m, e, s, cfg.u_grid[0], t0, traj, cfg.inner_replicas, rng)
 
         add("dr", dr_job, u=cfg.u_grid[0], t=t0)
 
     results = _run_jobs(jobs, cfg)
-    by_series = {}
+    rows = []  # (n, beta, kind, tags, reports) in table order
     for (n, beta, kind, tags), result in zip(meta, results):
-        reps_here = result if isinstance(result, tuple) else (result,)
+        if kind != "tails":
+            rows.append((n, beta, kind, tags,
+                         result if isinstance(result, tuple) else (result,)))
+            continue
+        for u in cfg.u_grid:
+            rows.extend((n, beta, "nu", {"u": u, "t": t}, (result["nu", u, t],))
+                        for t in cfg.t_grid)
+            rows.append((n, beta, "sigma", {"u": u, "t": t0}, (result["sigma-sq", u, t0],)))
+            rows.append((n, beta, "eta", {"u": u, "t": t0}, (result["eta", u, t0],)))
+    by_series = {}
+    for n, beta, kind, tags, reps_here in rows:
         for rep in reps_here:
             reports.append(rep)
             prov = _prov(cfg, n=n, beta=beta)
@@ -658,7 +672,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides["out"] = args.out
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.command)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2

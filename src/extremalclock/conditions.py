@@ -3,7 +3,8 @@
 Each condition of the underlying limit theorem reduces, for a reversible
 jump chain under stationarity, to an expectation that Monte Carlo can
 reach: block-sum tails (`q_tail`), their k_n(t)-scaled versions
-(`nu_t`), two-point products (`sigma_sq_t`, `pair_distance2_functional`),
+(`nu_t`), two-point products (`sigma_sq_t`, `pair_distance2_functional`;
+`tail_functionals` yields all three over a (u, t) grid from one walk),
 an exact mixing deviation (`mixing_check`), the initial-distribution
 smallness (`condition0_check`), the truncated one-jump mean
 (`condition31_estimate`), the along-the-path functionals
@@ -38,6 +39,7 @@ __all__ = [
     "ConditionReport",
     "q_tail",
     "q_tail_max",
+    "tail_functionals",
     "nu_t",
     "sigma_sq_t",
     "pair_distance2_functional",
@@ -147,22 +149,10 @@ def _kp_target(sched, t: float, u: float) -> float | None:
     return 2.0 * sched.p * t / u
 
 
-def nu_t(model, env, sched, u: float, t: float, reps: int, rng) -> ConditionReport:
-    """Intensity functional: k_n(t) times the stationary block-sum tail."""
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError("u and t must be positive")
-    k = _k_blocks(sched, t)
-    if k == 0:
-        estimate, se = 0.0, 0.0
-    else:
-        acc = MCAccumulator()
-        acc.update_many(_tail_indicators(model, env, sched, u, reps, rng))
-        estimate, se = k * acc.mean, k * acc.sem
-    return ConditionReport(
-        id="2-1a", n=sched.n, p=sched.p,
-        parameters={"functional": "nu", "u": u, "t": t, "reps": reps, "k_n": k},
-        estimate=estimate, se=se, target=_kp_target(sched, t, u),
-        verdict="trend-only")
+def _stationary_starts(model, reps: int, rng):
+    if hasattr(model, "sample_stationary"):
+        return model.sample_stationary(reps, rng)
+    return [model.initial_state(rng) for _ in range(reps)]
 
 
 def _two_step_pairs(model, reps: int, rng):
@@ -178,6 +168,99 @@ def _two_step_pairs(model, reps: int, rng):
     return xs, x2s
 
 
+def _distance2_pairs(model, reps: int, rng):
+    """reps uniform distance-2 pairs (x, x') on the hypercube, x stationary."""
+    n = model.n
+    X = model.sample_stationary(reps, rng)
+    X2 = X.copy()
+    rows = np.arange(reps)
+    first = rng.integers(0, n, reps)
+    # second coordinate distinct from the first: shift by 1..n-1
+    second = (first + 1 + rng.integers(0, n - 1, reps)) % n
+    X2[rows, first] = -X2[rows, first]
+    X2[rows, second] = -X2[rows, second]
+    return X, X2
+
+
+def _stacked_log_sums(model, env, sched, sets, rng) -> list:
+    """Block sums of every start set, walked in one engine.block_statistics call.
+
+    The sets are stacked row-wise, so every row is an independent block;
+    the log_sums come back split into the sets in their given order.
+    """
+    if all(isinstance(s, np.ndarray) for s in sets):
+        starts = np.concatenate(sets)
+    else:
+        starts = [x for s in sets for x in s]
+    stats = engine.block_statistics(model, env, sched.theta_n, len(starts), rng,
+                                    starts=starts)
+    return np.split(stats.log_sums, np.cumsum([len(s) for s in sets])[:-1])
+
+
+# condition id of each tail functional, in the order its start sets are drawn
+_TAIL_IDS = {"nu": "2-1a", "sigma-sq": "2-1b", "eta": "2-1b"}
+
+
+def tail_functionals(model, env, sched, u_grid, t_grid, reps: int, rng,
+                     functionals=("nu", "sigma-sq", "eta")) -> dict:
+    """The block-tail functionals at every (u, t) from one shared walk.
+
+    Start sets are drawn in the fixed order nu, sigma-sq, eta: reps
+    stationary starts, the x and x' halves of reps two-step pairs, the
+    x and x' halves of reps uniform distance-2 pairs.  All of them are
+    walked in a single engine.block_statistics call.  Block sums do not
+    depend on u, which only moves the log threshold, and depend on t
+    only through the factor k_n(t), so every report is a threshold and
+    a rescaling of the same sums: common random numbers make each
+    functional exactly non-increasing in u.  The two halves of a pair
+    are separate rows, so the product indicator is unbiased for
+    Q(x)Q(x'); squaring a shared estimate would bias upward.
+
+    Returns {(functional, u, t): ConditionReport}.  Nothing is simulated
+    when k_n(t) = 0 for every t.
+    """
+    if min(u_grid) <= 0.0 or min(t_grid) <= 0.0:
+        raise ValueError("u and t must be positive")
+    wanted = [f for f in _TAIL_IDS if f in functionals]
+    if "eta" in wanted and (getattr(model, "n", 0) < 2
+                            or not hasattr(model, "sample_stationary")):
+        raise ValueError("distance-2 pairs need a hypercube state space with n >= 2")
+    ks = {}
+    for t in t_grid:  # a loop: a comprehension frame would shift the warning stacklevel
+        ks[t] = _k_blocks(sched, t)
+    sums = {}
+    if any(ks.values()):
+        draw = {"nu": lambda: (_stationary_starts(model, reps, rng),),
+                "sigma-sq": lambda: _two_step_pairs(model, reps, rng),
+                "eta": lambda: _distance2_pairs(model, reps, rng)}
+        sets = [draw[f]() for f in wanted]
+        flat = iter(_stacked_log_sums(model, env, sched, [s for h in sets for s in h], rng))
+        sums = {f: [next(flat) for _ in halves] for f, halves in zip(wanted, sets)}
+    reports = {}
+    for f in wanted:
+        for u in u_grid:
+            acc = None
+            if sums:
+                log_threshold = sched.log_threshold(u)
+                hits = np.logical_and.reduce([s > log_threshold for s in sums[f]])
+                acc = MCAccumulator.from_values(hits.astype(float))
+            for t in t_grid:
+                k = ks[t]
+                estimate, se = (k * acc.mean, k * acc.sem) if k else (0.0, 0.0)
+                reports[f, u, t] = ConditionReport(
+                    id=_TAIL_IDS[f], n=sched.n, p=sched.p,
+                    parameters={"functional": f, "u": u, "t": t, "reps": reps, "k_n": k},
+                    estimate=estimate, se=se,
+                    target=_kp_target(sched, t, u) if f == "nu" else 0.0,
+                    verdict="trend-only")
+    return reports
+
+
+def nu_t(model, env, sched, u: float, t: float, reps: int, rng) -> ConditionReport:
+    """Intensity functional: k_n(t) times the stationary block-sum tail."""
+    return tail_functionals(model, env, sched, (u,), (t,), reps, rng, ("nu",))["nu", u, t]
+
+
 def sigma_sq_t(model, env, sched, u: float, t: float, reps: int, rng) -> ConditionReport:
     """Two-point functional over 2-step pairs; drives the variance condition.
 
@@ -185,51 +268,14 @@ def sigma_sq_t(model, env, sched, u: float, t: float, reps: int, rng) -> Conditi
     replicas, one each, so the product indicator is unbiased for
     Q(x)Q(x'); squaring a shared estimate would bias upward.
     """
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError("u and t must be positive")
-    k = _k_blocks(sched, t)
-    if k == 0:
-        estimate, se = 0.0, 0.0
-    else:
-        xs, x2s = _two_step_pairs(model, reps, rng)
-        i1 = _tail_indicators(model, env, sched, u, reps, rng, starts=xs)
-        i2 = _tail_indicators(model, env, sched, u, reps, rng, starts=x2s)
-        acc = MCAccumulator.from_values(i1 * i2)
-        estimate, se = k * acc.mean, k * acc.sem
-    return ConditionReport(
-        id="2-1b", n=sched.n, p=sched.p,
-        parameters={"functional": "sigma-sq", "u": u, "t": t, "reps": reps, "k_n": k},
-        estimate=estimate, se=se, target=0.0, verdict="trend-only")
+    return tail_functionals(model, env, sched, (u,), (t,), reps, rng,
+                            ("sigma-sq",))["sigma-sq", u, t]
 
 
 def pair_distance2_functional(model, env, sched, u: float, t: float,
                               reps: int, rng) -> ConditionReport:
     """k_n(t) x E[Q(x)Q(x')] over uniform distance-2 pairs on the hypercube."""
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError("u and t must be positive")
-    n = getattr(model, "n", 0)
-    if n < 2 or not hasattr(model, "sample_stationary"):
-        raise ValueError("distance-2 pairs need a hypercube state space with n >= 2")
-    k = _k_blocks(sched, t)
-    if k == 0:
-        estimate, se = 0.0, 0.0
-    else:
-        X = model.sample_stationary(reps, rng)
-        X2 = X.copy()
-        rows = np.arange(reps)
-        first = rng.integers(0, n, reps)
-        # second coordinate distinct from the first: shift by 1..n-1
-        second = (first + 1 + rng.integers(0, n - 1, reps)) % n
-        X2[rows, first] = -X2[rows, first]
-        X2[rows, second] = -X2[rows, second]
-        i1 = _tail_indicators(model, env, sched, u, reps, rng, starts=X)
-        i2 = _tail_indicators(model, env, sched, u, reps, rng, starts=X2)
-        acc = MCAccumulator.from_values(i1 * i2)
-        estimate, se = k * acc.mean, k * acc.sem
-    return ConditionReport(
-        id="2-1b", n=sched.n, p=sched.p,
-        parameters={"functional": "eta", "u": u, "t": t, "reps": reps, "k_n": k},
-        estimate=estimate, se=se, target=0.0, verdict="trend-only")
+    return tail_functionals(model, env, sched, (u,), (t,), reps, rng, ("eta",))["eta", u, t]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +434,16 @@ def dr_path_functionals(model, env, sched, u: float, t: float, traj,
         raise ValueError(
             f"trajectory has {len(traj.states)} states, needs {needed + 1} "
             f"to cover k_n(t) = {k} blocks")
-    estimates, sems = [], []
-    for i in range(1, k + 1):
-        x = traj.states[sched.theta_n * i]
-        y = model.next_state(x, rng)
-        ind = _tail_indicators(model, env, sched, u, inner_reps, rng,
-                               starts=[y] * inner_reps)
-        acc = MCAccumulator.from_values(ind)
-        estimates.append(acc.mean)
-        sems.append(acc.sem)
-    estimates = np.asarray(estimates)
-    sems = np.asarray(sems)
+    # one stacked batch: inner_reps rows from each boundary's sampled neighbor
+    ys = [model.next_state(traj.states[sched.theta_n * i], rng) for i in range(1, k + 1)]
+    accs = []
+    if k:
+        stats = engine.block_statistics(model, env, sched.theta_n, k * inner_reps, rng,
+                                        starts=[y for y in ys for _ in range(inner_reps)])
+        hits = (stats.log_sums > sched.log_threshold(u)).astype(float)
+        accs = [MCAccumulator.from_values(row) for row in hits.reshape(k, inner_reps)]
+    estimates = np.asarray([acc.mean for acc in accs])
+    sems = np.asarray([acc.sem for acc in accs])
     nu_est = float(estimates.sum())
     nu_se = float(np.sqrt((sems ** 2).sum()))
     sq_est = float((estimates ** 2).sum())

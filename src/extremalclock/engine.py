@@ -41,10 +41,8 @@ __all__ = [
     "TabularEnvironment",
     "ScalingSchedule",
     "Trajectory",
-    "holding_rate",
     "log_inverse_rate",
     "simulate_trajectory",
-    "blocks_in_horizon",
     "clock_value",
     "blocked_clock_value",
     "blocked_clock_parts",
@@ -219,10 +217,6 @@ class ScalingSchedule:
         return self.jumps_in(t) // self.theta_n
 
 
-def blocks_in_horizon(sched: ScalingSchedule, t: float) -> int:
-    return sched.blocks_in(t)
-
-
 @dataclass
 class Trajectory:
     """A realised chain path with marks and per-step log inverse rates.
@@ -247,11 +241,6 @@ class Trajectory:
     # log of the i-th clock summand lambda^{-1}(J(i)) e_i
     def log_terms(self) -> np.ndarray:
         return self.log_inv_rates + np.log(self.marks)
-
-
-def holding_rate(env: EnvironmentOracle, model: JumpChainModel, x) -> float:
-    """lambda(x) = C pi(x) / tau(x), evaluated through the log domain."""
-    return math.exp(-log_inverse_rate(env, model, x))
 
 
 def log_inverse_rate(env: EnvironmentOracle, model: JumpChainModel, x) -> float:

@@ -149,23 +149,26 @@ class PSpinInstance:
         """Symmetrised couplings (same Hamiltonian, axis-exchangeable).
 
         Built lazily; only the vectorised walkers need it.  Doubles the
-        tensor memory while alive.
+        tensor memory while alive.  ``_sym`` is published last, after the
+        p=3 diagonals the walker step reads, so a thread that sees it
+        set never reads a missing diagonal.  Two threads racing here
+        both build; their results are equal.
         """
         if self._sym is None:
             J = self.tensor
             if self.p == 2:
-                self._sym = (J + J.T) / 2.0
+                sym = (J + J.T) / 2.0
             elif self.p == 3:
                 acc = np.zeros_like(J)
                 for perm in itertools.permutations(range(3)):
                     acc += J.transpose(perm)
-                self._sym = acc / 6.0
-                n = self.n
-                idx = np.arange(n)
-                self._sym_diag2 = self._sym[idx, idx, :]   # S[k,k,l]
-                self._sym_diag3 = self._sym[idx, idx, idx]  # S[k,k,k]
+                sym = acc / 6.0
+                idx = np.arange(self.n)
+                self._sym_diag2 = sym[idx, idx, :]   # S[k,k,l]
+                self._sym_diag3 = sym[idx, idx, idx]  # S[k,k,k]
             else:
                 raise ValueError(f"symmetrised walker kernels support p in {{2,3}}, got {self.p}")
+            self._sym = sym
         return self._sym
 
     def head_hash(self) -> bytes:

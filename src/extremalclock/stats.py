@@ -127,11 +127,6 @@ class EmpiricalDistribution:
         """Right-continuous ECDF: fraction of samples <= x."""
         return float(np.searchsorted(self.samples, x, side="right")) / self.count
 
-    def cdf_se(self, x: float) -> float:
-        """Binomial standard error of the ECDF value at x."""
-        p = self.cdf(x)
-        return math.sqrt(p * (1.0 - p) / self.count)
-
     def quantile(self, q: float) -> float:
         """Order-statistic quantile: smallest x with ECDF(x) >= q."""
         if not 0.0 < q <= 1.0:

@@ -18,9 +18,11 @@ from extremalclock.cli import (
     _run_jobs,
     config_hash,
     load_config,
+    main,
     run,
     validate_config,
 )
+from extremalclock import engine
 
 from conftest import package_env
 
@@ -235,3 +237,59 @@ def test_cli_seed_changes_results(tmp_path):
         outs.append(payload)
     assert outs[0]["config_hash"] == outs[1]["config_hash"]  # seed not hashed
     assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("beta", [0, 0.0, [1.0, 0.0]])
+@pytest.mark.parametrize("command", ["verify", "sk-run", "ageing"])
+def test_cli_zero_beta_is_a_config_error(tmp_path, capsys, command, beta):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [4, 6], "beta": beta}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "beta (" in err and "Traceback" not in err
+    # variance keeps beta = 0 as its degenerate constant-rate case
+    validate_config({"n_grid": [4, 6], "beta": beta}, "variance")
+
+
+SHARED_WALK = {"n_grid": [8, 10], "p": 2, "c": 0.05, "u_grid": [0.5, 1.0, 2.0],
+               "t_grid": [1.0, 2.0], "delta_grid": [1.0], "replicas": 200,
+               "inner_replicas": 20, "seed": 5}
+
+
+def test_verify_tails_non_increasing_in_u(tmp_path):
+    # common random numbers across u: the indicator sets are nested
+    # path-wise, so every estimate is exactly non-increasing in u
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run("verify", validate_config(dict(SHARED_WALK, out=str(tmp_path))))
+    series = {}
+    for rep in results["reports"]:
+        functional = rep["parameters"].get("functional")
+        if functional in ("nu", "sigma-sq", "eta"):
+            key = (functional, rep["n"], rep["parameters"]["t"])
+            series.setdefault(key, []).append((rep["parameters"]["u"], rep["estimate"]))
+    assert {f for f, _, _ in series} == {"nu", "sigma-sq", "eta"}
+    assert any(e > 0.0 for entries in series.values() for _, e in entries)
+    for key, entries in series.items():
+        estimates = [e for _, e in sorted(entries)]
+        assert len(estimates) == 3
+        assert all(b <= a for a, b in zip(estimates, estimates[1:])), key
+
+
+def test_verify_walks_once_per_n(tmp_path, monkeypatch):
+    calls = []
+    block_statistics = engine.block_statistics
+
+    def counted(model, env, theta, reps, rng, **kwargs):
+        calls.append(reps)
+        return block_statistics(model, env, theta, reps, rng, **kwargs)
+
+    monkeypatch.setattr(engine, "block_statistics", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run("verify", validate_config(dict(SHARED_WALK, out=str(tmp_path))))
+    # per n: one shared tails walk of 5 R rows (nu, two sigma halves, two
+    # eta halves) and one stacked DR boundary batch
+    replicas = SHARED_WALK["replicas"]
+    assert calls.count(5 * replicas) == len(SHARED_WALK["n_grid"])
+    assert len(calls) == 2 * len(SHARED_WALK["n_grid"])

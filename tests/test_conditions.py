@@ -20,7 +20,9 @@ from extremalclock.conditions import (
     q_tail,
     q_tail_max,
     sigma_sq_t,
+    tail_functionals,
 )
+from extremalclock import engine
 from extremalclock.engine import (
     CompleteGraphChain,
     ConstantEnvironment,
@@ -102,6 +104,29 @@ def test_toy_sigma_sq_t():
     assert report.parameters["functional"] == "sigma-sq"
     assert report.target == 0.0
     assert abs(report.estimate - target) <= 3.0 * report.se
+
+
+def test_shared_walk_keeps_toy_oracles(monkeypatch):
+    # nu and sigma from one stacked batch: sigma's halves are separate
+    # rows, so the independent-product oracle 10 e^{-1} still holds
+    calls = []
+    block_statistics = engine.block_statistics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return block_statistics(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "block_statistics", counted)
+    model, env, sched = toy_setup()
+    reports = tail_functionals(model, env, sched, (0.5, 1.0), (1.0,), REPS,
+                               np.random.default_rng(14), ("nu", "sigma-sq"))
+    assert len(calls) == 1
+    assert set(reports) == {(f, u, 1.0) for f in ("nu", "sigma-sq") for u in (0.5, 1.0)}
+    nu, sigma = reports["nu", 1.0, 1.0], reports["sigma-sq", 1.0, 1.0]
+    assert abs(nu.estimate - 10.0 * oracles.toy_block_tail(2.0, 1.0)) <= 3.0 * nu.se
+    assert abs(sigma.estimate - 10.0 * math.exp(-1.0)) <= 3.0 * sigma.se
+    assert reports["nu", 0.5, 1.0].estimate >= nu.estimate
+    assert reports["sigma-sq", 0.5, 1.0].estimate >= sigma.estimate
 
 
 def test_degenerate_schedule_warns():

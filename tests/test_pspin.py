@@ -528,3 +528,36 @@ def test_correlation_hook_same_hold_gives_full_overlap():
         HypercubeSRW(6), env, sched, eps=0.5, t=1.0, s=0.5,
         reps=64, rng=np.random.default_rng(21), step_budget=1000)
     assert est.value == 1.0
+
+
+def test_symmetric_tensor_publishes_diagonals_first():
+    # pause the building thread right after it publishes _sym; a walker
+    # started meanwhile on another thread must find the p=3 diagonals
+    import threading
+
+    from extremalclock.pspin import PSpinInstance
+
+    published, resume = threading.Event(), threading.Event()
+
+    class PausingInstance(PSpinInstance):
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_sym" and value is not None:
+                published.set()
+                resume.wait(timeout=10)
+
+    base = build_instance(6, 3, seed=4)
+    inst = PausingInstance(n=6, p=3, seed=4, tensor=base.tensor.copy())
+    builder = threading.Thread(target=inst.symmetric_tensor)
+    builder.start()
+    try:
+        assert published.wait(timeout=10)
+        x0 = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, -1.0]] * 4)
+        walker = _BatchWalker(inst, x0)
+        walker.step(np.random.default_rng(0))
+    finally:
+        resume.set()
+        builder.join(timeout=10)
+    assert not builder.is_alive()
+    for row, h in zip(walker.X, walker.H):
+        assert h == pytest.approx(hamiltonian(base, row), abs=1e-9)
