@@ -115,6 +115,8 @@ _POSITIVE_INT_FIELDS = ("replicas", "inner_replicas", "step_budget", "threads",
 _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
 # subcommands that build a p-spin schedule, whose alpha_n = gamma/beta needs beta > 0
 _SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
+# subcommands that KS-test `replicas` samples against a limit law
+_KS_COMMANDS = ("ppp", "sk-run")
 
 
 def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
@@ -139,10 +141,16 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             flag(name, "must be a non-empty list")
             continue
         if name == "n_grid":
-            if not all(isinstance(x, int) and x >= 2 for x in value):
-                flag(name, "entries must be integers >= 2")
-        elif not all(isinstance(x, (int, float)) and x > 0 for x in value):
-            flag(name, "entries must be positive numbers")
+            valid = all(isinstance(x, int) and x >= 2 for x in value)
+            why = "entries must be integers >= 2"
+        else:
+            valid = all(isinstance(x, (int, float)) and x > 0 for x in value)
+            why = "entries must be positive numbers"
+        if not valid:
+            flag(name, why)
+        elif len(set(value)) < len(value):
+            # tables and trend series are keyed by grid value
+            flag(name, "entries must be distinct")
         merged[name] = tuple(value)
     if not (isinstance(merged["p"], int) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
@@ -173,6 +181,10 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     for name in _POSITIVE_INT_FIELDS:
         if not (isinstance(merged[name], int) and merged[name] >= 1):
             flag(name, "must be an integer >= 1")
+    if command in _KS_COMMANDS and isinstance(merged["replicas"], int) \
+            and 1 <= merged["replicas"] < stats.KS_MIN_COUNT:
+        flag("replicas", f"must be >= {stats.KS_MIN_COUNT} for {command}, "
+                         "whose KS threshold is asymptotic")
     if not (isinstance(merged["seed"], int) and 0 <= merged["seed"] < 2 ** 64):
         flag("seed", "must be an integer in [0, 2^64)")
     if not isinstance(merged["out"], str):
@@ -311,9 +323,8 @@ def _cmd_ppp(cfg: ExperimentConfig):
 def _powered_marginals(model, env, sched, t, reps, rng):
     """(S^b(t))^{alpha_n} samples: block sums plus the index-0 term."""
     k = sched.blocks_in(t)
-    X = model.sample_stationary(reps, rng) if hasattr(model, "sample_stationary") \
-        else [model.initial_state(rng) for _ in range(reps)]
-    log_term0 = conditions._batch_log_inv_rates(model, env, X) \
+    X = model.sample_stationary(reps, rng)
+    log_term0 = engine.log_inverse_rates(model, env, X) \
         + np.log(rng.standard_exponential(reps))
     if k > 0:
         blocks = engine.block_statistics(model, env, sched.theta_n * k, reps, rng,

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import engine
 from .ehrenfest import EhrenfestChain, transition_matrix
+from .pspin import HypercubeSRW, PSpinEnvironment, build_instance, make_schedule
 from .stats import MCAccumulator
 
 __all__ = [
@@ -149,23 +150,10 @@ def _kp_target(sched, t: float, u: float) -> float | None:
     return 2.0 * sched.p * t / u
 
 
-def _stationary_starts(model, reps: int, rng):
-    if hasattr(model, "sample_stationary"):
-        return model.sample_stationary(reps, rng)
-    return [model.initial_state(rng) for _ in range(reps)]
-
-
 def _two_step_pairs(model, reps: int, rng):
     """reps draws of (x, x') with x stationary and x' two chain steps on."""
-    if hasattr(model, "sample_stationary") and hasattr(model, "step_batch"):
-        X = model.sample_stationary(reps, rng)
-        return X, model.step_batch(X, rng, steps=2)
-    xs, x2s = [], []
-    for _ in range(reps):
-        x = model.initial_state(rng)
-        xs.append(x)
-        x2s.append(model.next_state(model.next_state(x, rng), rng))
-    return xs, x2s
+    X = model.sample_stationary(reps, rng)
+    return X, model.step_batch(X, rng, steps=2)
 
 
 def _distance2_pairs(model, reps: int, rng):
@@ -222,15 +210,14 @@ def tail_functionals(model, env, sched, u_grid, t_grid, reps: int, rng,
     if min(u_grid) <= 0.0 or min(t_grid) <= 0.0:
         raise ValueError("u and t must be positive")
     wanted = [f for f in _TAIL_IDS if f in functionals]
-    if "eta" in wanted and (getattr(model, "n", 0) < 2
-                            or not hasattr(model, "sample_stationary")):
+    if "eta" in wanted and not (isinstance(model, HypercubeSRW) and model.n >= 2):
         raise ValueError("distance-2 pairs need a hypercube state space with n >= 2")
     ks = {}
     for t in t_grid:  # a loop: a comprehension frame would shift the warning stacklevel
         ks[t] = _k_blocks(sched, t)
     sums = {}
     if any(ks.values()):
-        draw = {"nu": lambda: (_stationary_starts(model, reps, rng),),
+        draw = {"nu": lambda: (model.sample_stationary(reps, rng),),
                 "sigma-sq": lambda: _two_step_pairs(model, reps, rng),
                 "eta": lambda: _distance2_pairs(model, reps, rng)}
         sets = [draw[f]() for f in wanted]
@@ -336,16 +323,6 @@ def mixing_report(n: int, theta_n: int, i_values) -> ConditionReport:
 # remaining conditions
 
 
-def _stationary_log_inv_rates(model, env, reps: int, rng) -> np.ndarray:
-    hook = getattr(model, "stationary_log_inv_rates", None)
-    if hook is not None:
-        return np.asarray(hook(env, reps, rng), dtype=float)
-    return np.asarray([
-        engine.log_inverse_rate(env, model, model.initial_state(rng))
-        for _ in range(reps)
-    ])
-
-
 def condition0_check(model, env, sched, v: float, reps: int, rng) -> ConditionReport:
     """Stationary mean of exp(-v^{1/alpha} c_n lambda(x)).
 
@@ -354,7 +331,7 @@ def condition0_check(model, env, sched, v: float, reps: int, rng) -> ConditionRe
     """
     if v <= 0.0:
         raise ValueError(f"v must be positive, got {v}")
-    log_inv = _stationary_log_inv_rates(model, env, reps, rng)
+    log_inv = engine.log_inverse_rates(model, env, model.sample_stationary(reps, rng))
     z = math.log(v) / sched.alpha_n + sched.log_c_n - log_inv
     with np.errstate(over="ignore"):
         values = np.exp(-np.exp(z))
@@ -366,15 +343,6 @@ def condition0_check(model, env, sched, v: float, reps: int, rng) -> ConditionRe
         id="0", n=sched.n, p=sched.p,
         parameters={"v": v, "reps": reps},
         estimate=acc.mean, se=acc.sem, target=target, verdict="trend-only")
-
-
-def _batch_log_inv_rates(model, env, states) -> np.ndarray:
-    hook = getattr(model, "batch_log_inv_rates", None)
-    if hook is not None:
-        return np.asarray(hook(env, states), dtype=float)
-    return np.asarray([
-        engine.log_inverse_rate(env, model, x) for x in states
-    ])
 
 
 def condition31_estimate(model, env, sched, delta: float, t: float,
@@ -390,11 +358,8 @@ def condition31_estimate(model, env, sched, delta: float, t: float,
     """
     if delta <= 0.0 or t <= 0.0:
         raise ValueError("delta and t must be positive")
-    if hasattr(model, "sample_stationary") and hasattr(model, "step_batch"):
-        states = model.step_batch(model.sample_stationary(reps, rng), rng, steps=1)
-    else:
-        states = [model.next_state(model.initial_state(rng), rng) for _ in range(reps)]
-    log_inv = _batch_log_inv_rates(model, env, states)
+    states = model.step_batch(model.sample_stationary(reps, rng), rng, steps=1)
+    log_inv = engine.log_inverse_rates(model, env, states)
     log_y = log_inv + np.log(rng.standard_exponential(reps))
     log_thresh = sched.log_threshold(delta)
     log_a = math.log(sched.a_n)
@@ -469,8 +434,6 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     zero variance.  Reported against the gamma^{-2} n^{1-p/2} scaling;
     the constant in front is not pinned, hence trend-only.
     """
-    from .pspin import HypercubeSRW, PSpinEnvironment, build_instance, make_schedule
-
     if env_reps < 2:
         raise ValueError(f"need at least 2 environments, got {env_reps}")
     sched = make_schedule(n, p, c, beta) if beta > 0.0 else None

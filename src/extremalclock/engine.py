@@ -15,9 +15,12 @@ log domain: sums are log-sum-exp (max-compensated, pairwise summation
 underneath), c_n exists only as log c_n, and thresholds only as
 log c_n + (1/alpha_n) log u.
 
-Models may provide two optional vectorised hooks, ``block_statistics``
-and ``correlation_overlaps``, which the generic drivers below delegate
-to; the pure-Python fallbacks are the reference implementations.
+One dispatch rule: a model whose ``vectorises(env)`` returns True
+supplies vectorised kernels for that environment (``block_statistics``,
+``correlation_overlaps`` and ``batch_log_inv_rates``), and
+``block_statistics``, ``estimate_correlation`` and ``log_inverse_rates``
+below call them.  Every other model/environment pair runs the
+pure-Python reference loops here.  No other module makes this choice.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "ScalingSchedule",
     "Trajectory",
     "log_inverse_rate",
+    "log_inverse_rates",
     "simulate_trajectory",
     "clock_value",
     "blocked_clock_value",
@@ -81,7 +85,9 @@ class JumpChainModel:
     ``next_state`` (one transition of p_n), and ``log_pi``; ``period``
     is the chain period q.  Enumerable toy chains may also provide
     ``enumerate_states`` so invariance and reversibility can be checked
-    exactly, and ``transition_prob`` for those checks.
+    exactly, and ``transition_prob`` for those checks.  The batch
+    methods below are list-based defaults that models may override with
+    array versions.
     """
 
     period = 1
@@ -94,6 +100,19 @@ class JumpChainModel:
 
     def log_pi(self, x) -> float:
         raise NotImplementedError
+
+    def sample_stationary(self, reps: int, rng):
+        """`reps` independent draws of the initial state."""
+        return [self.initial_state(rng) for _ in range(reps)]
+
+    def step_batch(self, states, rng, steps: int = 1):
+        """Advance every state `steps` transitions, one state after another."""
+        out = []
+        for x in states:
+            for _ in range(steps):
+                x = self.next_state(x, rng)
+            out.append(x)
+        return out
 
 
 class CompleteGraphChain(JumpChainModel):
@@ -251,6 +270,19 @@ def log_inverse_rate(env: EnvironmentOracle, model: JumpChainModel, x) -> float:
     return lt - env.log_C - model.log_pi(x)
 
 
+def _vectorised(model, env) -> bool:
+    """The dispatch rule: does the model supply vectorised kernels for env?"""
+    vectorises = getattr(model, "vectorises", None)
+    return vectorises is not None and vectorises(env)
+
+
+def log_inverse_rates(model: JumpChainModel, env: EnvironmentOracle, states) -> np.ndarray:
+    """log lambda^{-1} at each of `states` (a list of states or an array of rows)."""
+    if _vectorised(model, env):
+        return model.batch_log_inv_rates(env, states)
+    return np.asarray([log_inverse_rate(env, model, x) for x in states], dtype=float)
+
+
 def simulate_trajectory(model: JumpChainModel, steps: int, rng: np.random.Generator,
                         env: EnvironmentOracle | None = None,
                         start=None) -> Trajectory:
@@ -272,7 +304,7 @@ def simulate_trajectory(model: JumpChainModel, steps: int, rng: np.random.Genera
         states.append(model.next_state(states[-1], rng))
         marks[i + 1] = rng.standard_exponential()
     if env is not None:
-        rates = np.asarray([log_inverse_rate(env, model, x) for x in states])
+        rates = log_inverse_rates(model, env, states)
     else:
         rates = np.full(steps + 1, np.nan)
     return Trajectory(states=states, marks=marks, log_inv_rates=rates)
@@ -395,13 +427,12 @@ def block_statistics(model: JumpChainModel, env: EnvironmentOracle, theta: int,
     Each block starts from ``starts[r]`` (or a fresh initial draw) and
     accumulates the summands with j running 1..theta: the starting
     state itself contributes nothing, matching the block-sum tail
-    functionals.  Models may supply a vectorised ``block_statistics``
-    method with the same contract; it is preferred when present.
+    functionals.  A vectorising model's ``block_statistics`` method has
+    the same contract.
     """
-    hook = getattr(model, "block_statistics", None)
-    if hook is not None:
-        return hook(env, theta, reps, rng, starts=starts,
-                    want_max=want_max, want_end=want_end)
+    if _vectorised(model, env):
+        return model.block_statistics(env, theta, reps, rng, starts=starts,
+                                      want_max=want_max, want_end=want_end)
     return generic_block_statistics(model, env, theta, reps, rng, starts=starts,
                                     want_max=want_max, want_end=want_end)
 
@@ -478,9 +509,9 @@ def estimate_correlation(model: JumpChainModel, env: EnvironmentOracle,
         raise ValueError(f"need t > 0 and s >= 0, got t={t}, s={s}")
     log_t1 = sched.log_threshold(t)
     log_t2 = sched.log_threshold(t + s)
-    hook = getattr(model, "correlation_overlaps", None)
-    if hook is not None:
-        overlaps, truncated = hook(env, log_t1, log_t2, reps, rng, step_budget)
+    if _vectorised(model, env):
+        overlaps, truncated = model.correlation_overlaps(
+            env, log_t1, log_t2, reps, rng, step_budget)
     else:
         overlaps, truncated = generic_correlation_overlaps(
             model, env, log_t1, log_t2, reps, rng, step_budget)

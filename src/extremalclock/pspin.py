@@ -39,9 +39,7 @@ import warnings
 from collections import OrderedDict
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import engine
 from .engine import EnvironmentOracle, JumpChainModel, ScalingSchedule, BlockStats
 from .stats import MCAccumulator
 
@@ -447,34 +445,28 @@ def gaussian_comparison_rhs(delta0, delta1, s: float) -> float:
 
     sum over ordered pairs i != j of (D0_ij - D1_ij)^+ *
     exp(-s^2/(1 + Dmax_ij)) * int_0^1 (1 - (Dh_ij)^2)^{-1/2} dh,
-    with Dh the linear interpolation.  The h-integral uses adaptive
-    quadrature at relative tolerance 1e-8.  Entries with |Dh| reaching
-    1 on the path make the integral singular and are rejected.
+    with Dh the linear interpolation.  The h-integral has the closed
+    form (arcsin a - arcsin b)/(a - b) with a = D0_ij and b = D1_ij,
+    so each pair contributes 2 exp(-s^2/(1 + a)) (arcsin a - arcsin b)
+    where a > b.  Entries with |Dh| reaching 1 on the path make the
+    integral singular and are rejected.
     """
     d0 = _check_comparison_matrix(delta0, "delta0")
     d1 = _check_comparison_matrix(delta1, "delta1")
     if d0.shape != d1.shape:
         raise ValueError("covariance matrices must share a shape")
-    dim = d0.shape[0]
-    total = 0.0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            diff = d0[i, j] - d1[i, j]
-            pos = max(diff, 0.0)
-            if pos == 0.0:
-                continue
-            # interpolation path is the segment [d1_ij, d0_ij]
-            if max(abs(d0[i, j]), abs(d1[i, j])) >= 1.0:
-                raise ValueError(
-                    f"|interpolated correlation| reaches 1 at entry ({i},{j}); integral singular")
-            dmax = max(d0[i, j], d1[i, j])
-            a, b = d0[i, j], d1[i, j]
-            integral, _ = quad(
-                lambda h: 1.0 / math.sqrt(1.0 - (h * a + (1.0 - h) * b) ** 2),
-                0.0, 1.0, epsabs=0.0, epsrel=1e-8)
-            # ordered pairs (i,j) and (j,i) contribute identically
-            total += 2.0 * pos * math.exp(-s * s / (1.0 + dmax)) * integral
-    return total
+    rows, cols = np.triu_indices(d0.shape[0], k=1)
+    a, b = d0[rows, cols], d1[rows, cols]
+    live = a > b  # pairs with a positive part (D0 - D1)^+
+    # the interpolation path is the segment [b, a]
+    singular = live & (np.maximum(np.abs(a), np.abs(b)) >= 1.0)
+    if np.any(singular):
+        first = np.argmax(singular)
+        raise ValueError(f"|interpolated correlation| reaches 1 at entry "
+                         f"({rows[first]},{cols[first]}); integral singular")
+    a, b = a[live], b[live]
+    # ordered pairs (i,j) and (j,i) contribute identically
+    return float(np.sum(2.0 * np.exp(-s * s / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b))))
 
 
 def max_cdf_mc(delta, s: float, reps: int, rng: np.random.Generator) -> MCAccumulator:
@@ -651,10 +643,12 @@ class _BatchWalker:
 class HypercubeSRW(JumpChainModel):
     """Simple random walk on {-1,+1}^n with uniform invariant measure.
 
-    Implements the generic jump-chain interface plus vectorised hooks
-    (block statistics, two-time overlaps, stationary rate sampling) that
-    the condition estimators pick up automatically for p in {2, 3}
-    environments; anything else falls back to the reference loops.
+    Implements the generic jump-chain interface with array-valued batch
+    sampling, plus vectorised kernels (block statistics, two-time
+    overlaps, batched rates) for p in {2, 3} p-spin environments of the
+    same n.  ``vectorises(env)`` says whether env is such an
+    environment; the kernels assume it is, and engine calls them only
+    then, running its reference loops for every other environment.
     """
 
     period = 2
@@ -690,11 +684,10 @@ class HypercubeSRW(JumpChainModel):
             X[rows, k] = -X[rows, k]
         return X
 
-    def _fast_env(self, env) -> PSpinInstance | None:
-        if isinstance(env, PSpinEnvironment) and env.inst.p in (2, 3) \
-                and env.inst.n == self.n:
-            return env.inst
-        return None
+    def vectorises(self, env) -> bool:
+        """True when env is a p in {2, 3} p-spin environment on this hypercube."""
+        return isinstance(env, PSpinEnvironment) and env.inst.p in (2, 3) \
+            and env.inst.n == self.n
 
     def _rate_offset(self, env) -> float:
         # log lambda^{-1} = beta H - log C - log pi
@@ -702,11 +695,7 @@ class HypercubeSRW(JumpChainModel):
 
     def batch_log_inv_rates(self, env, states) -> np.ndarray:
         """log lambda^{-1} at each given state."""
-        inst = self._fast_env(env)
-        if inst is None:
-            return np.asarray([
-                engine.log_inverse_rate(env, self, x) for x in states
-            ])
+        inst = env.inst
         X = np.asarray(states, dtype=float)
         out = np.empty(X.shape[0])
         done = 0
@@ -719,29 +708,12 @@ class HypercubeSRW(JumpChainModel):
     def stationary_log_inv_rates(self, env, reps: int,
                                  rng: np.random.Generator) -> np.ndarray:
         """log lambda^{-1}(x) for reps stationary draws (no stepping)."""
-        inst = self._fast_env(env)
-        if inst is None:
-            return np.asarray([
-                engine.log_inverse_rate(env, self, self.initial_state(rng))
-                for _ in range(reps)
-            ])
-        out = np.empty(reps)
-        done = 0
-        while done < reps:
-            m = min(8192, reps - done)
-            X = self.sample_stationary(m, rng)
-            out[done:done + m] = inst.beta * _BatchWalker(inst, X).H
-            done += m
-        return out + self._rate_offset(env)
+        return self.batch_log_inv_rates(env, self.sample_stationary(reps, rng))
 
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
                          want_end: bool = False) -> BlockStats:
-        inst = self._fast_env(env)
-        if inst is None:
-            return engine.generic_block_statistics(
-                self, env, theta, reps, rng, starts=starts,
-                want_max=want_max, want_end=want_end)
+        inst = env.inst
         offset = self._rate_offset(env)
         chunk = 8192 if inst.p == 2 else max(256, 2_000_000 // (self.n * self.n))
         log_sums = np.empty(reps)
@@ -773,10 +745,7 @@ class HypercubeSRW(JumpChainModel):
 
     def correlation_overlaps(self, env, log_t1: float, log_t2: float, reps: int,
                              rng: np.random.Generator, step_budget: int):
-        inst = self._fast_env(env)
-        if inst is None:
-            return engine.generic_correlation_overlaps(
-                self, env, log_t1, log_t2, reps, rng, step_budget)
+        inst = env.inst
         offset = self._rate_offset(env)
         n = self.n
         x_first = np.zeros((reps, n))

@@ -154,6 +154,10 @@ def ks_statistic(samples, cdf) -> float:
     return max(d, 0.0)
 
 
+# smallest sample count for which ks_threshold's asymptotic form is trusted
+KS_MIN_COUNT = 35
+
+
 def ks_threshold(count: int, significance: float) -> float:
     """Asymptotic KS decision threshold c(alpha)/sqrt(N).
 
@@ -162,9 +166,9 @@ def ks_threshold(count: int, significance: float) -> float:
     trusted for N >= 35; below that an exact small-sample distribution
     would be needed and we refuse rather than silently approximate.
     """
-    if count < 35:
+    if count < KS_MIN_COUNT:
         raise ValueError(
-            f"asymptotic KS threshold needs count >= 35 (got {count}); "
+            f"asymptotic KS threshold needs count >= {KS_MIN_COUNT} (got {count}); "
             "exact small-sample distribution required below that"
         )
     if not 0.0 < significance < 1.0:
@@ -197,11 +201,6 @@ class KSReport:
                 for (p, e, t) in self.quantile_table
             ],
         }
-
-    def csv_rows(self):
-        header = ["prob", "empirical", "theoretical"]
-        rows = [list(r) for r in self.quantile_table]
-        return header, rows
 
 
 _QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)

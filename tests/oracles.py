@@ -61,6 +61,27 @@ def bivariate_max_cdf(s: float, rho: float) -> float:
     return base + integral / (2.0 * math.pi)
 
 
+def comparison_rhs_quadrature(delta0, delta1, s: float) -> float:
+    """Normal-comparison bound with one adaptive quadrature per pair.
+
+    Sums 2 (a - b)^+ exp(-s^2/(1 + max(a, b))) int_0^1 (1 - (h a +
+    (1 - h) b)^2)^{-1/2} dh over i < j, with a = delta0[i, j] and
+    b = delta1[i, j], integrating h numerically.
+    """
+    total = 0.0
+    dim = len(delta0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a, b = float(delta0[i][j]), float(delta1[i][j])
+            if a <= b:
+                continue
+            integral, _ = quad(
+                lambda h: 1.0 / math.sqrt(1.0 - (h * a + (1.0 - h) * b) ** 2),
+                0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+            total += 2.0 * (a - b) * math.exp(-s * s / (1.0 + max(a, b))) * integral
+    return total
+
+
 def bivariate_max_cdf_dblquad(s: float, rho: float) -> float:
     """Same quantity by direct 2-d density integration (slow cross-check)."""
     det = 1.0 - rho * rho

@@ -251,6 +251,31 @@ def test_cli_zero_beta_is_a_config_error(tmp_path, capsys, command, beta):
     validate_config({"n_grid": [4, 6], "beta": beta}, "variance")
 
 
+@pytest.mark.parametrize("field, grid", [
+    ("n_grid", [8, 8]), ("u_grid", [1.0, 1.0]), ("t_grid", [1, 1.0]),
+    ("s_grid", [0.5, 1.0, 0.5]), ("delta_grid", [2.0, 2.0])])
+def test_cli_repeated_grid_entries_are_a_config_error(tmp_path, capsys, field, grid):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: grid}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} (entries must be distinct)" in err and "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ppp", "sk-run"])
+def test_cli_ks_commands_need_35_replicas(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [4], "replicas": 34}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "replicas (" in err and "Traceback" not in err
+    validate_config({"n_grid": [4], "replicas": 35}, command)
+    # subcommands without a KS test keep small replica counts
+    for other in ("verify", "ageing", "ehrenfest", "compare", "variance"):
+        validate_config({"n_grid": [4], "replicas": 34}, other)
+
+
 SHARED_WALK = {"n_grid": [8, 10], "p": 2, "c": 0.05, "u_grid": [0.5, 1.0, 2.0],
                "t_grid": [1.0, 2.0], "delta_grid": [1.0], "replicas": 200,
                "inner_replicas": 20, "seed": 5}

@@ -360,6 +360,28 @@ def test_gaussian_comparison_zero_when_no_positive_part():
     assert gaussian_comparison_rhs(d0, d1, 1.0) == 0.0
 
 
+def _random_correlation(dim, rng):
+    g = rng.standard_normal((dim, dim + 1))
+    gram = g @ g.T
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    corr = gram * scale[:, None] * scale[None, :]
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def test_gaussian_comparison_closed_form_matches_quadrature():
+    # signed correlations, so some pairs have no positive part and some
+    # interpolation paths cross zero
+    rng = np.random.default_rng(37)
+    for dim in (2, 3, 5, 8):
+        for _ in range(5):
+            d0, d1 = _random_correlation(dim, rng), _random_correlation(dim, rng)
+            s = float(rng.uniform(0.0, 3.0))
+            expected = oracles.comparison_rhs_quadrature(d0, d1, s)
+            assert gaussian_comparison_rhs(d0, d1, s) == pytest.approx(expected, rel=1e-10)
+
+
 def test_gaussian_comparison_singular_correlation_rejected():
     d0 = np.ones((2, 2))
     with pytest.raises(ValueError, match="singular"):
@@ -528,6 +550,43 @@ def test_correlation_hook_same_hold_gives_full_overlap():
         HypercubeSRW(6), env, sched, eps=0.5, t=1.0, s=0.5,
         reps=64, rng=np.random.default_rng(21), step_budget=1000)
     assert est.value == 1.0
+
+
+def test_engine_runs_reference_loops_where_the_model_does_not_vectorise(monkeypatch):
+    # p = 4 has no vectorised kernel: engine must run its reference loops
+    inst = build_instance(4, 4, seed=38, beta=0.5)
+    env = PSpinEnvironment(inst)
+    model = HypercubeSRW(4)
+    assert not model.vectorises(env)
+    assert model.vectorises(PSpinEnvironment(build_instance(4, 2, seed=38)))
+    assert not HypercubeSRW(5).vectorises(PSpinEnvironment(build_instance(4, 2, seed=38)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vectorised kernel called for an unsupported environment")
+
+    for name in ("block_statistics", "correlation_overlaps", "batch_log_inv_rates"):
+        monkeypatch.setattr(HypercubeSRW, name, refuse)
+
+    states = model.sample_stationary(30, np.random.default_rng(39))
+    rates = engine.log_inverse_rates(model, env, states)
+    assert rates.tolist() == [engine.log_inverse_rate(env, model, x) for x in states]
+
+    got = engine.block_statistics(model, env, 6, 30, np.random.default_rng(40),
+                                  starts=states, want_max=True, want_end=True)
+    ref = engine.generic_block_statistics(model, env, 6, 30, np.random.default_rng(40),
+                                          starts=states, want_max=True, want_end=True)
+    np.testing.assert_array_equal(got.log_sums, ref.log_sums)
+    np.testing.assert_array_equal(got.log_maxes, ref.log_maxes)
+    np.testing.assert_array_equal(np.asarray(got.end_states), np.asarray(ref.end_states))
+
+    sched = ScalingSchedule(n=4, a_n=10.0, log_c_n=0.0, theta_n=4, alpha_n=1.0, v_n=2)
+    est = engine.estimate_correlation(model, env, sched, eps=0.5, t=1.0, s=1.0, reps=40,
+                                      rng=np.random.default_rng(41), step_budget=10_000)
+    overlaps, truncated = engine.generic_correlation_overlaps(
+        model, env, sched.log_threshold(1.0), sched.log_threshold(2.0), 40,
+        np.random.default_rng(41), 10_000)
+    assert est.truncated == truncated == 0
+    assert est.value == float(np.mean(overlaps >= 0.5))
 
 
 def test_symmetric_tensor_publishes_diagonals_first():
