@@ -117,6 +117,8 @@ _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
 _SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 # subcommands that KS-test `replicas` samples against a limit law
 _KS_COMMANDS = ("ppp", "sk-run")
+# subcommands that build an n^p coupling tensor for every n in n_grid
+_TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
 
 
 def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
@@ -135,6 +137,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     def flag(name, why):
         problems.append(f"{name} ({why})")
 
+    valid_grids = set()
     for name in _GRID_FIELDS:
         value = merged[name]
         if not isinstance(value, (list, tuple)) or len(value) == 0:
@@ -151,9 +154,18 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
         elif len(set(value)) < len(value):
             # tables and trend series are keyed by grid value
             flag(name, "entries must be distinct")
+        else:
+            valid_grids.add(name)
         merged[name] = tuple(value)
     if not (isinstance(merged["p"], int) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
+    elif command in _TENSOR_COMMANDS and "n_grid" in valid_grids:
+        for n in merged["n_grid"]:
+            try:
+                pspin.check_tensor_budget(n, merged["p"])
+            except pspin.TensorBudgetError as exc:
+                flag("n_grid", str(exc))
+                break
     if not (isinstance(merged["c"], (int, float)) and 0.0 < merged["c"] < 0.5):
         flag("c", "must lie in (0, 0.5)")
     beta = merged["beta"]
@@ -554,10 +566,11 @@ def _cmd_compare(cfg: ExperimentConfig):
     def job(rng, s_values=cfg.s_grid):
         dim = int(rng.integers(2, 7))
         delta0, delta1, chi = _random_comparison_pair(dim, rng)
+        # one set of draws per matrix serves every s
+        mcs0 = pspin.max_cdf_mc(delta0, s_values, cfg.replicas, rng)
+        mcs1 = pspin.max_cdf_mc(delta1, s_values, cfg.replicas, rng)
         out = []
-        for s in s_values:
-            mc0 = pspin.max_cdf_mc(delta0, s, cfg.replicas, rng)
-            mc1 = pspin.max_cdf_mc(delta1, s, cfg.replicas, rng)
+        for s, mc0, mc1 in zip(s_values, mcs0, mcs1):
             lhs = mc0.mean - mc1.mean
             se = math.sqrt(mc0.sem ** 2 + mc1.sem ** 2)
             rhs = pspin.gaussian_comparison_rhs(delta0, delta1, s)

@@ -32,6 +32,8 @@ __all__ = [
     "distance_process_check",
 ]
 
+_OCCUPATION_BLOCK = 1 << 18  # uniforms drawn at once by occupation_statistic
+
 
 @dataclass(frozen=True)
 class EhrenfestChain:
@@ -140,14 +142,26 @@ def hitting_time_distribution(chain: EhrenfestChain, d: int, horizon: int) -> np
 def hitting_window_probability(chain: EhrenfestChain, d: int, lo: int, hi: int) -> float:
     """Exact P_0(lo < T_d < hi), endpoints excluded.
 
-    This replaces coarse path-counting bounds on the same event; at
-    small n those bounds are far from tight and only the exact value
-    is worth asserting against.
+    The survival mass P_0(T_d > j) is the mass left after j steps of the
+    chain killed at d, the first-row sum of T^j with T the interior block
+    on {0..d-1}; the window is P_0(T_d > lo) - P_0(T_d > hi - 1), two
+    matrix powers.  This replaces coarse path-counting bounds on the
+    same event; at small n those bounds are far from tight and only the
+    exact value is worth asserting against.
     """
     if hi <= lo:
         return 0.0
-    dist = hitting_time_distribution(chain, d, hi - 1)
-    return float(dist[lo + 1:].sum())
+    n = chain.n
+    if not 1 <= d <= n:
+        raise ValueError(f"d must lie in 1..{n}, got {d}")
+    if lo < 0:
+        raise ValueError(f"lo must be >= 0, got {lo}")
+    interior = transition_matrix(chain)[:d, :d]
+
+    def survival(steps):
+        return float(np.linalg.matrix_power(interior, steps)[0].sum())
+
+    return survival(lo) - survival(hi - 1)
 
 
 def simulate_hitting_time(chain: EhrenfestChain, d: int, reps: int,
@@ -183,17 +197,29 @@ def simulate_hitting_time(chain: EhrenfestChain, d: int, reps: int,
 
 def occupation_statistic(chain: EhrenfestChain, d: int, v_n: int, reps: int,
                          rng: np.random.Generator) -> MCAccumulator:
-    """Monte Carlo E_0 Z with Z = sum_{j=1}^{v_n} 1{Q(j)=d} (j - d)."""
+    """Monte Carlo E_0 Z with Z = sum_{j=1}^{v_n} 1{Q(j)=d} (j - d).
+
+    Uniforms come in blocks of steps, ``rng.random((steps, reps))``,
+    which is the stream of one ``rng.random(reps)`` per step.  Each row
+    is overwritten by its step's hit indicators, and a block enters Z
+    as one ``weights @ hits`` product; Z sums integers, so it is exact.
+    """
     n = chain.n
     if not 1 <= d <= v_n:
         raise ValueError(f"need 1 <= d <= v_n, got d={d}, v_n={v_n}")
-    state = np.zeros(reps, dtype=np.int64)
+    # weight j - d of step j; Q(j) <= j, so no hit before step d
+    weights = np.maximum(np.arange(1, v_n + 1) - d, 0).astype(float)
+    state = np.zeros(reps)
     z = np.zeros(reps)
-    for j in range(1, v_n + 1):
-        down = rng.random(reps) < state / n
-        state += np.where(down, -1, 1)
-        if j >= d:  # Q(j) <= j, indicator cannot fire earlier
-            z += (state == d) * float(j - d)
+    rows = max(1, _OCCUPATION_BLOCK // reps)
+    for first in range(0, v_n, rows):
+        block = rng.random((min(rows, v_n - first), reps))
+        for u in block:
+            # u - Q/n < 0 exactly where u < Q/n, the down step
+            np.subtract(u, state / n, out=u)
+            state += np.copysign(1.0, u, out=u)
+            np.equal(state, d, out=u)
+        z += weights[first:first + len(block)] @ block
     return MCAccumulator.from_values(z)
 
 

@@ -79,16 +79,25 @@ class TailMeasure:
         return cls(kind="custom", tail_fn=tail_fn)
 
 
-def tail_mass(measure: TailMeasure, u: float) -> float:
-    """nu(u, inf) for u > 0."""
-    if not u > 0.0:
-        raise ValueError(f"tail mass is defined for u > 0, got u={u}")
+def tail_mass(measure: TailMeasure, u):
+    """nu(u, inf) for u > 0; an array of u gives the array of masses.
+
+    Pareto tails are evaluated in closed form on the whole array; a
+    custom ``tail_fn`` is called once per entry with a Python float.
+    """
+    arr = np.asarray(u, dtype=float)
+    if not np.all(arr > 0.0):
+        raise ValueError(f"tail mass is defined for u > 0, got u={arr[~(arr > 0.0)].flat[0]}")
     if measure.kind == "pareto":
-        return measure.constant / u
-    value = float(measure.tail_fn(u))
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"tail function returned invalid mass {value} at u={u}")
-    return value
+        mass = measure.constant / arr
+    else:
+        mass = np.array([measure.tail_fn(x) for x in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
+        bad = ~(np.isfinite(mass) & (mass >= 0.0))
+        if np.any(bad):
+            raise ValueError(f"tail function returned invalid mass {mass[bad].flat[0]} "
+                             f"at u={arr[bad].flat[0]}")
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def tail_inverse(measure: TailMeasure, mass: float) -> float:
@@ -113,11 +122,17 @@ def tail_inverse(measure: TailMeasure, mass: float) -> float:
                         rtol=_INVERSION_RTOL))
 
 
-def extremal_marginal(measure: TailMeasure, t: float, u: float) -> float:
-    """One-dimensional marginal P(M(t) <= u) = exp(-t * tail(u))."""
+def extremal_marginal(measure: TailMeasure, t: float, u):
+    """One-dimensional marginal P(M(t) <= u) = exp(-t * tail(u)).
+
+    A scalar u gives a float; an array of u gives the array of marginals.
+    """
     if not t > 0.0:
         raise ValueError(f"marginal needs t > 0, got {t}")
-    return math.exp(-t * tail_mass(measure, u))
+    mass = tail_mass(measure, u)
+    if isinstance(mass, float):
+        return math.exp(-t * mass)
+    return np.exp(-t * mass)
 
 
 def fdd_probability(measure: TailMeasure, times, thresholds) -> float:
@@ -168,9 +183,10 @@ class PointSample:
 
 def _sample_magnitudes(measure: TailMeasure, u_min: float, size: int, rng) -> np.ndarray:
     # Conditional law above the truncation: P(mag > u) = tail(u)/tail(u_min).
-    v = 1.0 - rng.random(size)  # uniform on (0, 1]
+    v = rng.random(size)
+    np.subtract(1.0, v, out=v)  # uniform on (0, 1]
     if measure.kind == "pareto":
-        return u_min / v
+        return np.divide(u_min, v, out=v)
     base = tail_mass(measure, u_min)
     return np.asarray([tail_inverse(measure, vi * base) for vi in v])
 
@@ -274,17 +290,6 @@ def range_avoidance_prob(K: float, t: float, s: float) -> float:
     return math.exp(-record_interval_mass(t, t + s))
 
 
-def _batch_points(measure: TailMeasure, t_max: float, u_min: float, reps: int, rng):
-    """Flat arrays (rep_ids, times, magnitudes) for many realisations."""
-    lam = t_max * tail_mass(measure, u_min)
-    counts = rng.poisson(lam, reps)
-    total = int(counts.sum())
-    times = t_max * (1.0 - rng.random(total))
-    mags = _sample_magnitudes(measure, u_min, total, rng)
-    rep_ids = np.repeat(np.arange(reps), counts)
-    return rep_ids, times, mags
-
-
 def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
                       reps: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorised sup_path sampler: (reps, len(t_grid)) array of levels.
@@ -292,18 +297,31 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
     Each row is one realisation of the truncated point process queried
     at every time in ``t_grid`` (floor u_min).  Equivalent in law to
     calling sample_poisson_points + sup_path per replica, but runs as a
-    handful of array passes.
+    handful of array passes: one ``maximum.at`` over (replica, bucket)
+    keys, then a running maximum along the sorted query times.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid > t_max):
         raise ValueError("query times must not exceed t_max")
-    rep_ids, times, mags = _batch_points(measure, t_max, u_min, reps, rng)
-    out = np.full((reps, t_grid.size), float(u_min))
-    for j, t in enumerate(t_grid):
-        mask = times <= t
-        col = out[:, j]
-        np.maximum.at(col, rep_ids[mask], mags[mask])
-        out[:, j] = col
+    counts = rng.poisson(t_max * tail_mass(measure, u_min), reps)
+    times = rng.random(int(counts.sum()))
+    np.subtract(1.0, times, out=times)
+    times *= t_max  # uniform on (0, t_max]
+    mags = _sample_magnitudes(measure, u_min, times.size, rng)
+    # a point's bucket is the number of query times before it: it counts
+    # for every query from its bucket on, and bucket T holds the points
+    # born after every query
+    bucket = np.zeros(times.size, dtype=np.min_scalar_type(t_grid.size))
+    for t in t_grid:
+        bucket += times > t
+    cols = t_grid.size + 1
+    key = np.repeat(np.arange(reps) * cols, counts)
+    key += bucket
+    best = np.full(reps * cols, float(u_min))
+    np.maximum.at(best, key, mags)
+    levels = np.maximum.accumulate(best.reshape(reps, cols), axis=1)
+    out = np.empty((reps, t_grid.size))
+    out[:, np.argsort(t_grid, kind="stable")] = levels[:, :-1]
     return out
 
 

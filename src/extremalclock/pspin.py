@@ -48,6 +48,7 @@ __all__ = [
     "NumericalError",
     "IntegrityError",
     "PSpinInstance",
+    "check_tensor_budget",
     "build_instance",
     "hamiltonian",
     "delta_flip",
@@ -177,6 +178,20 @@ def _tensor_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def check_tensor_budget(n: int, p: int, memory_budget: int = DEFAULT_TENSOR_BUDGET) -> None:
+    """Raise TensorBudgetError when n^p doubles exceed ``memory_budget``.
+
+    The message names the maximum feasible n for this p.
+    """
+    needed = 8 * n ** p
+    if needed > memory_budget:
+        max_n = int((memory_budget / 8) ** (1.0 / p))
+        raise TensorBudgetError(
+            f"tensor for n={n}, p={p} needs {needed} bytes > budget {memory_budget}; "
+            f"max feasible n for p={p} is {max_n}"
+        )
+
+
 def build_instance(n: int, p: int, seed: int, beta: float = 1.0, c: float = 0.25,
                    memory_budget: int = DEFAULT_TENSOR_BUDGET) -> PSpinInstance:
     """Draw the n^p i.i.d. standard-Gaussian couplings for size n.
@@ -187,13 +202,7 @@ def build_instance(n: int, p: int, seed: int, beta: float = 1.0, c: float = 0.25
     """
     if n < 2 or p < 2:
         raise ValueError(f"need n >= 2 and p >= 2, got n={n}, p={p}")
-    needed = 8 * n ** p
-    if needed > memory_budget:
-        max_n = int((memory_budget / 8) ** (1.0 / p))
-        raise TensorBudgetError(
-            f"tensor for n={n}, p={p} needs {needed} bytes > budget {memory_budget}; "
-            f"max feasible n for p={p} is {max_n}"
-        )
+    check_tensor_budget(n, p, memory_budget)
     tensor = _tensor_rng(seed).standard_normal(n ** p).reshape((n,) * p)
     return PSpinInstance(n=n, p=p, seed=seed, tensor=tensor, beta=beta, c=c)
 
@@ -469,21 +478,31 @@ def gaussian_comparison_rhs(delta0, delta1, s: float) -> float:
     return float(np.sum(2.0 * np.exp(-s * s / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b))))
 
 
-def max_cdf_mc(delta, s: float, reps: int, rng: np.random.Generator) -> MCAccumulator:
-    """Monte Carlo estimate of P(max_i H_i <= s) for H ~ N(0, delta)."""
+def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator):
+    """Monte Carlo estimate of P(max_i H_i <= s) for H ~ N(0, delta).
+
+    A float ``s`` returns one MCAccumulator.  A 1-d sequence ``s``
+    shares one set of ``reps`` draws across its levels and returns one
+    accumulator per entry, each equal to a scalar call on those draws.
+    """
     d = _check_comparison_matrix(delta, "delta")
+    levels = np.asarray(s, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ValueError("s must be a float or a non-empty 1-d sequence")
     w, v = np.linalg.eigh(d)
     factor = v * np.sqrt(np.clip(w, 0.0, None))
-    acc = MCAccumulator()
+    accs = [MCAccumulator() for _ in range(levels.size)]
     chunk = 65536
     remaining = reps
     while remaining > 0:
         m = min(chunk, remaining)
         z = rng.standard_normal((m, d.shape[0]))
-        samples = z @ factor.T
-        acc.update_many((samples.max(axis=1) <= s).astype(float))
+        # (dim, m) layout: the max over coordinates is an elementwise max of rows
+        maxima = (factor @ z.T).max(axis=0)
+        for acc, level in zip(accs, levels.ravel()):
+            acc.update_many((maxima <= level).astype(float))
         remaining -= m
-    return acc
+    return accs if levels.ndim else accs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +724,6 @@ class HypercubeSRW(JumpChainModel):
             done += m
         return out + self._rate_offset(env)
 
-    def stationary_log_inv_rates(self, env, reps: int,
-                                 rng: np.random.Generator) -> np.ndarray:
-        """log lambda^{-1}(x) for reps stationary draws (no stepping)."""
-        return self.batch_log_inv_rates(env, self.sample_stationary(reps, rng))
-
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
                          want_end: bool = False) -> BlockStats:
@@ -734,7 +748,8 @@ class HypercubeSRW(JumpChainModel):
                 term = inst.beta * walker.H + offset \
                     + np.log(rng.standard_exponential(m))
                 np.logaddexp(ls, term, out=ls)
-                np.maximum(lm, term, out=lm)
+                if want_max:
+                    np.maximum(lm, term, out=lm)
             log_sums[done:done + m] = ls
             if want_max:
                 log_maxes[done:done + m] = lm

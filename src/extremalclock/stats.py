@@ -9,8 +9,9 @@ verification code:
 * ``EmpiricalDistribution`` -- sorted-sample wrapper with ECDF and
   order-statistic quantile queries.
 * ``ks_statistic`` / ``ks_threshold`` -- Kolmogorov-Smirnov distance
-  against a continuous reference CDF, evaluated with both one-sided
-  gaps at every sample point, and the asymptotic decision thresholds.
+  against a continuous, vectorised reference CDF, evaluated with both
+  one-sided gaps at every sample point, and the asymptotic decision
+  thresholds.
 * ``empirical_vs_extremal`` -- compares simulated supremum samples with
   the one-dimensional marginal of an extremal process and returns a
   serializable report.
@@ -142,12 +143,18 @@ def ks_statistic(samples, cdf) -> float:
     ``max(ECDF_right - F, F - ECDF_left)``, which is the exact sup
     distance when the reference CDF is continuous.  Ties contribute
     through the cumulative counts on either side of the tied value.
+
+    ``cdf`` must be vectorised: it is called once, on the sorted array
+    of distinct sample points, and returns one value per point.
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     xs, counts = np.unique(emp.samples, return_counts=True)
     cum_hi = np.cumsum(counts) / emp.count
     cum_lo = cum_hi - counts / emp.count
-    f = np.asarray([cdf(x) for x in xs], dtype=float)
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ValueError(f"reference CDF must return one value per point: got shape "
+                         f"{f.shape} for {xs.size} points")
     if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
         raise ValueError("reference CDF returned values outside [0, 1]")
     d = max(float(np.max(cum_hi - f)), float(np.max(f - cum_lo)))

@@ -122,3 +122,59 @@ def truncated_exp_scaled_mean(lam_inv: float, threshold: float, a_n: float) -> f
     ratio = threshold / lam_inv
     mean = lam_inv * (1.0 - math.exp(-ratio) * (1.0 + ratio))
     return a_n / threshold * mean
+
+
+def pareto_sup_levels_per_t(K: float, t_grid, t_max: float, u_min: float,
+                            reps: int, rng) -> np.ndarray:
+    """Sup levels of truncated K/u point processes, one masked pass per t.
+
+    Draws in the sampler's documented order (Poisson counts per replica,
+    then uniform times, then magnitudes u_min/U) and, for each query
+    time, folds the magnitudes of the points born by then into a copy of
+    the floor column.
+    """
+    counts = rng.poisson(t_max * K / u_min, reps)
+    total = int(counts.sum())
+    times = t_max * (1.0 - rng.random(total))
+    mags = u_min / (1.0 - rng.random(total))
+    rep_ids = np.repeat(np.arange(reps), counts)
+    out = np.full((reps, len(t_grid)), float(u_min))
+    for j, t in enumerate(t_grid):
+        mask = times <= t
+        col = out[:, j].copy()
+        np.maximum.at(col, rep_ids[mask], mags[mask])
+        out[:, j] = col
+    return out
+
+
+def occupation_loop(n: int, d: int, v_n: int, reps: int, rng) -> np.ndarray:
+    """Z = sum_j 1{Q(j)=d} (j - d) per replica, one uniform draw per step."""
+    state = np.zeros(reps, dtype=np.int64)
+    z = np.zeros(reps)
+    for j in range(1, v_n + 1):
+        down = rng.random(reps) < state / n
+        state += np.where(down, -1, 1)
+        if j >= d:
+            z += (state == d) * float(j - d)
+    return z
+
+
+def hitting_window_dist_sum(n: int, d: int, lo: int, hi: int) -> float:
+    """P_0(lo < T_d < hi) as the sum of the exact first-passage masses.
+
+    Propagates the law of the distance chain killed at d one step at a
+    time and adds the mass absorbed at each step j with lo < j < hi.
+    """
+    v = np.zeros(d)
+    v[0] = 1.0
+    total = 0.0
+    for j in range(1, hi):
+        up = v * (1.0 - np.arange(d) / n)
+        down = v * (np.arange(d) / n)
+        absorbed = up[d - 1]
+        v = np.zeros(d)
+        v[1:] += up[:d - 1]
+        v[:d - 1] += down[1:]
+        if j > lo:
+            total += absorbed
+    return total

@@ -276,6 +276,22 @@ def test_cli_ks_commands_need_35_replicas(tmp_path, capsys, command):
         validate_config({"n_grid": [4], "replicas": 34}, other)
 
 
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
+def test_cli_oversized_tensor_is_a_config_error(tmp_path, capsys, command):
+    # 8 * 1000^3 bytes is over the default budget; validation stops it
+    # before any tensor is allocated
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": 3, "n_grid": [8, 1000]}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_grid (tensor for n=1000, p=3" in err and "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    validate_config({"p": 3, "n_grid": [8, 812]}, command)
+    # subcommands without a p-spin tensor keep any n
+    for other in ("ppp", "ehrenfest", "compare"):
+        validate_config({"p": 3, "n_grid": [1000]}, other)
+
+
 SHARED_WALK = {"n_grid": [8, 10], "p": 2, "c": 0.05, "u_grid": [0.5, 1.0, 2.0],
                "t_grid": [1.0, 2.0], "delta_grid": [1.0], "replicas": 200,
                "inner_replicas": 20, "seed": 5}

@@ -20,6 +20,7 @@ from extremalclock.ehrenfest import (
     simulate_hitting_time,
     transition_matrix,
 )
+from extremalclock.stats import MCAccumulator
 
 
 def test_transition_matrix_structure():
@@ -136,6 +137,15 @@ def test_hitting_window_probability():
     assert hitting_window_probability(chain, 2, 1, 500) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_hitting_window_matches_first_passage_sum():
+    for n, d, lo, hi in ((3, 2, 2, 6), (8, 3, 3, 12), (16, 7, 14, 768), (32, 15, 30, 3072),
+                         (12, 1, 0, 5), (9, 4, 10, 11)):
+        expected = oracles.hitting_window_dist_sum(n, d, lo, hi)
+        assert abs(hitting_window_probability(EhrenfestChain(n), d, lo, hi) - expected) <= 1e-12
+    with pytest.raises(ValueError):
+        hitting_window_probability(EhrenfestChain(4), 5, 0, 3)
+
+
 def test_simulate_hitting_time_matches_exact():
     rng = np.random.default_rng(1)
     for n, d in ((10, 2), (20, 4)):
@@ -179,6 +189,15 @@ def test_occupation_exact_matches_mc():
         occupation_statistic(chain, 5, 4, 10, rng)
     with pytest.raises(ValueError):
         occupation_exact(chain, 0, 4)
+
+
+@pytest.mark.parametrize("n, d, v_n, reps", [(6, 2, 40, 3000), (16, 2, 768, 500), (5, 3, 3, 7)])
+def test_occupation_statistic_matches_per_step_loop(n, d, v_n, reps):
+    # blocked draws read the same stream as one draw per step, and Z is exact
+    acc = occupation_statistic(EhrenfestChain(n), d, v_n, reps, np.random.default_rng(9))
+    z = oracles.occupation_loop(n, d, v_n, reps, np.random.default_rng(9))
+    ref = MCAccumulator.from_values(z)
+    assert (acc.count, acc.mean, acc.m2) == (ref.count, ref.mean, ref.m2)
 
 
 def test_occupation_exact_tiny_case_by_hand():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from extremalclock.measures import (
     ExtremalPath,
     PointSample,
@@ -65,6 +66,21 @@ def test_extremal_marginal_closed_form():
     assert extremal_marginal(m, 2.0, 4.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
     with pytest.raises(ValueError):
         extremal_marginal(m, 0.0, 1.0)
+
+
+def test_extremal_marginal_array_matches_scalar():
+    us = np.array([[0.3, 1.0], [4.0, 25.0]])
+    for m in (TailMeasure.pareto(4.0), TailMeasure.from_tail(lambda u: 4.0 / u + math.exp(-u))):
+        arr = extremal_marginal(m, 1.5, us)
+        assert arr.shape == us.shape
+        for idx, u in np.ndenumerate(us):
+            assert arr[idx] == pytest.approx(extremal_marginal(m, 1.5, float(u)), rel=1e-15)
+        np.testing.assert_array_equal(
+            tail_mass(m, us), [[tail_mass(m, float(u)) for u in row] for row in us])
+    with pytest.raises(ValueError, match="u=0.0"):
+        tail_mass(TailMeasure.pareto(4.0), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="invalid mass"):
+        tail_mass(TailMeasure.from_tail(lambda u: -1.0), np.array([1.0, 2.0]))
 
 
 def test_fdd_product_form():
@@ -199,6 +215,20 @@ def test_sample_sup_levels_matches_scalar_path():
     assert np.all(np.diff(levels, axis=1) >= 0.0)
     with pytest.raises(ValueError):
         sample_sup_levels(m, [3.0], 2.0, 0.05, 10, rng)
+
+
+@pytest.mark.parametrize("t_grid, t_max", [
+    ([0.5, 1.0, 2.0], 2.0),
+    ([1.0, 0.25, 2.0, 0.5], 2.0),  # unsorted
+    ([0.3, 1.2], 2.0),  # points born after every query time
+    ([0.7], 0.7),
+])
+def test_sample_sup_levels_matches_per_t_oracle(t_grid, t_max):
+    m = TailMeasure.pareto(4.0)
+    levels = sample_sup_levels(m, t_grid, t_max, 0.05, 3000, np.random.default_rng(23))
+    expected = oracles.pareto_sup_levels_per_t(4.0, t_grid, t_max, 0.05, 3000,
+                                               np.random.default_rng(23))
+    np.testing.assert_array_equal(levels, expected)
 
 
 def test_sup_level_marginal_mc():

@@ -399,6 +399,23 @@ def test_max_cdf_mc_matches_bivariate_oracle():
     assert abs(acc.mean - target) <= 3.0 * acc.sem
 
 
+def test_max_cdf_mc_sequence_shares_draws():
+    # one call over a level sequence equals scalar calls on the same draws;
+    # 70,000 reps span two draw chunks
+    d = _random_correlation(4, np.random.default_rng(5))
+    levels = [0.5, 2.0, 1.0]
+    accs = max_cdf_mc(d, levels, 70_000, np.random.default_rng(17))
+    assert len(accs) == len(levels)
+    for s, acc in zip(levels, accs):
+        single = max_cdf_mc(d, s, 70_000, np.random.default_rng(17))
+        assert (acc.count, acc.mean, acc.m2) == (single.count, single.mean, single.m2)
+    assert accs[0].mean < accs[2].mean < accs[1].mean
+    with pytest.raises(ValueError):
+        max_cdf_mc(d, [], 10, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        max_cdf_mc(d, [[1.0]], 10, np.random.default_rng(0))
+
+
 # -- persistence --------------------------------------------------------------
 
 
@@ -474,16 +491,6 @@ def test_batch_log_inv_rates_match_scalar(p):
     fast = model.batch_log_inv_rates(env, X)
     slow = np.asarray([engine.log_inverse_rate(env, model, x) for x in X])
     np.testing.assert_allclose(fast, slow, rtol=1e-10)
-
-
-def test_stationary_rates_seeded_equivalence():
-    inst = build_instance(6, 2, seed=32, beta=0.5)
-    env = PSpinEnvironment(inst)
-    model = HypercubeSRW(6)
-    direct = model.stationary_log_inv_rates(env, 100, np.random.default_rng(44))
-    X = model.sample_stationary(100, np.random.default_rng(44))
-    manual = model.batch_log_inv_rates(env, X)
-    np.testing.assert_array_equal(direct, manual)
 
 
 @pytest.mark.parametrize("p", [2, 3])

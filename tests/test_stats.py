@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from extremalclock.stats import (
@@ -70,6 +72,54 @@ def test_merge_with_empty_is_identity():
         assert combo.m2 == a.m2
 
 
+_values = st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=30)
+
+
+def _close(a, b, values):
+    # equal to roundoff on the scale of the pooled values
+    assert a.count == b.count == len(values)
+    scale = max([1.0] + [abs(v) for v in values])
+    assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-12 * scale)
+    assert a.m2 == pytest.approx(b.m2, rel=1e-9, abs=1e-12 * scale * scale * len(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values, _values, _values)
+def test_merge_is_associative(xs, ys, zs):
+    a, b, c = (MCAccumulator.from_values(v) for v in (xs, ys, zs))
+    pooled = xs + ys + zs
+    _close(merge(merge(a, b), c), merge(a, merge(b, c)), pooled)
+    _close(merge(merge(a, b), c), MCAccumulator.from_values(pooled), pooled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values, _values)
+def test_update_many_matches_from_values(xs, ys):
+    acc = MCAccumulator.from_values(xs)
+    acc.update_many(ys)
+    pooled = xs + ys
+    _close(acc, MCAccumulator.from_values(pooled), pooled)
+    one_by_one = MCAccumulator()
+    for x in pooled:
+        one_by_one.update(x)
+    _close(acc, one_by_one, pooled)
+
+
+def test_ks_statistic_calls_cdf_once_on_distinct_points():
+    xs = np.array([0.2, 0.7, 0.2, 0.5])
+    seen = []
+
+    def cdf(x):
+        seen.append(np.array(x))
+        return np.clip(x, 0.0, 1.0)
+
+    assert ks_statistic(xs, cdf) == pytest.approx(0.3, abs=1e-12)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], [0.2, 0.5, 0.7])
+    with pytest.raises(ValueError, match="one value per point"):
+        ks_statistic(xs, lambda x: 0.5)
+
+
 def test_empirical_distribution_queries():
     emp = EmpiricalDistribution([3.0, 1.0, 2.0, 2.0])
     assert emp.count == 4
@@ -90,14 +140,14 @@ def test_ks_statistic_on_quantile_grid():
     # uniform samples at (i - 0.5)/N give D = 0.5/N exactly
     n = 100
     xs = (np.arange(n) + 0.5) / n
-    d = ks_statistic(xs, lambda x: min(max(x, 0.0), 1.0))
+    d = ks_statistic(xs, lambda x: np.clip(x, 0.0, 1.0))
     assert d == pytest.approx(0.5 / n, abs=1e-12)
 
 
 def test_ks_statistic_degenerate_samples():
     # all mass at 0.3 against Uniform(0,1): sup gap is 1 - 0.3 = 0.7
     xs = np.full(50, 0.3)
-    d = ks_statistic(xs, lambda x: min(max(x, 0.0), 1.0))
+    d = ks_statistic(xs, lambda x: np.clip(x, 0.0, 1.0))
     assert d == pytest.approx(0.7, abs=1e-12)
 
 
