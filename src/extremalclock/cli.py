@@ -117,7 +117,8 @@ _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
 _SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 # subcommands that KS-test `replicas` samples against a limit law
 _KS_COMMANDS = ("ppp", "sk-run")
-# subcommands that build an n^p coupling tensor for every n in n_grid
+# subcommands that build an n^p coupling tensor for every n in n_grid,
+# and a schedule for every n with beta > 0
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
 
 
@@ -157,16 +158,18 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
         else:
             valid_grids.add(name)
         merged[name] = tuple(value)
+    tensors_fit = False
     if not (isinstance(merged["p"], int) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
     elif command in _TENSOR_COMMANDS and "n_grid" in valid_grids:
-        for n in merged["n_grid"]:
-            try:
+        try:
+            for n in merged["n_grid"]:
                 pspin.check_tensor_budget(n, merged["p"])
-            except pspin.TensorBudgetError as exc:
-                flag("n_grid", str(exc))
-                break
-    if not (isinstance(merged["c"], (int, float)) and 0.0 < merged["c"] < 0.5):
+            tensors_fit = True
+        except pspin.TensorBudgetError as exc:
+            flag("n_grid", str(exc))
+    c_valid = isinstance(merged["c"], (int, float)) and 0.0 < merged["c"] < 0.5
+    if not c_valid:
         flag("c", "must lie in (0, 0.5)")
     beta = merged["beta"]
     problems_before_beta = len(problems)
@@ -179,9 +182,19 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             merged["beta"] = tuple(float(b) for b in beta)
     elif not (isinstance(beta, (int, float)) and beta >= 0):
         flag("beta", "must be a nonnegative number or sequence")
-    if command in _SCHEDULE_COMMANDS and len(problems) == problems_before_beta \
+    beta_valid = len(problems) == problems_before_beta
+    if command in _SCHEDULE_COMMANDS and beta_valid \
             and np.any(np.asarray(merged["beta"]) == 0):
         flag("beta", f"must be positive for {command}; only variance accepts beta = 0")
+    if tensors_fit and c_valid and beta_valid:
+        # every n with beta > 0 gets a schedule, whose a_n must not overflow
+        betas = np.broadcast_to(merged["beta"], (len(merged["n_grid"]),))
+        try:
+            for n, b in zip(merged["n_grid"], betas):
+                if b > 0:
+                    pspin.check_schedule(n, merged["c"])
+        except ValueError as exc:
+            flag("n_grid", str(exc))
     if not (isinstance(merged["epsilon"], (int, float)) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
     if not (isinstance(merged["significance"], (int, float))
@@ -569,11 +582,11 @@ def _cmd_compare(cfg: ExperimentConfig):
         # one set of draws per matrix serves every s
         mcs0 = pspin.max_cdf_mc(delta0, s_values, cfg.replicas, rng)
         mcs1 = pspin.max_cdf_mc(delta1, s_values, cfg.replicas, rng)
+        rhss = pspin.gaussian_comparison_rhs(delta0, delta1, s_values)
         out = []
-        for s, mc0, mc1 in zip(s_values, mcs0, mcs1):
+        for s, mc0, mc1, rhs in zip(s_values, mcs0, mcs1, rhss.tolist()):
             lhs = mc0.mean - mc1.mean
             se = math.sqrt(mc0.sem ** 2 + mc1.sem ** 2)
-            rhs = pspin.gaussian_comparison_rhs(delta0, delta1, s)
             out.append((dim, chi, s, lhs, se, rhs))
         return out
 

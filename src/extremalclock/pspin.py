@@ -23,7 +23,12 @@ module provides:
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
   environment oracle consumed by the generic engine, with vectorised
   kernels for p in {2, 3} that advance thousands of replicas per numpy
-  pass using O(n^{p-1}) incremental Hamiltonian updates.
+  pass.  For n <= 20, in a walk long enough to pay for building it, a
+  replica is an integer state index, a flip is one XOR and H is one
+  lookup in the exact 8 * 2^n-byte energy table
+  (``PSpinInstance.energy_table``, no incremental drift); otherwise the
+  walker carries a contraction field with O(n^{p-1}) incremental
+  Hamiltonian updates.  Both draw the same flip stream.
 
 States are length-n numpy vectors with entries +-1 (float for BLAS).
 """
@@ -49,6 +54,7 @@ __all__ = [
     "IntegrityError",
     "PSpinInstance",
     "check_tensor_budget",
+    "check_schedule",
     "build_instance",
     "hamiltonian",
     "delta_flip",
@@ -102,7 +108,11 @@ class PSpinInstance:
     The tensor is regenerated deterministically from (n, p, seed) by a
     Philox stream, so persistence stores only the header.  Hamiltonian
     values are memoised per visited state in a bounded LRU map held in
-    thread-local storage (the instance itself is shareable).
+    thread-local storage (the instance itself is shareable).  The
+    vectorised walkers read H from lazily built derived arrays: the
+    symmetrised tensor and, for n <= 20 walks long enough to pay for
+    it, the exact table of H at all 2^n states (``energy_table``,
+    8 * 2^n bytes).
     """
 
     def __init__(self, n: int, p: int, seed: int, tensor: np.ndarray,
@@ -122,6 +132,7 @@ class PSpinInstance:
         self._sym = None
         self._sym_diag2 = None
         self._sym_diag3 = None
+        self._table = None
 
     def _cache(self) -> OrderedDict:
         cache = getattr(self._tls, "cache", None)
@@ -170,8 +181,54 @@ class PSpinInstance:
             self._sym = sym
         return self._sym
 
+    def energy_table(self) -> np.ndarray:
+        """H at all 2^n states; bit i of the index is set iff x_i = -1.
+
+        Built lazily from the Walsh coefficients of the symmetrised
+        tensor S, H(x) = scale * sum_A h(A) prod_{i in A} x_i, with
+        h(empty) = tr S and h({i,j}) = 2 S_ij (i < j) for p=2, and
+        h({l}) = S_lll + 3 sum_{a != l} S_aal and h({i,j,l}) = 6 S_ijl
+        (i < j < l) for p=3, followed by one in-place fast
+        Walsh-Hadamard transform.  Takes 8 * 2^n bytes.  The table is
+        published in one assignment once complete, so a thread that
+        sees it set sees all of it; two threads racing here both build,
+        and their tables are equal.
+        """
+        if self._table is None:
+            S = self.symmetric_tensor()
+            n = self.n
+            bit = np.int64(1) << np.arange(n, dtype=np.int64)
+            coef = np.zeros(2 ** n)
+            if self.p == 2:
+                i, j = np.triu_indices(n, k=1)
+                coef[0] = np.trace(S)
+                coef[bit[i] | bit[j]] = 2.0 * S[i, j]
+            else:
+                diag3 = self._sym_diag3
+                coef[bit] = diag3 + 3.0 * (self._sym_diag2.sum(axis=0) - diag3)
+                i, j, l = np.array(list(itertools.combinations(range(n), 3)),
+                                   dtype=np.intp).reshape(-1, 3).T
+                coef[bit[i] | bit[j] | bit[l]] = 6.0 * S[i, j, l]
+            _walsh_hadamard(coef)
+            coef *= self.scale
+            self._table = coef
+        return self._table
+
     def head_hash(self) -> bytes:
         return hashlib.sha256(self.tensor.ravel()[:64].tobytes()).digest()
+
+
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """Unnormalised fast Walsh-Hadamard transform of a length-2^n array, in place.
+
+    Afterwards a[x] = sum_A a_old[A] (-1)^{popcount(x & A)}: one
+    butterfly pass (lo + hi, lo - hi) per bit.
+    """
+    for i in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << i)
+        lo = v[:, 0, :].copy()
+        v[:, 0, :] += v[:, 1, :]
+        np.subtract(lo, v[:, 1, :], out=v[:, 1, :])
 
 
 def _tensor_rng(seed: int) -> np.random.Generator:
@@ -273,6 +330,30 @@ def srw_step(x, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _an_exponent(n: int, c: float) -> float:
+    gamma = float(n) ** (-c)
+    return gamma * gamma * n / 2.0
+
+
+def check_schedule(n: int, c: float) -> None:
+    """Raise ValueError when c is outside (0, 1/2) or a_n overflows at this n.
+
+    a_n carries exp(gamma^2 n / 2) = exp(n^{1-2c} / 2), which overflows a
+    double past 700; the message names the largest n that works for c.
+    """
+    if not 0.0 < c < 0.5:
+        raise ValueError(f"c must lie in (0, 1/2), got {c}")
+    exponent = _an_exponent(n, c)
+    if exponent > 700.0:
+        max_n = int(1400.0 ** (1.0 / (1.0 - 2.0 * c)))
+        while _an_exponent(max_n + 1, c) <= 700.0:
+            max_n += 1
+        while _an_exponent(max_n, c) > 700.0:
+            max_n -= 1
+        raise ValueError(f"a_n overflows for n={n}, c={c} (gamma^2 n / 2 = {exponent:.3g} "
+                         f"> 700); max n for c={c} is {max_n}")
+
+
 def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
     """Rescaling schedule for the p-spin SRW at inverse temperature beta.
 
@@ -280,10 +361,10 @@ def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
     exp(gamma^2 n / 2), log c_n = gamma beta n, theta_n = 3 n^2, and
     v_n = round(n^omega) with omega the midpoint of (c + 1/2, 1).
     Warns when alpha >= 1 (the asymptotic regime is not entered; the
-    schedule type itself rejects alpha > 1).
+    schedule type itself rejects alpha > 1).  Raises ValueError where
+    ``check_schedule`` does.
     """
-    if not 0.0 < c < 0.5:
-        raise ValueError(f"c must lie in (0, 1/2), got {c}")
+    check_schedule(n, c)
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     gamma = float(n) ** (-c)
@@ -292,10 +373,7 @@ def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
         warnings.warn(
             f"alpha_n = {alpha:.6g} >= 1: power transform leaves the subadditive "
             "regime; asymptotic statements do not apply", stacklevel=2)
-    exponent = gamma * gamma * n / 2.0
-    if exponent > 700.0:
-        raise ValueError(f"a_n overflows (gamma^2 n / 2 = {exponent:.3g}); n too large for this c")
-    a_n = math.sqrt(2.0 * math.pi * n) / gamma * math.exp(exponent)
+    a_n = math.sqrt(2.0 * math.pi * n) / gamma * math.exp(_an_exponent(n, c))
     omega = (c + 1.5) / 2.0
     v_n = max(1, int(round(float(n) ** omega)))
     return ScalingSchedule(
@@ -449,8 +527,12 @@ def _check_comparison_matrix(delta: np.ndarray, name: str) -> np.ndarray:
     return delta
 
 
-def gaussian_comparison_rhs(delta0, delta1, s: float) -> float:
+def gaussian_comparison_rhs(delta0, delta1, s):
     """Upper bound on P(max H^0 <= s) - P(max H^1 <= s).
+
+    A float ``s`` returns a float.  A 1-d sequence ``s`` validates the
+    matrices once and returns an array with one bound per level, each
+    equal to a scalar call at that level.
 
     sum over ordered pairs i != j of (D0_ij - D1_ij)^+ *
     exp(-s^2/(1 + Dmax_ij)) * int_0^1 (1 - (Dh_ij)^2)^{-1/2} dh,
@@ -464,6 +546,9 @@ def gaussian_comparison_rhs(delta0, delta1, s: float) -> float:
     d1 = _check_comparison_matrix(delta1, "delta1")
     if d0.shape != d1.shape:
         raise ValueError("covariance matrices must share a shape")
+    levels = np.asarray(s, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ValueError("s must be a float or a non-empty 1-d sequence")
     rows, cols = np.triu_indices(d0.shape[0], k=1)
     a, b = d0[rows, cols], d1[rows, cols]
     live = a > b  # pairs with a positive part (D0 - D1)^+
@@ -474,8 +559,11 @@ def gaussian_comparison_rhs(delta0, delta1, s: float) -> float:
         raise ValueError(f"|interpolated correlation| reaches 1 at entry "
                          f"({rows[first]},{cols[first]}); integral singular")
     a, b = a[live], b[live]
-    # ordered pairs (i,j) and (j,i) contribute identically
-    return float(np.sum(2.0 * np.exp(-s * s / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b))))
+    # ordered pairs (i,j) and (j,i) contribute identically; one row per level
+    col = levels.reshape(-1, 1)
+    bounds = np.sum(2.0 * np.exp(-col * col / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b)),
+                    axis=1)
+    return bounds if levels.ndim else float(bounds[0])
 
 
 def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator):
@@ -595,8 +683,10 @@ class PSpinEnvironment(EnvironmentOracle):
 class _BatchWalker:
     """Synchronous SRW replicas with incremental Hamiltonian tracking.
 
-    Holds R spin rows plus the contraction field F that makes each flip
-    an O(n) (p=2) or O(n^2) (p=3) update; ``H`` is kept current after
+    The walker for n > 20, where the energy table would exceed 8 MB,
+    and for walks too short to pay for building the table.  Holds R
+    spin rows plus the contraction field F that makes each flip an
+    O(n) (p=2) or O(n^2) (p=3) update; ``H`` is kept current after
     every step.  Drift from incremental updates is bounded by
     steps * machine epsilon relative to the contraction magnitude,
     negligible for block lengths 3n^2 at desk scale.
@@ -613,7 +703,10 @@ class _BatchWalker:
     def _recompute(self) -> None:
         inst, X = self.inst, self.X
         if inst.p == 2:
-            self.F = X @ self.S
+            # einsum, not a BLAS GEMM: at R = 4000, n = 18 a threaded GEMM
+            # leaves OpenBLAS workers spinning, and on 2 CPUs that slowed
+            # the rest of a verify run by about 35 ms per call
+            self.F = np.einsum("rj,ij->ri", X, self.S)
         else:
             # F[r, i] = sum_{j,l} S[i,j,l] x_j x_l
             t = np.tensordot(X, self.S, axes=([1], [2]))  # (R, i, j)
@@ -657,6 +750,73 @@ class _BatchWalker:
         w.K = self.K[keep]
         w.H = self.H[keep]
         return w
+
+
+class _TableWalker:
+    """Synchronous SRW replicas that read H off the instance's energy table.
+
+    The walker at n <= 20 for walks long enough to pay for the table,
+    with ``_BatchWalker``'s interface.  A replica is an int64 state
+    index (bit i set iff x_i = -1); a step XORs one bit per replica and
+    looks H up, so H is exact at every step, with no incremental drift.
+    ``X`` is decoded on demand.  A step draws the same
+    ``rng.integers(0, n, R)`` as ``_BatchWalker``.
+    """
+
+    def __init__(self, inst: PSpinInstance, x0: np.ndarray):
+        X = np.asarray(x0, dtype=float)
+        if X.ndim != 2 or X.shape[1] != inst.n:
+            raise ValueError("start states must form an (R, n) array")
+        self.n = inst.n
+        self.table = inst.energy_table()
+        self.bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
+        self.idx = (X < 0.0).astype(np.int64) @ self.bits
+        self.H = self.table[self.idx]
+
+    @property
+    def R(self) -> int:
+        return self.idx.shape[0]
+
+    @property
+    def X(self) -> np.ndarray:
+        return 1.0 - 2.0 * ((self.idx[:, None] >> np.arange(self.n)) & 1)
+
+    def step(self, rng: np.random.Generator) -> None:
+        self.idx ^= self.bits[rng.integers(0, self.n, self.R)]
+        self.H = self.table[self.idx]
+
+    def restrict(self, keep: np.ndarray) -> "_TableWalker":
+        w = object.__new__(_TableWalker)
+        w.n, w.table, w.bits = self.n, self.table, self.bits
+        w.idx = self.idx[keep]
+        w.H = self.H[keep]
+        return w
+
+
+# The table walker serves n <= 20 (8 * 2^n bytes of energies, at most
+# 8 MB), and only a walk that pays for the table.  Measured on one core
+# (n 12..20, R 200..2000): the build costs about 2 ns per entry and
+# butterfly pass (n passes over 2^n entries), and each replica-step on
+# the table saves at least 45 ns (p=2) or 400 ns (p=3) over the field
+# walker.
+_TABLE_MAX_N = 20
+_TABLE_BUILD_NS = 2.0
+_TABLE_SAVED_NS = {2: 45.0, 3: 400.0}
+
+
+def _walker(inst: PSpinInstance, x0: np.ndarray, work: int):
+    """A walker for the rows of x0, in a call that walks ``work`` replica-steps in all.
+
+    The table walker when n <= 20 and the steps it saves outweigh
+    building the table, the field walker otherwise.  The choice depends
+    on (n, p, work) alone, never on whether the table already exists,
+    so a shared instance gives the same results at any thread count.
+    """
+    n = inst.n
+    if n <= _TABLE_MAX_N and \
+            work * _TABLE_SAVED_NS[inst.p] >= _TABLE_BUILD_NS * n * 2 ** n:
+        return _TableWalker(inst, x0)
+    return _BatchWalker(inst, x0)
 
 
 class HypercubeSRW(JumpChainModel):
@@ -720,7 +880,8 @@ class HypercubeSRW(JumpChainModel):
         done = 0
         while done < X.shape[0]:
             m = min(8192, X.shape[0] - done)
-            out[done:done + m] = inst.beta * _BatchWalker(inst, X[done:done + m]).H
+            # no steps are walked, so no table is built for these rates
+            out[done:done + m] = inst.beta * _walker(inst, X[done:done + m], 0).H
             done += m
         return out + self._rate_offset(env)
 
@@ -740,7 +901,7 @@ class HypercubeSRW(JumpChainModel):
                 x0 = self.sample_stationary(m, rng)
             else:
                 x0 = np.asarray(starts[done:done + m], dtype=float)
-            walker = _BatchWalker(inst, x0)
+            walker = _walker(inst, x0, reps * theta)
             ls = np.full(m, -math.inf)
             lm = np.full(m, -math.inf)
             for _ in range(theta):
@@ -766,7 +927,7 @@ class HypercubeSRW(JumpChainModel):
         x_first = np.zeros((reps, n))
         have1 = np.zeros(reps, dtype=bool)
         overlaps = np.full(reps, np.nan)
-        walker = _BatchWalker(inst, self.sample_stationary(reps, rng))
+        walker = _walker(inst, self.sample_stationary(reps, rng), reps * step_budget)
         cum = np.full(reps, -math.inf)
         alive = np.arange(reps)  # output row of each walker row
         for _ in range(step_budget):
@@ -774,14 +935,15 @@ class HypercubeSRW(JumpChainModel):
                 + np.log(rng.standard_exponential(walker.R))
             nxt = np.logaddexp(cum, term)
             cross1 = ~have1 & (nxt > log_t1)
+            # restrict first, so that only the crossing rows' states are read
             if np.any(cross1):
-                x_first[alive[cross1]] = walker.X[cross1]
+                x_first[alive[cross1]] = walker.restrict(cross1).X
                 have1 |= cross1
             cross2 = nxt > log_t2
             if np.any(cross2):
                 rows = alive[cross2]
                 overlaps[rows] = np.einsum(
-                    "ri,ri->r", x_first[rows], walker.X[cross2]) / n
+                    "ri,ri->r", x_first[rows], walker.restrict(cross2).X) / n
                 keep = ~cross2
                 if not np.any(keep):
                     break

@@ -292,6 +292,42 @@ def test_cli_oversized_tensor_is_a_config_error(tmp_path, capsys, command):
         validate_config({"p": 3, "n_grid": [1000]}, other)
 
 
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
+def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
+    # a_n = ... exp(n^{1-2c} / 2) overflows past n = 1623 at c = 0.01
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [2000], "p": 2, "c": 0.01}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_grid (a_n overflows for n=2000" in err and "max n for c=0.01 is 1623" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    validate_config({"n_grid": [1623], "p": 2, "c": 0.01}, command)
+    # variance builds no schedule where beta = 0; other subcommands none at all
+    validate_config({"n_grid": [8, 2000], "p": 2, "c": 0.01, "beta": [1.0, 0.0]},
+                    "variance")
+    for other in ("ppp", "ehrenfest", "compare"):
+        validate_config({"n_grid": [2000], "p": 2, "c": 0.01}, other)
+
+
+def test_cli_skrun_p3_shared_instances_deterministic_across_threads(tmp_path):
+    # two t per n: two pool jobs first walk each p=3 instance together
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8, 10], "p": 3, "t_grid": [0.5, 1.0],
+                                    "replicas": 40, "seed": 3}))
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        proc = _cli(["sk-run", "--config", str(cfg_path), "--threads", str(threads),
+                     "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads((out / "results.json").read_text())
+        results.pop("runtime_seconds")
+        outputs.append((results, [(out / f"{name}.csv").read_text()
+                                  for name in results["tables"]]))
+    assert outputs[0] == outputs[1]
+
+
 SHARED_WALK = {"n_grid": [8, 10], "p": 2, "c": 0.05, "u_grid": [0.5, 1.0, 2.0],
                "t_grid": [1.0, 2.0], "delta_grid": [1.0], "replicas": 200,
                "inner_replicas": 20, "seed": 5}

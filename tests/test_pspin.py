@@ -2,9 +2,13 @@
 comparison machinery, persistence, vectorised chain hooks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -18,8 +22,11 @@ from extremalclock.pspin import (
     PSpinEnvironment,
     TensorBudgetError,
     _BatchWalker,
+    _TableWalker,
+    _walker,
     block_max_tail,
     build_instance,
+    check_schedule,
     delta_flip,
     gaussian_comparison_rhs,
     hamiltonian,
@@ -175,6 +182,88 @@ def test_batch_walker_tracks_hamiltonian(p):
             hamiltonian(fresh, walker.X[r]), rel=1e-9, abs=1e-10)
 
 
+def _state(index, n):
+    # the energy-table convention: bit i of the index set iff x_i = -1
+    return spins([-1.0 if (index >> i) & 1 else 1.0 for i in range(n)])
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 5), (2, 10), (3, 2), (3, 3), (3, 5), (3, 8)])
+def test_energy_table_matches_brute_force(p, n):
+    inst = build_instance(n, p, seed=40 + n)
+    table = inst.energy_table()
+    assert table.shape == (2 ** n,)
+    assert inst.energy_table() is table  # built once
+    for index in range(2 ** n):
+        expect = oracles.brute_force_hamiltonian(inst.tensor, _state(index, n), inst.scale)
+        assert table[index] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def _assert_walkers_agree(table, field):
+    np.testing.assert_array_equal(table.X, field.X)
+    # relative to the largest |H|: a single H may sit near 0
+    assert np.max(np.abs(table.H - field.H)) <= 1e-12 * np.max(np.abs(field.H))
+
+
+def _walk_both(table, field, steps, seed):
+    """Step both walkers on identically seeded streams, comparing after each step."""
+    rng_t, rng_f = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(steps):
+        table.step(rng_t)
+        field.step(rng_f)
+        _assert_walkers_agree(table, field)
+    assert rng_t.bit_generator.state == rng_f.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_table_walker_matches_field_walker(n, p):
+    inst = build_instance(n, p, seed=50 + n)
+    x0 = np.random.default_rng(n).integers(0, 2, (64, n)).astype(float) * 2 - 1
+    table, field = _TableWalker(inst, x0), _BatchWalker(inst, x0)
+    _assert_walkers_agree(table, field)
+    _walk_both(table, field, 200, seed=p)
+    keep = np.arange(64) % 3 != 0
+    table, field = table.restrict(keep), field.restrict(keep)
+    assert table.R == field.R == int(keep.sum())
+    _assert_walkers_agree(table, field)
+    _walk_both(table, field, 100, seed=9)
+
+
+def test_walker_chooses_table_up_to_n20_for_walks_that_pay_for_it():
+    long_walk = 10 ** 7
+    assert isinstance(_walker(build_instance(20, 2, seed=1), -np.ones((2, 20)), long_walk),
+                      _TableWalker)
+    assert isinstance(_walker(build_instance(21, 2, seed=1), -np.ones((2, 21)), long_walk),
+                      _BatchWalker)
+    # 40 environments of 200 replicas x 3n^2 steps at n = 20 (variance):
+    # a table per environment would cost more than it saves for p=2
+    short_walk = 200 * 3 * 20 ** 2
+    assert isinstance(_walker(build_instance(20, 2, seed=1), -np.ones((2, 20)), short_walk),
+                      _BatchWalker)
+    assert isinstance(_walker(build_instance(20, 3, seed=1), -np.ones((2, 20)), short_walk),
+                      _TableWalker)
+    inst = build_instance(8, 3, seed=1)
+    assert isinstance(_walker(inst, -np.ones((2, 8)), 0), _BatchWalker)
+    assert inst._table is None
+    with pytest.raises(ValueError):
+        _TableWalker(build_instance(5, 2, seed=1), np.ones((3, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 60))
+def test_walkers_track_hamiltonian_property(n, p, seed, steps):
+    inst = build_instance(n, p, seed=seed)
+    rng = np.random.default_rng(seed)
+    x0 = rng.integers(0, 2, (5, n)).astype(float) * 2 - 1
+    for walker in (_TableWalker(inst, x0), _BatchWalker(inst, x0)):
+        walk_rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            walker.step(walk_rng)
+        for x, h in zip(walker.X, walker.H):
+            assert h == pytest.approx(hamiltonian(inst, x), rel=1e-10, abs=1e-10)
+
+
 # -- scaling schedule --------------------------------------------------------
 
 
@@ -218,6 +307,17 @@ def test_schedule_validation():
 
 
 # -- decoupled comparison process --------------------------------------------
+
+
+def test_check_schedule_names_largest_n():
+    with pytest.raises(ValueError, match="max n for c=0.01 is 1623"):
+        check_schedule(2000, 0.01)
+    check_schedule(1623, 0.01)
+    make_schedule(1623, 2, c=0.01, beta=1.0)
+    with pytest.raises(ValueError, match="max n for c=0.01 is 1623"):
+        make_schedule(1624, 2, c=0.01, beta=1.0)
+    with pytest.raises(ValueError):
+        check_schedule(8, 0.5)
 
 
 def test_h1_covariance_no_repair():
@@ -416,6 +516,22 @@ def test_max_cdf_mc_sequence_shares_draws():
         max_cdf_mc(d, [[1.0]], 10, np.random.default_rng(0))
 
 
+def test_gaussian_comparison_rhs_sequence_matches_scalar():
+    # one call over a level sequence equals scalar calls, bit for bit
+    rng = np.random.default_rng(23)
+    for dim in (2, 5, 12):
+        d0, d1 = _random_correlation(dim, rng), _random_correlation(dim, rng)
+        levels = [0.5, 2.0, 0.0, 1.0]
+        bounds = gaussian_comparison_rhs(d0, d1, levels)
+        assert bounds.shape == (len(levels),)
+        assert bounds.tolist() == [gaussian_comparison_rhs(d0, d1, s) for s in levels]
+        assert isinstance(gaussian_comparison_rhs(d0, d1, 1.0), float)
+    with pytest.raises(ValueError):
+        gaussian_comparison_rhs(d0, d1, [])
+    with pytest.raises(ValueError):
+        gaussian_comparison_rhs(d0, d1, [[1.0]])
+
+
 # -- persistence --------------------------------------------------------------
 
 
@@ -599,8 +715,6 @@ def test_engine_runs_reference_loops_where_the_model_does_not_vectorise(monkeypa
 def test_symmetric_tensor_publishes_diagonals_first():
     # pause the building thread right after it publishes _sym; a walker
     # started meanwhile on another thread must find the p=3 diagonals
-    import threading
-
     from extremalclock.pspin import PSpinInstance
 
     published, resume = threading.Event(), threading.Event()
@@ -627,3 +741,70 @@ def test_symmetric_tensor_publishes_diagonals_first():
     assert not builder.is_alive()
     for row, h in zip(walker.X, walker.H):
         assert h == pytest.approx(hamiltonian(base, row), abs=1e-9)
+
+
+def test_energy_table_is_published_complete():
+    # pause the building thread right after it publishes _table; a walker
+    # started meanwhile on another thread must read finished energies
+    from extremalclock.pspin import PSpinInstance
+
+    published, resume = threading.Event(), threading.Event()
+
+    class PausingInstance(PSpinInstance):
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_table" and value is not None:
+                published.set()
+                resume.wait(timeout=10)
+
+    base = build_instance(6, 3, seed=4)
+    inst = PausingInstance(n=6, p=3, seed=4, tensor=base.tensor.copy())
+    build_thread = threading.Thread(target=inst.energy_table)
+    build_thread.start()
+    try:
+        assert published.wait(timeout=10)
+        x0 = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, -1.0]] * 4)
+        walker = _TableWalker(inst, x0)
+        walker.step(np.random.default_rng(0))
+    finally:
+        resume.set()
+        build_thread.join(timeout=10)
+    assert not build_thread.is_alive()
+    for row, h in zip(walker.X, walker.H):
+        assert h == pytest.approx(hamiltonian(base, row), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_threads_first_walking_a_shared_instance_agree_with_one_thread(p):
+    # four threads build the symmetrised tensor and the energy table of one
+    # fresh instance while switching every microsecond; each must see the
+    # single-threaded log-sums of its own stream
+    n, seeds = 12, (1, 2, 3, 4)
+    model = HypercubeSRW(n)
+
+    def log_sums(inst, seed):
+        env = PSpinEnvironment(inst)
+        return model.block_statistics(env, 40, 300, np.random.default_rng(seed)).log_sums
+
+    expected = [log_sums(build_instance(n, p, seed=60, beta=0.5), s) for s in seeds]
+    shared = build_instance(n, p, seed=60, beta=0.5)
+    got = [None] * len(seeds)
+    start = threading.Barrier(len(seeds))
+
+    def work(i):
+        start.wait(timeout=10)
+        got[i] = log_sums(shared, seeds[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
