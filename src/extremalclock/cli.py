@@ -22,6 +22,10 @@ CSV conventions: '.' decimal, LF line endings, floats at 17 significant
 digits, and (n, p, c, beta, seed) provenance columns on every row.
 The only environment variable honored is EXTREMAL_CLOCK_OUT (fallback
 output directory when neither --out nor the config names one).
+
+Exit codes: 0 success, 2 config error (missing, not JSON, or invalid),
+3 step budget exhausted on every replica of an estimate.  Both failures
+print one line to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -40,7 +46,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy
 
 from . import __version__, conditions, ehrenfest, engine, measures, pspin, stats
 
@@ -129,11 +134,8 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     """
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     problems = [f"{k} (unknown field)" for k in sorted(set(raw) - known)]
-    merged = {f.name: getattr(ExperimentConfig, f.name, None)
-              for f in dataclasses.fields(ExperimentConfig)}
     defaults = ExperimentConfig()
-    for name in known:
-        merged[name] = raw.get(name, getattr(defaults, name))
+    merged = {name: raw.get(name, getattr(defaults, name)) for name in known}
 
     def flag(name, why):
         problems.append(f"{name} ({why})")
@@ -187,14 +189,18 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             and np.any(np.asarray(merged["beta"]) == 0):
         flag("beta", f"must be positive for {command}; only variance accepts beta = 0")
     if tensors_fit and c_valid and beta_valid:
-        # every n with beta > 0 gets a schedule, whose a_n must not overflow
+        # every n with beta > 0 gets a schedule.  Its a_n must not overflow,
+        # which depends on n alone; once a_n fits, what is left to fail is
+        # alpha_n = n^{-c} / beta <= 1, a beta problem.
         betas = np.broadcast_to(merged["beta"], (len(merged["n_grid"]),))
-        try:
-            for n, b in zip(merged["n_grid"], betas):
-                if b > 0:
-                    pspin.check_schedule(n, merged["c"])
-        except ValueError as exc:
-            flag("n_grid", str(exc))
+        scheduled = [(n, float(b)) for n, b in zip(merged["n_grid"], betas) if b > 0]
+        for name, with_beta in (("n_grid", False), ("beta", True)):
+            try:
+                for n, b in scheduled:
+                    pspin.check_schedule(n, merged["c"], b if with_beta else None)
+            except ValueError as exc:
+                flag(name, str(exc))
+                break
     if not (isinstance(merged["epsilon"], (int, float)) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
     if not (isinstance(merged["significance"], (int, float))
@@ -641,6 +647,19 @@ def _resolve_out(cfg: ExperimentConfig, command: str) -> str:
     return os.path.join("results", command)
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """Installed scipy version for the manifest, None if absent.
+
+    Read from package metadata, since the package never imports scipy;
+    cached because the lookup scans sys.path, about 4 ms a call.
+    """
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def run(command: str, cfg: ExperimentConfig) -> dict:
     """Execute one subcommand and write its artifacts; returns results dict."""
     if command not in _DISPATCH:
@@ -673,7 +692,7 @@ def run(command: str, cfg: ExperimentConfig) -> dict:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "extremalclock": __version__,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -719,7 +738,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    results = run(args.command, cfg)
+    try:
+        results = run(args.command, cfg)
+    except engine.StepBudgetError as exc:
+        print(f"step budget exhausted: {exc}", file=sys.stderr)
+        return 3
     out_dir = _resolve_out(cfg, args.command)
     print(f"{args.command}: wrote {len(results['tables'])} tables to {out_dir}")
     for rep in results["reports"]:

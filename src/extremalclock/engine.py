@@ -11,9 +11,9 @@ i.i.d. unit-mean exponential marks e_i; rescaled by c_n and a_n it is
 the object whose alpha_n-th power converges to an extremal process.
 Because c_n and the per-step inverse rates overflow any fixed-width
 float for moderate system sizes, every clock quantity here lives in the
-log domain: sums are log-sum-exp (max-compensated, pairwise summation
-underneath), c_n exists only as log c_n, and thresholds only as
-log c_n + (1/alpha_n) log u.
+log domain: sums are log-sum-exp (shifted by the largest term, pairwise
+summation underneath), c_n exists only as log c_n, and thresholds only
+as log c_n + (1/alpha_n) log u.
 
 One dispatch rule: a model whose ``vectorises(env)`` returns True
 supplies vectorised kernels for that environment (``block_statistics``,
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .stats import MCAccumulator
 
@@ -310,6 +309,15 @@ def simulate_trajectory(model: JumpChainModel, steps: int, rng: np.random.Genera
     return Trajectory(states=states, marks=marks, log_inv_rates=rates)
 
 
+def _logsumexp(terms: np.ndarray) -> float:
+    """log(sum(exp(terms))) as top + log(sum(exp(terms - top))), top the
+    largest term; ``np.sum`` sums pairwise.  All -inf gives -inf."""
+    top = float(np.max(terms))
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(np.exp(terms - top))))
+
+
 def _require_rates(traj: Trajectory) -> np.ndarray:
     terms = traj.log_terms()
     if np.any(np.isnan(terms)):
@@ -328,7 +336,7 @@ def clock_value(traj: Trajectory, sched: ScalingSchedule, t: float) -> float:
     if len(traj) < m:
         raise ValueError(f"trajectory has {len(traj)} states, clock needs {m}")
     terms = _require_rates(traj)
-    return float(logsumexp(terms[:m])) - sched.log_c_n
+    return _logsumexp(terms[:m]) - sched.log_c_n
 
 
 def blocked_clock_value(traj: Trajectory, sched: ScalingSchedule, t: float) -> float:
@@ -348,7 +356,7 @@ def blocked_clock_parts(traj: Trajectory, sched: ScalingSchedule, t: float):
     if len(traj) < last + 1:
         raise ValueError(f"trajectory has {len(traj)} states, blocked clock needs {last + 1}")
     terms = _require_rates(traj)
-    log_hat = float(logsumexp(terms[1:last + 1])) - sched.log_c_n if k > 0 else -math.inf
+    log_hat = _logsumexp(terms[1:last + 1]) - sched.log_c_n if k > 0 else -math.inf
     log_zero = float(terms[0]) - sched.log_c_n
     return log_hat, log_zero
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "TailMeasure",
@@ -60,8 +59,8 @@ class TailMeasure:
 
     Notes
     -----
-    Custom tails are inverted numerically (bracketed root find at
-    relative tolerance 1e-12); the Pareto family inverts in closed form.
+    Custom tails are inverted numerically (bisection to relative
+    tolerance 1e-12); the Pareto family inverts in closed form.
     """
 
     kind: str
@@ -101,12 +100,16 @@ def tail_mass(measure: TailMeasure, u):
 
 
 def tail_inverse(measure: TailMeasure, mass: float) -> float:
-    """Smallest u with tail(u) <= mass (exact inverse for Pareto)."""
+    """Smallest u with tail(u) <= mass.
+
+    Exact for Pareto.  For a custom tail the returned u satisfies
+    tail(u) <= mass and lies within relative 1e-12 above the crossing.
+    """
     if not mass > 0.0:
         raise ValueError(f"tail inverse needs a positive mass, got {mass}")
     if measure.kind == "pareto":
         return measure.constant / mass
-    # Bracket the root of tail(u) - mass, expanding outward as needed.
+    # Bracket the crossing, tail(lo) >= mass >= tail(hi), expanding outward.
     lo, hi = 1.0, 1.0
     while tail_mass(measure, lo) < mass:
         lo /= 2.0
@@ -116,10 +119,14 @@ def tail_inverse(measure: TailMeasure, mass: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise ValueError("tail inverse bracket overflow; mass too small")
-    if lo == hi:
-        return lo
-    return float(brentq(lambda u: tail_mass(measure, u) - mass, lo, hi,
-                        rtol=_INVERSION_RTOL))
+    # Bisect, keeping tail(hi) <= mass, until hi is within the tolerance of lo.
+    while hi - lo > _INVERSION_RTOL * lo:
+        mid = 0.5 * (lo + hi)
+        if tail_mass(measure, mid) <= mass:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def extremal_marginal(measure: TailMeasure, t: float, u):

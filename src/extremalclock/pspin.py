@@ -335,11 +335,13 @@ def _an_exponent(n: int, c: float) -> float:
     return gamma * gamma * n / 2.0
 
 
-def check_schedule(n: int, c: float) -> None:
-    """Raise ValueError when c is outside (0, 1/2) or a_n overflows at this n.
+def check_schedule(n: int, c: float, beta: float | None = None) -> None:
+    """Raise ValueError when c is outside (0, 1/2) or a_n overflows at this
+    n, and, with ``beta`` given, when alpha_n = n^{-c} / beta is not in (0, 1].
 
     a_n carries exp(gamma^2 n / 2) = exp(n^{1-2c} / 2), which overflows a
     double past 700; the message names the largest n that works for c.
+    An alpha_n above 1 names the smallest beta that works at this n.
     """
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must lie in (0, 1/2), got {c}")
@@ -352,6 +354,14 @@ def check_schedule(n: int, c: float) -> None:
             max_n -= 1
         raise ValueError(f"a_n overflows for n={n}, c={c} (gamma^2 n / 2 = {exponent:.3g} "
                          f"> 700); max n for c={c} is {max_n}")
+    if beta is None:
+        return
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    gamma = float(n) ** (-c)
+    if gamma / beta > 1.0:
+        raise ValueError(f"alpha_n = n^(-c) / beta = {gamma / beta:.6g} > 1 for n={n}, "
+                         f"c={c}, beta={beta}; min beta for n={n} is {gamma!r}")
 
 
 def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:

@@ -1,6 +1,7 @@
 """Config schema, deterministic orchestration, artifact layout, exit codes."""
 
 import csv
+import importlib.metadata
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from extremalclock.cli import (
     ConfigError,
@@ -16,6 +18,7 @@ from extremalclock.cli import (
     Table,
     _fmt_cell,
     _run_jobs,
+    _scipy_version,
     config_hash,
     load_config,
     main,
@@ -163,6 +166,21 @@ def test_run_ehrenfest_writes_artifacts(tmp_path):
         run("nope", cfg)
 
 
+def test_manifest_scipy_version_is_read_without_scipy(tmp_path, monkeypatch):
+    cfg = validate_config({"n_grid": [4], "replicas": 50, "distance_steps": 4,
+                           "out": str(tmp_path)})
+    run("ehrenfest", cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    # the uncached lookup, as a run without scipy installed would see it
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    assert _scipy_version.__wrapped__() is None
+
+
 def test_run_ppp_reports_ks(tmp_path):
     cfg = validate_config({"replicas": 2000, "t_grid": [0.5, 1.0],
                            "out": str(tmp_path / "ppp"), "seed": 2})
@@ -308,6 +326,56 @@ def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
                     "variance")
     for other in ("ppp", "ehrenfest", "compare"):
         validate_config({"n_grid": [2000], "p": 2, "c": 0.01}, other)
+
+
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
+def test_cli_alpha_above_one_is_a_config_error(tmp_path, capsys, command):
+    # alpha_n = n^{-c} / beta = 8^{-0.05} / 0.1 = 9.01 > 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8], "beta": 0.1, "replicas": 50}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "beta (alpha_n = n^(-c) / beta = 9.01" in err and "min beta for n=8 is 0.901" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    # beta = n^{-c} gives alpha_n = 1 exactly, the largest schedule allows
+    validate_config({"n_grid": [8], "beta": 8.0 ** -0.05}, command)
+    with pytest.raises(ConfigError, match="beta .*for n=12"):
+        validate_config({"n_grid": [8, 12], "beta": [1.0, 0.5]}, command)
+    # subcommands without a schedule keep any beta
+    for other in ("ppp", "ehrenfest", "compare"):
+        validate_config({"n_grid": [8], "beta": 0.1}, other)
+
+
+def test_cli_exhausted_step_budget_exits_cleanly(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8], "replicas": 50, "step_budget": 1}))
+    proc = _cli(["ageing", "--config", str(cfg_path), "--out", str(tmp_path)], tmp_path)
+    assert proc.returncode == 3
+    assert "step budget exhausted" in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "results.json").exists()
+
+
+_NO_SCIPY_CHILD = """
+import json, pathlib, sys
+from extremalclock.cli import COMMANDS, main, validate_config
+validate_config({})
+out = pathlib.Path(sys.argv[1])
+cfg = out / "cfg.json"
+cfg.write_text(sys.argv[2])
+for command in COMMANDS:
+    assert main([command, "--config", str(cfg), "--out", str(out / command)]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path),
+                           json.dumps(TINY)],
+                          capture_output=True, text=True, cwd=tmp_path, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_cli_skrun_p3_shared_instances_deterministic_across_threads(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import oracles
@@ -15,6 +17,7 @@ from extremalclock.engine import (
     StepBudgetError,
     TabularEnvironment,
     Trajectory,
+    _logsumexp,
     block_statistics,
     blocked_clock_parts,
     blocked_clock_value,
@@ -120,6 +123,26 @@ def test_clock_value_matches_direct_sum():
     assert clock_value(traj, sched, 0.01) == -math.inf  # empty sum
     with pytest.raises(ValueError):
         clock_value(traj, sched, 2.0)  # trajectory too short
+
+
+# log terms spanning the double range, where a linear sum would overflow
+# or vanish, terms near 0 whose sum can have a log near 0, and -inf
+# (zero-term) entries
+_log_terms = st.lists(st.one_of(st.floats(-700.0, 700.0), st.floats(-5.0, 1.0),
+                                st.just(-math.inf)), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_terms)
+def test_logsumexp_matches_scipy(terms):
+    arr = np.asarray(terms)
+    ours, ref = _logsumexp(arr), float(logsumexp(arr))
+    if ref == -math.inf:
+        assert ours == -math.inf
+    else:
+        # a log near 0 is a difference of O(1) numbers, so relative
+        # agreement there has an absolute floor
+        assert ours == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
 def test_blocked_clock_equals_plain_clock_on_whole_blocks():

@@ -58,6 +58,21 @@ def test_custom_tail_matches_pareto():
         assert tail_inverse(m, mass) == pytest.approx(tail_inverse(ref, mass), rel=1e-9)
 
 
+def test_custom_tail_inverse_is_the_smallest_level_below_mass():
+    # bisection returns the bracket end with tail(u) <= mass, within 1e-12
+    # relative of the closed-form crossing 4 / mass
+    m = TailMeasure.from_tail(lambda u: 4.0 / u)
+    for mass in (1e-6, 0.03, 1.0, 3.999, 4.0, 12.0, 1e5):
+        u = tail_inverse(m, mass)
+        assert tail_mass(m, u) <= mass
+        assert u == pytest.approx(4.0 / mass, rel=1e-12)
+    # a step tail: every u >= 3 has tail 1, every u < 3 has tail 2
+    step = TailMeasure.from_tail(lambda u: 2.0 if u < 3.0 else 1.0)
+    for mass in (1.0, 1.5):
+        u = tail_inverse(step, mass)
+        assert u >= 3.0 and u == pytest.approx(3.0, rel=1e-12)
+
+
 def test_extremal_marginal_closed_form():
     m = TailMeasure.pareto(4.0)
     # t=1, u=4: exp(-1)

@@ -306,6 +306,20 @@ def test_schedule_validation():
         make_schedule(10 ** 6, 2, c=0.05, beta=1.0)
 
 
+def test_check_schedule_names_smallest_beta():
+    # alpha_n = n^{-c} / beta <= 1 needs beta >= 8^{-0.05} = 0.90125...
+    check_schedule(8, 0.05, 8.0 ** -0.05)
+    with pytest.warns(UserWarning, match="subadditive"):  # alpha_n exactly 1
+        make_schedule(8, 2, c=0.05, beta=8.0 ** -0.05)
+    with pytest.raises(ValueError, match="min beta for n=8 is 0.90125"):
+        check_schedule(8, 0.05, 0.9)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        check_schedule(8, 0.05, 0.0)
+    # an overflowing a_n is reported first, whatever beta is
+    with pytest.raises(ValueError, match="max n for c=0.01 is 1623"):
+        check_schedule(2000, 0.01, 0.1)
+
+
 # -- decoupled comparison process --------------------------------------------
 
 
