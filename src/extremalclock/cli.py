@@ -216,6 +216,14 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             and 1 <= merged["replicas"] < stats.KS_MIN_COUNT:
         flag("replicas", f"must be >= {stats.KS_MIN_COUNT} for {command}, "
                          "whose KS threshold is asymptotic")
+    if command == "ppp" and "t_grid" in valid_grids \
+            and isinstance(merged["t_max"], (int, float)) and merged["t_max"] > 0 \
+            and max(merged["t_grid"]) > merged["t_max"]:
+        flag("t_grid", f"entries must not exceed t_max = {merged['t_max']} for ppp, "
+                       "whose Poisson points cover [0, t_max]")
+    if command == "variance" and merged["env_replicas"] == 1:
+        flag("env_replicas", "must be >= 2 for variance, which measures the spread "
+                             "across environments")
     if not (isinstance(merged["seed"], int) and 0 <= merged["seed"] < 2 ** 64):
         flag("seed", "must be an integer in [0, 2^64)")
     if not isinstance(merged["out"], str):
@@ -324,6 +332,20 @@ def _prov(cfg: ExperimentConfig, n: int = 0, beta: float | None = None) -> dict:
     }
 
 
+def _landscapes(cfg: ExperimentConfig):
+    """(n, beta, schedule, model, environment) for each n_grid entry.
+
+    The one place that decides which p-spin environment a run draws for
+    each n: the instance is keyed by (seed, n, p).
+    """
+    for i, n in enumerate(cfg.n_grid):
+        beta = cfg.beta_for(i)
+        sched = pspin.make_schedule(n, cfg.p, cfg.c, beta)
+        inst = pspin.build_instance(n, cfg.p, _instance_seed(cfg.seed, n, cfg.p),
+                                    beta=beta, c=cfg.c)
+        yield n, beta, sched, pspin.HypercubeSRW(n), pspin.PSpinEnvironment(inst)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each returns (tables, reports, extras, partial)
 
@@ -371,13 +393,7 @@ def _cmd_skrun(cfg: ExperimentConfig):
                                   "mean", "median"])
     q_table = Table("skrun_quantiles", ["t", "prob", "empirical", "theoretical"])
     jobs, meta = [], []
-    for i, n in enumerate(cfg.n_grid):
-        beta = cfg.beta_for(i)
-        sched = pspin.make_schedule(n, cfg.p, cfg.c, beta)
-        inst = pspin.build_instance(n, cfg.p, _instance_seed(cfg.seed, n, cfg.p),
-                                    beta=beta, c=cfg.c)
-        env = pspin.PSpinEnvironment(inst)
-        model = pspin.HypercubeSRW(n)
+    for n, beta, sched, model, env in _landscapes(cfg):
         for t in cfg.t_grid:
             meta.append((n, beta, t, sched))
             jobs.append(lambda rng, m=model, e=env, s=sched, tt=t:
@@ -406,57 +422,49 @@ def _cmd_verify(cfg: ExperimentConfig):
     cond_table = Table("conditions", ["id", "functional", "u", "t", "delta",
                                       "estimate", "se", "target", "verdict"])
     reports = []
-    jobs, meta = [], []
+    jobs, meta = [], []  # each job returns its (kind, tags, report) rows in table order
     t0 = cfg.t_grid[0]
-    for i, n in enumerate(cfg.n_grid):
-        beta = cfg.beta_for(i)
-        sched = pspin.make_schedule(n, cfg.p, cfg.c, beta)
-        inst = pspin.build_instance(n, cfg.p, _instance_seed(cfg.seed, n, cfg.p),
-                                    beta=beta, c=cfg.c)
-        env = pspin.PSpinEnvironment(inst)
-        model = pspin.HypercubeSRW(n)
+    for n, beta, sched, model, env in _landscapes(cfg):
 
-        def add(kind, fn, **tags):
-            meta.append((n, beta, kind, tags))
-            jobs.append(fn)
+        def add(job):
+            meta.append((n, beta))
+            jobs.append(job)
 
-        add("mixing", lambda rng, nn=n, s=sched:
-            conditions.mixing_report(nn, s.theta_n, (0, 1, 2)))
-        add("cond0", lambda rng, m=model, e=env, s=sched:
-            conditions.condition0_check(m, e, s, cfg.v, cfg.replicas, rng))
-        add("tails", lambda rng, m=model, e=env, s=sched:
-            conditions.tail_functionals(m, e, s, cfg.u_grid, cfg.t_grid,
-                                        cfg.replicas, rng))
+        add(lambda rng, nn=n, s=sched:
+            [("mixing", {}, conditions.mixing_report(nn, s.theta_n, (0, 1, 2)))])
+        add(lambda rng, m=model, e=env, s=sched:
+            [("cond0", {}, conditions.condition0_check(m, e, s, cfg.v, cfg.replicas, rng))])
+
+        def tails_job(rng, m=model, e=env, s=sched):
+            result = conditions.tail_functionals(m, e, s, cfg.u_grid, cfg.t_grid,
+                                                 cfg.replicas, rng)
+            rows = []
+            for u in cfg.u_grid:
+                rows.extend(("nu", {"u": u, "t": t}, result["nu", u, t]) for t in cfg.t_grid)
+                rows.append(("sigma", {"u": u, "t": t0}, result["sigma-sq", u, t0]))
+                rows.append(("eta", {"u": u, "t": t0}, result["eta", u, t0]))
+            return rows
+
+        add(tails_job)
         for delta in cfg.delta_grid:
-            add("cond31", lambda rng, m=model, e=env, s=sched, dd=delta:
-                conditions.condition31_estimate(m, e, s, dd, t0, cfg.replicas, rng),
-                delta=delta)
+            add(lambda rng, m=model, e=env, s=sched, dd=delta:
+                [("cond31", {"delta": dd},
+                  conditions.condition31_estimate(m, e, s, dd, t0, cfg.replicas, rng))])
 
         def dr_job(rng, m=model, e=env, s=sched):
             steps = max(s.theta_n * s.blocks_in(t0), 1)
             traj = engine.simulate_trajectory(m, steps, rng)
-            return conditions.dr_path_functionals(
-                m, e, s, cfg.u_grid[0], t0, traj, cfg.inner_replicas, rng)
+            tags = {"u": cfg.u_grid[0], "t": t0}
+            return [("dr", tags, rep) for rep in conditions.dr_path_functionals(
+                m, e, s, cfg.u_grid[0], t0, traj, cfg.inner_replicas, rng)]
 
-        add("dr", dr_job, u=cfg.u_grid[0], t=t0)
+        add(dr_job)
 
-    results = _run_jobs(jobs, cfg)
-    rows = []  # (n, beta, kind, tags, reports) in table order
-    for (n, beta, kind, tags), result in zip(meta, results):
-        if kind != "tails":
-            rows.append((n, beta, kind, tags,
-                         result if isinstance(result, tuple) else (result,)))
-            continue
-        for u in cfg.u_grid:
-            rows.extend((n, beta, "nu", {"u": u, "t": t}, (result["nu", u, t],))
-                        for t in cfg.t_grid)
-            rows.append((n, beta, "sigma", {"u": u, "t": t0}, (result["sigma-sq", u, t0],)))
-            rows.append((n, beta, "eta", {"u": u, "t": t0}, (result["eta", u, t0],)))
     by_series = {}
-    for n, beta, kind, tags, reps_here in rows:
-        for rep in reps_here:
+    for (n, beta), rows in zip(meta, _run_jobs(jobs, cfg)):
+        prov = _prov(cfg, n=n, beta=beta)
+        for kind, tags, rep in rows:
             reports.append(rep)
-            prov = _prov(cfg, n=n, beta=beta)
             cond_table.add(
                 prov, id=rep.id,
                 functional=rep.parameters.get("functional", kind),
@@ -465,9 +473,8 @@ def _cmd_verify(cfg: ExperimentConfig):
                 estimate=rep.estimate, se=rep.se,
                 target="" if rep.target is None else rep.target,
                 verdict=rep.verdict)
-        if kind in ("nu", "sigma", "eta"):
-            key = (kind, tags.get("u"), tags.get("t"))
-            by_series.setdefault(key, []).append((n, reps_here[0]))
+            if kind in ("nu", "sigma", "eta"):
+                by_series.setdefault((kind, tags["u"], tags["t"]), []).append((n, rep))
 
     trend_table = Table("trends", ["functional", "u", "t", "values", "expected",
                                    "monotone"])
@@ -500,37 +507,28 @@ def _cmd_ehrenfest(cfg: ExperimentConfig):
     jobs, meta = [], []
     for n in cfg.n_grid:
         chain = ehrenfest.EhrenfestChain(n)
-        jobs.append(lambda rng, ch=chain, nn=n: ehrenfest.occupation_statistic(
-            ch, min(cfg.occupation_d, max(1, nn // 2)), 3 * nn * nn,
-            cfg.replicas, rng))
-        meta.append(("occ", n, chain))
+        d_occ, theta = min(cfg.occupation_d, max(1, n // 2)), 3 * n * n
+        meta.append((n, chain, d_occ, theta))
+        jobs.append(lambda rng, ch=chain, d=d_occ, v=theta: ehrenfest.occupation_statistic(
+            ch, d, v, cfg.replicas, rng))
         jobs.append(lambda rng, nn=n: ehrenfest.distance_process_check(
             nn, cfg.distance_steps, cfg.replicas, rng))
-        meta.append(("dist", n, chain))
     results = _run_jobs(jobs, cfg)
-    for n in cfg.n_grid:
-        chain = ehrenfest.EhrenfestChain(n)
+    for (n, chain, d_occ, theta), occ, max_tv in zip(meta, results[::2], results[1::2]):
         prov = _prov(cfg, n=n)
         for d in range(1, (n + 1) // 2):
             expected = ehrenfest.expected_hitting_from_zero(chain, d)
             bound = ehrenfest.hitting_bound(chain, d)
             hit_table.add(prov, d=d, expected=expected, bound=bound,
                           within_bound=expected <= bound)
-            theta = 3 * n * n
             win_table.add(prov, d=d, lo=2 * d, hi=theta,
                           probability=ehrenfest.hitting_window_probability(
                               chain, d, 2 * d, theta))
-    for (kind, n, chain), result in zip(meta, results):
-        prov = _prov(cfg, n=n)
-        if kind == "occ":
-            d = min(cfg.occupation_d, max(1, n // 2))
-            exact = ehrenfest.occupation_exact(chain, d, 3 * n * n)
-            ok = abs(result.mean - exact) <= 3.0 * result.sem
-            occ_table.add(prov, d=d, v_n=3 * n * n, estimate=result.mean,
-                          se=result.sem, exact=exact, within_3se=ok)
-        else:
-            dist_table.add(prov, steps=cfg.distance_steps, replicas=cfg.replicas,
-                           max_tv=result)
+        exact = ehrenfest.occupation_exact(chain, d_occ, theta)
+        occ_table.add(prov, d=d_occ, v_n=theta, estimate=occ.mean, se=occ.sem,
+                      exact=exact, within_3se=abs(occ.mean - exact) <= 3.0 * occ.sem)
+        dist_table.add(prov, steps=cfg.distance_steps, replicas=cfg.replicas,
+                       max_tv=max_tv)
     return [hit_table, occ_table, dist_table, win_table], [], {}, False
 
 
@@ -538,13 +536,7 @@ def _cmd_ageing(cfg: ExperimentConfig):
     table = Table("ageing", ["t", "s", "epsilon", "estimate", "se", "completed",
                              "truncated", "limit"])
     jobs, meta = [], []
-    for i, n in enumerate(cfg.n_grid):
-        beta = cfg.beta_for(i)
-        sched = pspin.make_schedule(n, cfg.p, cfg.c, beta)
-        inst = pspin.build_instance(n, cfg.p, _instance_seed(cfg.seed, n, cfg.p),
-                                    beta=beta, c=cfg.c)
-        env = pspin.PSpinEnvironment(inst)
-        model = pspin.HypercubeSRW(n)
+    for n, beta, sched, model, env in _landscapes(cfg):
         for t in cfg.t_grid:
             for s in cfg.s_grid:
                 meta.append((n, beta, t, s))

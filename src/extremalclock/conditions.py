@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .ehrenfest import EhrenfestChain, transition_matrix
+from .ehrenfest import EhrenfestChain, distance_laws
 from .pspin import HypercubeSRW, PSpinEnvironment, build_instance, make_schedule
 from .stats import MCAccumulator
 
@@ -283,20 +283,9 @@ def mixing_check(n: int, theta_n: int, i_values) -> float:
         raise ValueError("i_values must be nonempty and nonnegative")
     if theta_n < 1:
         raise ValueError(f"theta_n must be >= 1, got {theta_n}")
-    chain = EhrenfestChain(n)
-    P = transition_matrix(chain)
-    needed = set()
-    for i in i_values:
-        needed.add(i + theta_n)
-        needed.add(i + theta_n + 1)
-    max_m = max(needed)
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    snapshots = {}
-    for m in range(1, max_m + 1):
-        v = v @ P
-        if m in needed:
-            snapshots[m] = v.copy()
+    needed = {m for i in i_values for m in (i + theta_n, i + theta_n + 1)}
+    laws = zip(range(max(needed) + 1), distance_laws(EhrenfestChain(n)))
+    snapshots = {m: v for m, v in laws if m in needed}
     pi_x = 2.0 ** (-n)
     comb = np.array([math.comb(n, d) for d in range(n + 1)], dtype=float)
     worst = 0.0
@@ -432,7 +421,9 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     randomness is shared across environments (common random numbers),
     so a deterministic environment (beta = 0 degenerate) yields exactly
     zero variance.  Reported against the gamma^{-2} n^{1-p/2} scaling;
-    the constant in front is not pinned, hence trend-only.
+    the constant in front is not pinned, hence trend-only.  At
+    k_n(t) = 0 it warns like every blocked functional, reports k_n = 0
+    and scales the block-max tail by 1 instead of 0.
     """
     if env_reps < 2:
         raise ValueError(f"need at least 2 environments, got {env_reps}")
@@ -443,7 +434,7 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
         sched = engine.ScalingSchedule(
             n=n, a_n=10.0, log_c_n=0.0, theta_n=3 * n * n, alpha_n=1.0,
             v_n=1, p=p, beta=None, gamma=gamma, c_exponent=c)
-    k = max(1, sched.blocks_in(t))
+    k = _k_blocks(sched, t)
     model = HypercubeSRW(n)
     env_seeds = rng.integers(0, 2 ** 63 - 1, size=env_reps, dtype=np.int64)
     shared_entropy = int(rng.integers(0, 2 ** 63 - 1, dtype=np.int64))
@@ -455,7 +446,8 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
             np.random.SeedSequence(shared_entropy)))
         ind = _tail_indicators(model, env, sched, u, inner_reps, inner_rng,
                                use_max=True)
-        values[e] = k * float(ind.mean())
+        # scaled by 1 at k_n(t) = 0, where a factor 0 would hide every spread
+        values[e] = max(1, k) * float(ind.mean())
     acc = MCAccumulator.from_values(values)
     variance = acc.variance
     centered = values - values.mean()

@@ -10,6 +10,7 @@ occupation and hitting-time quantities testable against simulation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .stats import MCAccumulator
 __all__ = [
     "EhrenfestChain",
     "transition_matrix",
+    "distance_laws",
     "exact_distribution",
     "expected_hitting_adjacent",
     "expected_hitting_from_zero",
@@ -58,24 +60,30 @@ def transition_matrix(chain: EhrenfestChain) -> np.ndarray:
     return P
 
 
-def exact_distribution(chain: EhrenfestChain, start: int, steps: int) -> np.ndarray:
-    """Law of the chain after ``steps`` moves from ``start``.
+def distance_laws(chain: EhrenfestChain, start: int = 0):
+    """Laws of the chain after 0, 1, 2, ... moves from ``start``, endlessly.
 
-    Iterated vector-matrix products rather than a dense matrix power;
-    parity alternation comes out exactly (odd states have probability
-    0 after an even number of steps from 0, and vice versa).
+    Each law is one vector-matrix product on the previous one, rather
+    than a dense matrix power; parity alternation comes out exactly
+    (odd states have probability 0 after an even number of steps from
+    0, and vice versa).  Every law yielded is a fresh array.
     """
     n = chain.n
     if not 0 <= start <= n:
         raise ValueError(f"start {start} outside {{0..{n}}}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     P = transition_matrix(chain)
     v = np.zeros(n + 1)
     v[start] = 1.0
-    for _ in range(steps):
+    while True:
+        yield v
         v = v @ P
-    return v
+
+
+def exact_distribution(chain: EhrenfestChain, start: int, steps: int) -> np.ndarray:
+    """Law of the chain after ``steps`` moves from ``start``."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    return next(itertools.islice(distance_laws(chain, start), steps, None))
 
 
 def expected_hitting_adjacent(chain: EhrenfestChain, l: int) -> float:
@@ -227,12 +235,8 @@ def occupation_exact(chain: EhrenfestChain, d: int, v_n: int) -> float:
     """E_0 Z by summing (j - d) P_0(Q(j) = d) over j = d..v_n."""
     if not 1 <= d <= v_n:
         raise ValueError(f"need 1 <= d <= v_n, got d={d}, v_n={v_n}")
-    P = transition_matrix(chain)
-    v = np.zeros(chain.n + 1)
-    v[0] = 1.0
     total = 0.0
-    for j in range(1, v_n + 1):
-        v = v @ P
+    for j, v in zip(range(v_n + 1), distance_laws(chain)):
         if j >= d:
             total += (j - d) * v[d]
     return total
@@ -245,21 +249,20 @@ def distance_process_check(n: int, steps: int, reps: int,
     Simulates genuine hypercube walks (difference bitmaps, one toggled
     coordinate per step) so the projection onto Hamming distance is
     tested, not assumed; compares the empirical law of dist(J(0), J(k))
-    with exact_distribution(0, k) for each k <= steps.
+    with the exact law after k steps (``distance_laws``) for each k <= steps.
     """
     if n < 1 or steps < 1 or reps < 1:
         raise ValueError("n, steps and reps must all be >= 1")
-    chain = EhrenfestChain(n)
     bits = np.zeros((reps, n), dtype=bool)
     dist = np.zeros(reps, dtype=np.int64)
     rows = np.arange(reps)
     worst = 0.0
-    for k in range(1, steps + 1):
+    for law in itertools.islice(distance_laws(EhrenfestChain(n)), 1, steps + 1):
         flip = rng.integers(0, n, reps)
         dist += np.where(bits[rows, flip], -1, 1)
         bits[rows, flip] ^= True
         counts = np.bincount(dist, minlength=n + 1)
         empirical = counts / reps
-        tv = 0.5 * np.abs(empirical - exact_distribution(chain, 0, k)).sum()
+        tv = 0.5 * np.abs(empirical - law).sum()
         worst = max(worst, float(tv))
     return worst

@@ -35,6 +35,7 @@ States are length-n numpy vectors with entries +-1 (float for BLAS).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
@@ -110,9 +111,10 @@ class PSpinInstance:
     values are memoised per visited state in a bounded LRU map held in
     thread-local storage (the instance itself is shareable).  The
     vectorised walkers read H from lazily built derived arrays: the
-    symmetrised tensor and, for n <= 20 walks long enough to pay for
-    it, the exact table of H at all 2^n states (``energy_table``,
-    8 * 2^n bytes).
+    symmetrised tensor (a p=3 walker takes the diagonals it reads as
+    views of it) and, for n <= 20 walks long enough to pay for it, the
+    exact table of H at all 2^n states (``energy_table``, 8 * 2^n
+    bytes).  Each is published in one assignment once complete.
     """
 
     def __init__(self, n: int, p: int, seed: int, tensor: np.ndarray,
@@ -130,8 +132,6 @@ class PSpinInstance:
         self.cache_size = cache_size
         self._tls = threading.local()
         self._sym = None
-        self._sym_diag2 = None
-        self._sym_diag3 = None
         self._table = None
 
     def _cache(self) -> OrderedDict:
@@ -158,11 +158,11 @@ class PSpinInstance:
     def symmetric_tensor(self) -> np.ndarray:
         """Symmetrised couplings (same Hamiltonian, axis-exchangeable).
 
-        Built lazily; only the vectorised walkers need it.  Doubles the
-        tensor memory while alive.  ``_sym`` is published last, after the
-        p=3 diagonals the walker step reads, so a thread that sees it
-        set never reads a missing diagonal.  Two threads racing here
-        both build; their results are equal.
+        Built lazily; only the vectorised walkers need it, and each
+        takes the diagonals it reads as views of it.  Doubles the tensor
+        memory while alive.  It is published in one assignment once
+        complete, so a thread that sees it set sees all of it; two
+        threads racing here both build, and their results are equal.
         """
         if self._sym is None:
             J = self.tensor
@@ -173,9 +173,6 @@ class PSpinInstance:
                 for perm in itertools.permutations(range(3)):
                     acc += J.transpose(perm)
                 sym = acc / 6.0
-                idx = np.arange(self.n)
-                self._sym_diag2 = sym[idx, idx, :]   # S[k,k,l]
-                self._sym_diag3 = sym[idx, idx, idx]  # S[k,k,k]
             else:
                 raise ValueError(f"symmetrised walker kernels support p in {{2,3}}, got {self.p}")
             self._sym = sym
@@ -204,8 +201,8 @@ class PSpinInstance:
                 coef[0] = np.trace(S)
                 coef[bit[i] | bit[j]] = 2.0 * S[i, j]
             else:
-                diag3 = self._sym_diag3
-                coef[bit] = diag3 + 3.0 * (self._sym_diag2.sum(axis=0) - diag3)
+                diag3 = np.einsum("lll->l", S)
+                coef[bit] = diag3 + 3.0 * (np.einsum("kkl->kl", S).sum(axis=0) - diag3)
                 i, j, l = np.array(list(itertools.combinations(range(n), 3)),
                                    dtype=np.intp).reshape(-1, 3).T
                 coef[bit[i] | bit[j] | bit[l]] = 6.0 * S[i, j, l]
@@ -708,6 +705,9 @@ class _BatchWalker:
         if self.X.ndim != 2 or self.X.shape[1] != inst.n:
             raise ValueError("start states must form an (R, n) array")
         self.S = inst.symmetric_tensor()
+        if inst.p == 3:
+            self.S_kkl = np.einsum("kkl->kl", self.S)  # views of the diagonals
+            self.S_lll = np.einsum("lll->l", self.S)
         self._recompute()
 
     def _recompute(self) -> None:
@@ -740,9 +740,9 @@ class _BatchWalker:
             self.F += d[:, None] * s_rows
         else:
             a = self.F[rows, k]
-            sd2 = inst._sym_diag2[k]           # (R, n): S[k,k,l]
+            sd2 = self.S_kkl[k]                # (R, n): S[k,k,l]
             b = np.einsum("rl,rl->r", sd2, self.X)
-            c3 = inst._sym_diag3[k]
+            c3 = self.S_lll[k]
             dk = 3.0 * d * a + 3.0 * d * d * b + d ** 3 * c3
             m = self.S.transpose(1, 0, 2)[k]   # (R, n, n): S[i, k_r, l]
             self.F += (2.0 * d)[:, None] * np.einsum("ril,rl->ri", m, self.X) \
@@ -752,13 +752,8 @@ class _BatchWalker:
         self.H = inst.scale * self.K
 
     def restrict(self, keep: np.ndarray) -> "_BatchWalker":
-        w = object.__new__(_BatchWalker)
-        w.inst = self.inst
-        w.S = self.S
-        w.X = self.X[keep]
-        w.F = self.F[keep]
-        w.K = self.K[keep]
-        w.H = self.H[keep]
+        w = copy.copy(self)  # shares inst, S and the diagonal views
+        w.X, w.F, w.K, w.H = self.X[keep], self.F[keep], self.K[keep], self.H[keep]
         return w
 
 

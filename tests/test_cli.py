@@ -347,6 +347,33 @@ def test_cli_alpha_above_one_is_a_config_error(tmp_path, capsys, command):
         validate_config({"n_grid": [8], "beta": 0.1}, other)
 
 
+def test_cli_ppp_t_grid_beyond_t_max_is_a_config_error(tmp_path, capsys):
+    # ppp samples Poisson points on [0, t_max], t_max = 2.0 by default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"t_grid": [1.0, 3.0], "replicas": 50}))
+    assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_grid (entries must not exceed t_max = 2.0" in err and "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    validate_config({"t_grid": [2.0]}, "ppp")
+    validate_config({"t_grid": [3.0], "t_max": 3.0}, "ppp")
+    # t_max bounds only the Poisson construction
+    for other in ("sk-run", "verify", "ehrenfest", "ageing", "compare", "variance"):
+        validate_config({"t_grid": [3.0]}, other)
+
+
+def test_cli_variance_needs_two_environments(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [6], "env_replicas": 1}))
+    assert main(["variance", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "env_replicas (must be >= 2 for variance" in err and "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    validate_config({"env_replicas": 2}, "variance")
+    for other in ("ppp", "sk-run", "verify", "ehrenfest", "ageing", "compare"):
+        validate_config({"env_replicas": 1}, other)
+
+
 def test_cli_exhausted_step_budget_exits_cleanly(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [8], "replicas": 50, "step_budget": 1}))

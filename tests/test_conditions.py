@@ -287,3 +287,12 @@ def test_env_replication_variance_positive_with_disorder():
     assert report.estimate >= 0.0
     assert report.se >= 0.0
     assert report.verdict == "trend-only"
+
+
+def test_env_replication_variance_warns_at_zero_blocks():
+    # a_n = 32.7 < theta_n = 108 at n = 6, c = 0.25: k_n(1) = 0, as verify reports it
+    with pytest.warns(DegenerateScheduleWarning):
+        report = env_replication_variance(6, 2, c=0.25, beta=1.0, u=1.0, t=1.0,
+                                          env_reps=2, inner_reps=20,
+                                          rng=np.random.default_rng(14))
+    assert report.parameters["k_n"] == 0

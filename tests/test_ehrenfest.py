@@ -1,5 +1,6 @@
 """Distance-chain oracle: hitting times, occupation, simulation checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from extremalclock.ehrenfest import (
     EhrenfestChain,
+    distance_laws,
     distance_process_check,
     exact_distribution,
     expected_hitting_adjacent,
@@ -34,6 +36,20 @@ def test_transition_matrix_structure():
     assert P[2, 2] == 0.0
     with pytest.raises(ValueError):
         EhrenfestChain(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_distance_laws_are_matrix_power_rows(n):
+    chain = EhrenfestChain(n)
+    P = transition_matrix(chain)
+    for start in sorted({0, n // 2, n}):
+        # held all at once: a law yielded earlier must not change later
+        laws = list(itertools.islice(distance_laws(chain, start), 3 * n * n + 1))
+        for m, law in enumerate(laws):
+            np.testing.assert_allclose(law, np.linalg.matrix_power(P, m)[start],
+                                       rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        next(distance_laws(chain, n + 1))
 
 
 def test_exact_distribution_small_cases():
