@@ -127,6 +127,15 @@ _KS_COMMANDS = ("ppp", "sk-run")
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: not a count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     """Normalize a raw mapping into ExperimentConfig or raise ConfigError.
 
@@ -147,10 +156,10 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             flag(name, "must be a non-empty list")
             continue
         if name == "n_grid":
-            valid = all(isinstance(x, int) and x >= 2 for x in value)
+            valid = all(_is_int(x) and x >= 2 for x in value)
             why = "entries must be integers >= 2"
         else:
-            valid = all(isinstance(x, (int, float)) and x > 0 for x in value)
+            valid = all(_is_number(x) and x > 0 for x in value)
             why = "entries must be positive numbers"
         if not valid:
             flag(name, why)
@@ -161,7 +170,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             valid_grids.add(name)
         merged[name] = tuple(value)
     tensors_fit = False
-    if not (isinstance(merged["p"], int) and merged["p"] >= 2):
+    if not (_is_int(merged["p"]) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
     elif command in _TENSOR_COMMANDS and "n_grid" in valid_grids:
         try:
@@ -170,7 +179,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             tensors_fit = True
         except pspin.TensorBudgetError as exc:
             flag("n_grid", str(exc))
-    c_valid = isinstance(merged["c"], (int, float)) and 0.0 < merged["c"] < 0.5
+    c_valid = _is_number(merged["c"]) and 0.0 < merged["c"] < 0.5
     if not c_valid:
         flag("c", "must lie in (0, 0.5)")
     beta = merged["beta"]
@@ -178,11 +187,11 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     if isinstance(beta, (list, tuple)):
         if isinstance(merged["n_grid"], tuple) and len(beta) != len(merged["n_grid"]):
             flag("beta", "sequence length must match n_grid")
-        elif not all(isinstance(b, (int, float)) and b >= 0 for b in beta):
+        elif not all(_is_number(b) and b >= 0 for b in beta):
             flag("beta", "entries must be nonnegative numbers")
         else:
             merged["beta"] = tuple(float(b) for b in beta)
-    elif not (isinstance(beta, (int, float)) and beta >= 0):
+    elif not (_is_number(beta) and beta >= 0):
         flag("beta", "must be a nonnegative number or sequence")
     beta_valid = len(problems) == problems_before_beta
     if command in _SCHEDULE_COMMANDS and beta_valid \
@@ -201,30 +210,30 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 flag(name, str(exc))
                 break
-    if not (isinstance(merged["epsilon"], (int, float)) and 0.0 < merged["epsilon"] < 1.0):
+    if not (_is_number(merged["epsilon"]) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
-    if not (isinstance(merged["significance"], (int, float))
+    if not (_is_number(merged["significance"])
             and 0.0 < merged["significance"] < 1.0):
         flag("significance", "must lie in (0, 1)")
     for name in _POSITIVE_FIELDS:
-        if not (isinstance(merged[name], (int, float)) and merged[name] > 0):
+        if not (_is_number(merged[name]) and merged[name] > 0):
             flag(name, "must be positive")
     for name in _POSITIVE_INT_FIELDS:
-        if not (isinstance(merged[name], int) and merged[name] >= 1):
+        if not (_is_int(merged[name]) and merged[name] >= 1):
             flag(name, "must be an integer >= 1")
-    if command in _KS_COMMANDS and isinstance(merged["replicas"], int) \
+    if command in _KS_COMMANDS and _is_int(merged["replicas"]) \
             and 1 <= merged["replicas"] < stats.KS_MIN_COUNT:
         flag("replicas", f"must be >= {stats.KS_MIN_COUNT} for {command}, "
                          "whose KS threshold is asymptotic")
     if command == "ppp" and "t_grid" in valid_grids \
-            and isinstance(merged["t_max"], (int, float)) and merged["t_max"] > 0 \
+            and _is_number(merged["t_max"]) and merged["t_max"] > 0 \
             and max(merged["t_grid"]) > merged["t_max"]:
         flag("t_grid", f"entries must not exceed t_max = {merged['t_max']} for ppp, "
                        "whose Poisson points cover [0, t_max]")
     if command == "variance" and merged["env_replicas"] == 1:
         flag("env_replicas", "must be >= 2 for variance, which measures the spread "
                              "across environments")
-    if not (isinstance(merged["seed"], int) and 0 <= merged["seed"] < 2 ** 64):
+    if not (_is_int(merged["seed"]) and 0 <= merged["seed"] < 2 ** 64):
         flag("seed", "must be an integer in [0, 2^64)")
     if not isinstance(merged["out"], str):
         flag("out", "must be a string")

@@ -422,19 +422,23 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     so a deterministic environment (beta = 0 degenerate) yields exactly
     zero variance.  Reported against the gamma^{-2} n^{1-p/2} scaling;
     the constant in front is not pinned, hence trend-only.  At
-    k_n(t) = 0 it warns like every blocked functional, reports k_n = 0
-    and scales the block-max tail by 1 instead of 0.
+    k_n(t) = 0 it reports k_n = 0, scales the block-max tail by 1
+    instead of 0 and, for beta > 0, warns like every blocked functional.
     """
     if env_reps < 2:
         raise ValueError(f"need at least 2 environments, got {env_reps}")
-    sched = make_schedule(n, p, c, beta) if beta > 0.0 else None
-    if sched is None:
-        # beta = 0 degenerate: any schedule works, rates are constant
+    if beta > 0.0:
+        sched = make_schedule(n, p, c, beta)
+        k = _k_blocks(sched, t)
+    else:
+        # beta = 0 degenerate: rates are constant, so the estimate is 0
+        # under any schedule.  The config chose no schedule, so this
+        # placeholder's k_n(t) raises no warning.
         gamma = float(n) ** (-c)
         sched = engine.ScalingSchedule(
             n=n, a_n=10.0, log_c_n=0.0, theta_n=3 * n * n, alpha_n=1.0,
             v_n=1, p=p, beta=None, gamma=gamma, c_exponent=c)
-    k = _k_blocks(sched, t)
+        k = sched.blocks_in(t)
     model = HypercubeSRW(n)
     env_seeds = rng.integers(0, 2 ** 63 - 1, size=env_reps, dtype=np.int64)
     shared_entropy = int(rng.integers(0, 2 ** 63 - 1, dtype=np.int64))

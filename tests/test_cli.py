@@ -76,6 +76,23 @@ def test_validate_grid_and_seed_rules():
     assert cfg.u_grid == (1, 2.5)
 
 
+@pytest.mark.parametrize("field", ["seed", "replicas", "threads"])
+@pytest.mark.parametrize("value", [True, False])
+def test_validate_rejects_booleans_as_integers(field, value):
+    with pytest.raises(ConfigError) as err:
+        validate_config({field: value})
+    assert [f.split(" ")[0] for f in err.value.fields] == [field]
+
+
+def test_cli_rejects_boolean_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": True, "replicas": 40}))
+    proc = _cli(["ppp", "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert "seed (" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_beta_sequence_rules():
     cfg = validate_config({"n_grid": [8, 12], "beta": [1.0, 0.5]})
     assert cfg.beta == (1.0, 0.5)

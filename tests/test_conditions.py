@@ -1,6 +1,7 @@
 """Condition estimators against the 2-state closed forms and exact checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ def test_env_replication_variance_zero_at_beta_zero():
         env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
                                  env_reps=1, inner_reps=10,
                                  rng=np.random.default_rng(0))
+
+
+def test_env_replication_variance_at_beta_zero_raises_no_warning():
+    # beta = 0 walks a placeholder schedule the config never chose
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
+                                          env_reps=5, inner_reps=200,
+                                          rng=np.random.default_rng(12))
+    assert report.estimate == 0.0
+    assert report.parameters["k_n"] == 0
 
 
 def test_env_replication_variance_positive_with_disorder():

@@ -661,6 +661,66 @@ def test_block_statistics_hook_respects_starts_and_ends():
     assert np.all(dist <= 5) and np.all((dist % 2) == 1)  # 5 flips, odd parity
 
 
+def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
+    """block_statistics with one logaddexp per step, for reps in one chunk."""
+    inst = env.inst
+    x0 = model.sample_stationary(reps, rng) if starts is None else starts
+    walker = _walker(inst, x0, reps * theta)
+    offset = -env.log_C - model.log_pi(x0[0])
+    ls = np.full(reps, -math.inf)
+    lm = np.full(reps, -math.inf)
+    for _ in range(theta):
+        walker.step(rng)
+        term = inst.beta * walker.H + offset + np.log(rng.standard_exponential(reps))
+        ls = np.logaddexp(ls, term)
+        lm = np.maximum(lm, term)
+    return ls, lm, walker.X
+
+
+@pytest.mark.parametrize("n, p, reps, theta, walker_type", [
+    (8, 2, 300, 121, _TableWalker),   # blocks of 54 steps: 54, 54, 13
+    (20, 2, 2000, 21, _BatchWalker),  # a walk too short for the table; 8, 8, 5
+    (6, 3, 9000, 3, _TableWalker),    # 9000 replicas: one step per block
+    (21, 3, 3000, 11, _BatchWalker),  # n > 20; 5, 5, 1
+])
+@pytest.mark.parametrize("given_starts", [False, True])
+def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_type,
+                                                     given_starts):
+    inst = build_instance(n, p, seed=60 + n, beta=0.7)
+    env = PSpinEnvironment(inst)
+    model = HypercubeSRW(n)
+    assert isinstance(_walker(inst, -np.ones((1, n)), reps * theta), walker_type)
+    starts = model.sample_stationary(reps, np.random.default_rng(n)) if given_starts else None
+    rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+    got = model.block_statistics(env, theta, reps, rng, starts=starts,
+                                 want_max=True, want_end=True)
+    ls, lm, ends = _per_step_block_statistics(model, env, theta, reps, ref_rng, starts)
+    np.testing.assert_allclose(got.log_sums, ls, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(got.log_maxes, lm)
+    np.testing.assert_array_equal(got.end_states, ends)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    bare = model.block_statistics(env, theta, reps, np.random.default_rng(61), starts=starts)
+    np.testing.assert_array_equal(bare.log_sums, got.log_sums)
+    assert bare.log_maxes is None and bare.end_states is None
+
+
+def test_trajectory_matches_srw_step_loop():
+    model = HypercubeSRW(7)
+    traj = engine.simulate_trajectory(model, 300, np.random.default_rng(62))
+    rng = np.random.default_rng(62)
+    x = model.initial_state(rng)
+    states, marks = [x], [rng.standard_exponential()]
+    for _ in range(300):
+        x = srw_step(x, rng)
+        states.append(x)
+        marks.append(rng.standard_exponential())
+    np.testing.assert_array_equal(np.asarray(traj.states), np.asarray(states))
+    np.testing.assert_array_equal(traj.marks, marks)
+    assert np.all(np.abs(np.asarray(traj.states)) == 1.0)
+    with pytest.raises(ValueError):
+        srw_step(np.array([1.0, 0.0, -1.0]), rng)
+
+
 def test_correlation_hook_vs_generic():
     inst = build_instance(6, 2, seed=35, beta=0.5)
     env = PSpinEnvironment(inst)
