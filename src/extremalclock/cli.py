@@ -125,6 +125,9 @@ _KS_COMMANDS = ("ppp", "sk-run")
 # subcommands that build an n^p coupling tensor for every n in n_grid,
 # and a schedule for every n with beta > 0
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
+# ppp expects replicas * t_max * K / u_min Poisson points and holds about
+# 25 bytes per point at its peak (measured), so this cap is about 1.7 GB
+_PPP_MAX_POINTS = 2 ** 26
 
 
 def _is_int(value) -> bool:
@@ -230,6 +233,12 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             and max(merged["t_grid"]) > merged["t_max"]:
         flag("t_grid", f"entries must not exceed t_max = {merged['t_max']} for ppp, "
                        "whose Poisson points cover [0, t_max]")
+    if command == "ppp" and _is_int(merged["replicas"]) and all(
+            _is_number(merged[name]) and merged[name] > 0 for name in ("t_max", "K", "u_min")):
+        points = merged["replicas"] * merged["t_max"] * merged["K"] / merged["u_min"]
+        if points > _PPP_MAX_POINTS:
+            flag("replicas", f"ppp expects replicas * t_max * K / u_min = {points:.4g} "
+                             f"Poisson points, more than {_PPP_MAX_POINTS}")
     if command == "variance" and merged["env_replicas"] == 1:
         flag("env_replicas", "must be >= 2 for variance, which measures the spread "
                              "across environments")
@@ -313,6 +322,7 @@ class Table:
         self.rows = []
 
     def add(self, prov: dict, **payload):
+        """Append one row; payload keys outside the columns are ignored."""
         row = []
         for col in self.columns:
             source = prov if col in Table.PROVENANCE else payload
@@ -359,6 +369,26 @@ def _landscapes(cfg: ExperimentConfig):
 # subcommands: each returns (tables, reports, extras, partial)
 
 
+def _file_rows(jobs, cfg: ExperimentConfig) -> list:
+    """Run jobs that return (table, provenance, row) triples; file the rows in job order.
+
+    Returns the filed triples for the subcommand's summaries.
+    """
+    filed = [triple for rows in _run_jobs(jobs, cfg) for triple in rows]
+    for table, prov, row in filed:
+        table.add(prov, **row)
+    return filed
+
+
+def _ks_rows(ks_table, q_table, prov, t, rep, **extra) -> list:
+    """The KS row and the quantile rows of one empirical-vs-extremal report."""
+    ks_row = dict(extra, t=t, count=rep.count, statistic=rep.statistic,
+                  threshold=rep.threshold, passed=rep.passed, report=rep)
+    return [(ks_table, prov, ks_row)] + [
+        (q_table, prov, dict(t=t, prob=prob, empirical=emp, theoretical=theo))
+        for prob, emp, theo in rep.quantile_table]
+
+
 def _cmd_ppp(cfg: ExperimentConfig):
     measure = measures.TailMeasure.pareto(cfg.K)
     ks_table = Table("ppp_ks", ["t", "count", "statistic", "threshold", "passed"])
@@ -367,24 +397,19 @@ def _cmd_ppp(cfg: ExperimentConfig):
     def job(rng):
         levels = measures.sample_sup_levels(
             measure, cfg.t_grid, cfg.t_max, cfg.u_min, cfg.replicas, rng)
-        return [stats.empirical_vs_extremal(levels[:, j], measure, t, cfg.significance)
-                for j, t in enumerate(cfg.t_grid)]
+        return [row for j, t in enumerate(cfg.t_grid) for row in _ks_rows(
+            ks_table, q_table, _prov(cfg), t,
+            stats.empirical_vs_extremal(levels[:, j], measure, t, cfg.significance))]
 
-    (reports_for_t,) = _run_jobs([job], cfg)
-    prov = _prov(cfg)
-    for t, rep in zip(cfg.t_grid, reports_for_t):
-        ks_table.add(prov, t=t, count=rep.count, statistic=rep.statistic,
-                     threshold=rep.threshold, passed=rep.passed)
-        for prob, emp, theo in rep.quantile_table:
-            q_table.add(prov, t=t, prob=prob, empirical=emp, theoretical=theo)
-    extras = {"ks": [rep.to_json_dict() | {"t": t}
-                     for t, rep in zip(cfg.t_grid, reports_for_t)]}
+    filed = _file_rows([job], cfg)
+    extras = {"ks": [row["report"].to_json_dict() | {"t": row["t"]}
+                     for table, _, row in filed if table is ks_table]}
     return [ks_table, q_table], [], extras, False
 
 
 def _powered_marginals(model, env, sched, t, reps, rng):
     """(S^b(t))^{alpha_n} samples: block sums plus the index-0 term."""
-    k = sched.blocks_in(t)
+    k = conditions.k_blocks(sched, t)
     X = model.sample_stationary(reps, rng)
     log_term0 = engine.log_inverse_rates(model, env, X) \
         + np.log(rng.standard_exponential(reps))
@@ -401,43 +426,41 @@ def _cmd_skrun(cfg: ExperimentConfig):
     ks_table = Table("skrun_ks", ["t", "k_n", "count", "statistic", "threshold",
                                   "mean", "median"])
     q_table = Table("skrun_quantiles", ["t", "prob", "empirical", "theoretical"])
-    jobs, meta = [], []
-    for n, beta, sched, model, env in _landscapes(cfg):
-        for t in cfg.t_grid:
-            meta.append((n, beta, t, sched))
-            jobs.append(lambda rng, m=model, e=env, s=sched, tt=t:
-                        _powered_marginals(m, e, s, tt, cfg.replicas, rng))
-    results = _run_jobs(jobs, cfg)
     limit = measures.TailMeasure.pareto(2.0 * cfg.p)
-    for (n, beta, t, sched), (samples, k) in zip(meta, results):
+
+    def job(rng, model, env, sched, t, prov):
+        samples, k = _powered_marginals(model, env, sched, t, cfg.replicas, rng)
         rep = stats.empirical_vs_extremal(samples, limit, t, cfg.significance)
-        prov = _prov(cfg, n=n, beta=beta)
-        ks_table.add(prov, t=t, k_n=k, count=rep.count, statistic=rep.statistic,
-                     threshold=rep.threshold, mean=float(np.mean(samples)),
-                     median=float(np.median(samples)))
-        for prob, emp, theo in rep.quantile_table:
-            q_table.add(prov, t=t, prob=prob, empirical=emp, theoretical=theo)
+        return _ks_rows(ks_table, q_table, prov, t, rep, k_n=k,
+                        mean=float(np.mean(samples)), median=float(np.median(samples)))
+
+    _file_rows([functools.partial(job, model=m, env=e, sched=s, t=t,
+                                  prov=_prov(cfg, n=n, beta=beta))
+                for n, beta, s, m, e in _landscapes(cfg) for t in cfg.t_grid], cfg)
     return [ks_table, q_table], [], {}, False
 
 
-def _trend_monotone(values, decreasing: bool) -> bool:
-    pairs = zip(values, values[1:])
-    if decreasing:
-        return all(b <= a for a, b in pairs)
-    return all(b >= a for a, b in pairs)
+# verify's trend series: a conditions row's functional -> the series' name
+_TREND_KINDS = {"nu": "nu", "sigma-sq": "sigma", "eta": "eta"}
 
 
 def _cmd_verify(cfg: ExperimentConfig):
     cond_table = Table("conditions", ["id", "functional", "u", "t", "delta",
                                       "estimate", "se", "target", "verdict"])
-    reports = []
-    jobs, meta = [], []  # each job returns its (kind, tags, report) rows in table order
+    jobs = []
     t0 = cfg.t_grid[0]
     for n, beta, sched, model, env in _landscapes(cfg):
+        prov = _prov(cfg, n=n, beta=beta)
 
-        def add(job):
-            meta.append((n, beta))
-            jobs.append(job)
+        def add(job, prov=prov):
+            # job returns (kind, tags, report) triples; kind names a report
+            # whose parameters name no functional
+            jobs.append(lambda rng: [(cond_table, prov, dict(
+                id=rep.id, functional=rep.parameters.get("functional", kind),
+                u=tags.get("u", ""), t=tags.get("t", ""), delta=tags.get("delta", ""),
+                estimate=rep.estimate, se=rep.se,
+                target="" if rep.target is None else rep.target,
+                verdict=rep.verdict, report=rep)) for kind, tags, rep in job(rng)])
 
         add(lambda rng, nn=n, s=sched:
             [("mixing", {}, conditions.mixing_report(nn, s.theta_n, (0, 1, 2)))])
@@ -469,41 +492,28 @@ def _cmd_verify(cfg: ExperimentConfig):
 
         add(dr_job)
 
+    filed = _file_rows(jobs, cfg)
     by_series = {}
-    for (n, beta), rows in zip(meta, _run_jobs(jobs, cfg)):
-        prov = _prov(cfg, n=n, beta=beta)
-        for kind, tags, rep in rows:
-            reports.append(rep)
-            cond_table.add(
-                prov, id=rep.id,
-                functional=rep.parameters.get("functional", kind),
-                u=tags.get("u", ""), t=tags.get("t", ""),
-                delta=tags.get("delta", ""),
-                estimate=rep.estimate, se=rep.se,
-                target="" if rep.target is None else rep.target,
-                verdict=rep.verdict)
-            if kind in ("nu", "sigma", "eta"):
-                by_series.setdefault((kind, tags["u"], tags["t"]), []).append((n, rep))
-
+    for _, prov, row in filed:
+        if row["functional"] in _TREND_KINDS:
+            key = (_TREND_KINDS[row["functional"]], row["u"], row["t"])
+            by_series.setdefault(key, []).append((prov["n"], row))
     trend_table = Table("trends", ["functional", "u", "t", "values", "expected",
                                    "monotone"])
     trend_flags = []
     for (kind, u, t), entries in sorted(by_series.items()):
         entries.sort(key=lambda e: e[0])
-        if kind == "nu":
-            # approach to the limit target, gauged by absolute gap
-            gaps = [abs(r.estimate - r.target) for _, r in entries
-                    if r.target is not None]
-            values, decreasing = gaps, True
-        else:
-            values, decreasing = [r.estimate for _, r in entries], True
-        ok = _trend_monotone(values, decreasing)
+        # nu approaches its limit target, gauged by absolute gap
+        values = [abs(r["estimate"] - r["target"]) if kind == "nu" else r["estimate"]
+                  for _, r in entries]
+        ok = all(b <= a for a, b in zip(values, values[1:]))
         trend_flags.append({"functional": kind, "u": u, "t": t,
                             "values": [float(v) for v in values],
                             "expected": "decreasing", "monotone": ok})
         trend_table.add(_prov(cfg), functional=kind, u=u, t=t,
                         values=";".join(format(v, ".17g") for v in values),
                         expected="decreasing", monotone=ok)
+    reports = [row["report"] for _, _, row in filed]
     return [cond_table, trend_table], reports, {"trend_flags": trend_flags}, False
 
 
@@ -513,54 +523,51 @@ def _cmd_ehrenfest(cfg: ExperimentConfig):
                                      "within_3se"])
     dist_table = Table("distance_check", ["steps", "replicas", "max_tv"])
     win_table = Table("hitting_window", ["d", "lo", "hi", "probability"])
-    jobs, meta = [], []
-    for n in cfg.n_grid:
-        chain = ehrenfest.EhrenfestChain(n)
+
+    def occupation_job(rng, n):
+        chain, prov = ehrenfest.EhrenfestChain(n), _prov(cfg, n=n)
         d_occ, theta = min(cfg.occupation_d, max(1, n // 2)), 3 * n * n
-        meta.append((n, chain, d_occ, theta))
-        jobs.append(lambda rng, ch=chain, d=d_occ, v=theta: ehrenfest.occupation_statistic(
-            ch, d, v, cfg.replicas, rng))
-        jobs.append(lambda rng, nn=n: ehrenfest.distance_process_check(
-            nn, cfg.distance_steps, cfg.replicas, rng))
-    results = _run_jobs(jobs, cfg)
-    for (n, chain, d_occ, theta), occ, max_tv in zip(meta, results[::2], results[1::2]):
-        prov = _prov(cfg, n=n)
+        occ = ehrenfest.occupation_statistic(chain, d_occ, theta, cfg.replicas, rng)
+        rows = []
         for d in range(1, (n + 1) // 2):
             expected = ehrenfest.expected_hitting_from_zero(chain, d)
             bound = ehrenfest.hitting_bound(chain, d)
-            hit_table.add(prov, d=d, expected=expected, bound=bound,
-                          within_bound=expected <= bound)
-            win_table.add(prov, d=d, lo=2 * d, hi=theta,
-                          probability=ehrenfest.hitting_window_probability(
-                              chain, d, 2 * d, theta))
+            rows.append((hit_table, prov, dict(d=d, expected=expected, bound=bound,
+                                               within_bound=expected <= bound)))
+            window = ehrenfest.hitting_window_probability(chain, d, 2 * d, theta)
+            rows.append((win_table, prov, dict(d=d, lo=2 * d, hi=theta, probability=window)))
         exact = ehrenfest.occupation_exact(chain, d_occ, theta)
-        occ_table.add(prov, d=d_occ, v_n=theta, estimate=occ.mean, se=occ.sem,
-                      exact=exact, within_3se=abs(occ.mean - exact) <= 3.0 * occ.sem)
-        dist_table.add(prov, steps=cfg.distance_steps, replicas=cfg.replicas,
-                       max_tv=max_tv)
+        rows.append((occ_table, prov, dict(
+            d=d_occ, v_n=theta, estimate=occ.mean, se=occ.sem, exact=exact,
+            within_3se=abs(occ.mean - exact) <= 3.0 * occ.sem)))
+        return rows
+
+    def distance_job(rng, n):
+        max_tv = ehrenfest.distance_process_check(n, cfg.distance_steps, cfg.replicas, rng)
+        return [(dist_table, _prov(cfg, n=n), dict(steps=cfg.distance_steps,
+                                                   replicas=cfg.replicas, max_tv=max_tv))]
+
+    _file_rows([functools.partial(job, n=n) for n in cfg.n_grid
+                for job in (occupation_job, distance_job)], cfg)
     return [hit_table, occ_table, dist_table, win_table], [], {}, False
 
 
 def _cmd_ageing(cfg: ExperimentConfig):
     table = Table("ageing", ["t", "s", "epsilon", "estimate", "se", "completed",
                              "truncated", "limit"])
-    jobs, meta = [], []
-    for n, beta, sched, model, env in _landscapes(cfg):
-        for t in cfg.t_grid:
-            for s in cfg.s_grid:
-                meta.append((n, beta, t, s))
-                jobs.append(lambda rng, m=model, e=env, sc=sched, tt=t, ss=s:
-                            engine.estimate_correlation(
-                                m, e, sc, cfg.epsilon, tt, ss, cfg.replicas, rng,
-                                step_budget=cfg.step_budget))
-    results = _run_jobs(jobs, cfg)
-    partial = False
-    for (n, beta, t, s), est in zip(meta, results):
-        partial = partial or est.truncated > 0
-        table.add(_prov(cfg, n=n, beta=beta), t=t, s=s, epsilon=cfg.epsilon,
-                  estimate=est.value, se=est.se, completed=est.completed,
-                  truncated=est.truncated, limit=t / (t + s))
-    return [table], [], {}, partial
+
+    def job(rng, model, env, sched, t, s, prov):
+        est = engine.estimate_correlation(model, env, sched, cfg.epsilon, t, s,
+                                          cfg.replicas, rng, step_budget=cfg.step_budget)
+        return [(table, prov, dict(t=t, s=s, epsilon=cfg.epsilon, estimate=est.value,
+                                   se=est.se, completed=est.completed,
+                                   truncated=est.truncated, limit=t / (t + s)))]
+
+    filed = _file_rows([functools.partial(job, model=m, env=e, sched=sc, t=t, s=s,
+                                          prov=_prov(cfg, n=n, beta=beta))
+                        for n, beta, sc, m, e in _landscapes(cfg)
+                        for t in cfg.t_grid for s in cfg.s_grid], cfg)
+    return [table], [], {}, any(row["truncated"] > 0 for _, _, row in filed)
 
 
 def _random_comparison_pair(dim: int, rng):
@@ -583,49 +590,41 @@ def _cmd_compare(cfg: ExperimentConfig):
     table = Table("compare", ["pair", "dim", "chi", "s", "lhs", "se", "rhs",
                               "within_bound"])
 
-    def job(rng, s_values=cfg.s_grid):
+    def job(rng, pair):
         dim = int(rng.integers(2, 7))
         delta0, delta1, chi = _random_comparison_pair(dim, rng)
         # one set of draws per matrix serves every s
-        mcs0 = pspin.max_cdf_mc(delta0, s_values, cfg.replicas, rng)
-        mcs1 = pspin.max_cdf_mc(delta1, s_values, cfg.replicas, rng)
-        rhss = pspin.gaussian_comparison_rhs(delta0, delta1, s_values)
-        out = []
-        for s, mc0, mc1, rhs in zip(s_values, mcs0, mcs1, rhss.tolist()):
+        mcs0 = pspin.max_cdf_mc(delta0, cfg.s_grid, cfg.replicas, rng)
+        mcs1 = pspin.max_cdf_mc(delta1, cfg.s_grid, cfg.replicas, rng)
+        rhss = pspin.gaussian_comparison_rhs(delta0, delta1, cfg.s_grid)
+        rows = []
+        for s, mc0, mc1, rhs in zip(cfg.s_grid, mcs0, mcs1, rhss.tolist()):
             lhs = mc0.mean - mc1.mean
             se = math.sqrt(mc0.sem ** 2 + mc1.sem ** 2)
-            out.append((dim, chi, s, lhs, se, rhs))
-        return out
+            rows.append((table, _prov(cfg), dict(pair=pair, dim=dim, chi=chi, s=s, lhs=lhs,
+                                                 se=se, rhs=rhs,
+                                                 within_bound=lhs <= rhs + 3.0 * se)))
+        return rows
 
-    results = _run_jobs([job] * cfg.pairs, cfg)
-    violations = 0
-    for pair_id, rows in enumerate(results):
-        for dim, chi, s, lhs, se, rhs in rows:
-            ok = lhs <= rhs + 3.0 * se
-            violations += 0 if ok else 1
-            table.add(_prov(cfg), pair=pair_id, dim=dim, chi=chi, s=s,
-                      lhs=lhs, se=se, rhs=rhs, within_bound=ok)
+    filed = _file_rows([functools.partial(job, pair=i) for i in range(cfg.pairs)], cfg)
+    violations = sum(not row["within_bound"] for _, _, row in filed)
     return [table], [], {"comparison_violations": violations}, False
 
 
 def _cmd_variance(cfg: ExperimentConfig):
     table = Table("variance", ["estimate", "se", "scaling", "ratio"])
-    jobs, meta = [], []
-    for i, n in enumerate(cfg.n_grid):
-        beta = cfg.beta_for(i)
-        meta.append((n, beta))
-        jobs.append(lambda rng, nn=n, bb=beta: conditions.env_replication_variance(
-            nn, cfg.p, cfg.c, bb, cfg.u_grid[0], cfg.t_grid[0],
-            cfg.env_replicas, cfg.inner_replicas, rng))
-    results = _run_jobs(jobs, cfg)
-    reports = []
-    for (n, beta), rep in zip(meta, results):
-        reports.append(rep)
-        scaling = rep.target
-        table.add(_prov(cfg, n=n, beta=beta), estimate=rep.estimate, se=rep.se,
-                  scaling=scaling,
-                  ratio=rep.estimate / scaling if scaling else float("nan"))
-    return [table], reports, {}, False
+
+    def job(rng, n, beta):
+        rep = conditions.env_replication_variance(
+            n, cfg.p, cfg.c, beta, cfg.u_grid[0], cfg.t_grid[0],
+            cfg.env_replicas, cfg.inner_replicas, rng)
+        return [(table, _prov(cfg, n=n, beta=beta), dict(
+            estimate=rep.estimate, se=rep.se, scaling=rep.target,
+            ratio=rep.estimate / rep.target if rep.target else float("nan"), report=rep))]
+
+    filed = _file_rows([functools.partial(job, n=n, beta=cfg.beta_for(i))
+                        for i, n in enumerate(cfg.n_grid)], cfg)
+    return [table], [row["report"] for _, _, row in filed], {}, False
 
 
 _DISPATCH = {

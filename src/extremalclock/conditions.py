@@ -41,6 +41,7 @@ __all__ = [
     "q_tail",
     "q_tail_max",
     "tail_functionals",
+    "k_blocks",
     "nu_t",
     "sigma_sq_t",
     "pair_distance2_functional",
@@ -102,12 +103,28 @@ class ConditionReport:
 # block-tail building blocks
 
 
-def _tail_indicators(model, env, sched, u: float, reps: int, rng,
-                     starts=None, use_max: bool = False) -> np.ndarray:
-    stats = engine.block_statistics(model, env, sched.theta_n, reps, rng,
+def _stacked_log_sums(model, env, sched, sets, rng, use_max: bool = False) -> list:
+    """Block sums (block maxima with ``use_max``) of every start set, in one walk.
+
+    The sets are stacked row-wise and walked in one
+    engine.block_statistics call, so every row is an independent block;
+    the log values come back split into the sets in their given order.
+    """
+    if all(isinstance(s, np.ndarray) for s in sets):
+        starts = np.concatenate(sets)
+    else:
+        starts = [x for s in sets for x in s]
+    stats = engine.block_statistics(model, env, sched.theta_n, len(starts), rng,
                                     starts=starts, want_max=use_max)
     values = stats.log_maxes if use_max else stats.log_sums
-    return (values > sched.log_threshold(u)).astype(float)
+    return np.split(values, np.cumsum([len(s) for s in sets])[:-1])
+
+
+def _q_tail(model, env, sched, y, u: float, reps: int, rng, use_max: bool) -> MCAccumulator:
+    if u <= 0.0:
+        raise ValueError(f"u must be positive, got {u}")
+    (values,) = _stacked_log_sums(model, env, sched, [[y] * reps], rng, use_max)
+    return MCAccumulator.from_values(values > sched.log_threshold(u))
 
 
 def q_tail(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
@@ -116,25 +133,16 @@ def q_tail(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
     Estimates P_y(sum_{j=1}^{theta_n} lambda^{-1}(J(j)) e_j exceeds the
     u-threshold); the start state itself contributes no term.
     """
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    acc = MCAccumulator()
-    acc.update_many(_tail_indicators(model, env, sched, u, reps, rng,
-                                     starts=[y] * reps))
-    return acc
+    return _q_tail(model, env, sched, y, u, reps, rng, use_max=False)
 
 
 def q_tail_max(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
     """As q_tail with the block sum replaced by the block maximum."""
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    acc = MCAccumulator()
-    acc.update_many(_tail_indicators(model, env, sched, u, reps, rng,
-                                     starts=[y] * reps, use_max=True))
-    return acc
+    return _q_tail(model, env, sched, y, u, reps, rng, use_max=True)
 
 
-def _k_blocks(sched, t: float) -> int:
+def k_blocks(sched, t: float) -> int:
+    """k_n(t) of ``sched``, with a DegenerateScheduleWarning when it is 0."""
     k = sched.blocks_in(t)
     if k == 0:
         warnings.warn(
@@ -170,21 +178,6 @@ def _distance2_pairs(model, reps: int, rng):
     return X, X2
 
 
-def _stacked_log_sums(model, env, sched, sets, rng) -> list:
-    """Block sums of every start set, walked in one engine.block_statistics call.
-
-    The sets are stacked row-wise, so every row is an independent block;
-    the log_sums come back split into the sets in their given order.
-    """
-    if all(isinstance(s, np.ndarray) for s in sets):
-        starts = np.concatenate(sets)
-    else:
-        starts = [x for s in sets for x in s]
-    stats = engine.block_statistics(model, env, sched.theta_n, len(starts), rng,
-                                    starts=starts)
-    return np.split(stats.log_sums, np.cumsum([len(s) for s in sets])[:-1])
-
-
 # condition id of each tail functional, in the order its start sets are drawn
 _TAIL_IDS = {"nu": "2-1a", "sigma-sq": "2-1b", "eta": "2-1b"}
 
@@ -214,7 +207,7 @@ def tail_functionals(model, env, sched, u_grid, t_grid, reps: int, rng,
         raise ValueError("distance-2 pairs need a hypercube state space with n >= 2")
     ks = {}
     for t in t_grid:  # a loop: a comprehension frame would shift the warning stacklevel
-        ks[t] = _k_blocks(sched, t)
+        ks[t] = k_blocks(sched, t)
     sums = {}
     if any(ks.values()):
         draw = {"nu": lambda: (model.sample_stationary(reps, rng),),
@@ -382,20 +375,18 @@ def dr_path_functionals(model, env, sched, u: float, t: float, traj,
     """
     if u <= 0.0 or t <= 0.0:
         raise ValueError("u and t must be positive")
-    k = _k_blocks(sched, t)
+    k = k_blocks(sched, t)
     needed = sched.theta_n * k
     if len(traj.states) < needed + 1:
         raise ValueError(
             f"trajectory has {len(traj.states)} states, needs {needed + 1} "
             f"to cover k_n(t) = {k} blocks")
-    # one stacked batch: inner_reps rows from each boundary's sampled neighbor
+    # one stacked walk: inner_reps rows from each boundary's sampled neighbor
     ys = [model.next_state(traj.states[sched.theta_n * i], rng) for i in range(1, k + 1)]
-    accs = []
-    if k:
-        stats = engine.block_statistics(model, env, sched.theta_n, k * inner_reps, rng,
-                                        starts=[y for y in ys for _ in range(inner_reps)])
-        hits = (stats.log_sums > sched.log_threshold(u)).astype(float)
-        accs = [MCAccumulator.from_values(row) for row in hits.reshape(k, inner_reps)]
+    sets = [[y] * inner_reps for y in ys]
+    sums = _stacked_log_sums(model, env, sched, sets, rng) if k else []
+    log_threshold = sched.log_threshold(u)
+    accs = [MCAccumulator.from_values(s > log_threshold) for s in sums]
     estimates = np.asarray([acc.mean for acc in accs])
     sems = np.asarray([acc.sem for acc in accs])
     nu_est = float(estimates.sum())
@@ -429,7 +420,7 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
         raise ValueError(f"need at least 2 environments, got {env_reps}")
     if beta > 0.0:
         sched = make_schedule(n, p, c, beta)
-        k = _k_blocks(sched, t)
+        k = k_blocks(sched, t)
     else:
         # beta = 0 degenerate: rates are constant, so the estimate is 0
         # under any schedule.  The config chose no schedule, so this
@@ -448,10 +439,10 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
         env = PSpinEnvironment(inst)
         inner_rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(shared_entropy)))
-        ind = _tail_indicators(model, env, sched, u, inner_reps, inner_rng,
-                               use_max=True)
+        log_maxes = engine.block_statistics(model, env, sched.theta_n, inner_reps,
+                                            inner_rng, want_max=True).log_maxes
         # scaled by 1 at k_n(t) = 0, where a factor 0 would hide every spread
-        values[e] = max(1, k) * float(ind.mean())
+        values[e] = max(1, k) * float(np.mean(log_maxes > sched.log_threshold(u)))
     acc = MCAccumulator.from_values(values)
     variance = acc.variance
     centered = values - values.mean()

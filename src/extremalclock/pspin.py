@@ -321,10 +321,7 @@ def overlap(x, y) -> float:
 def srw_step(x, rng: np.random.Generator) -> np.ndarray:
     """One simple-random-walk step: flip a uniformly chosen coordinate."""
     arr = _as_spins(x)
-    out = arr.copy()
-    k = int(rng.integers(arr.size))
-    out[k] = -out[k]
-    return out
+    return HypercubeSRW(arr.size).next_state(arr, rng)
 
 
 def _an_exponent(n: int, c: float) -> float:
@@ -815,6 +812,11 @@ _TABLE_SAVED_NS = {2: 45.0, 3: 400.0}
 _BLOCK_ELEMS = 2 ** 14
 
 
+def _walk_rows(inst: PSpinInstance) -> int:
+    """Rows a kernel hands one walker: a p=3 field walker builds an (R, n, n) array."""
+    return 8192 if inst.p == 2 else max(256, 2_000_000 // (inst.n * inst.n))
+
+
 def _walker(inst: PSpinInstance, x0: np.ndarray, work: int):
     """A walker for the rows of x0, in a call that walks ``work`` replica-steps in all.
 
@@ -853,8 +855,8 @@ class HypercubeSRW(JumpChainModel):
         return rng.integers(0, 2, self.n).astype(float) * 2.0 - 1.0
 
     def next_state(self, x, rng):
-        # srw_step's flip and draw without its +-1 scan, which cost more
-        # than the flip; the chain's own states need no check
+        # no +-1 scan, which costs more than the flip: the chain's own
+        # states need no check, and srw_step checks its input
         out = np.array(x, dtype=float)
         k = int(rng.integers(self.n))
         out[k] = -out[k]
@@ -880,33 +882,31 @@ class HypercubeSRW(JumpChainModel):
         return X
 
     def vectorises(self, env) -> bool:
-        """True when env is a p in {2, 3} p-spin environment on this hypercube."""
+        """True when env is a p in {2, 3} p-spin environment on this hypercube.
+
+        Such an environment has C = 2^n = 1/pi, so log lambda^{-1} =
+        beta H - log C - log pi is exactly beta H: the kernels read beta H
+        as the log inverse rate.
+        """
         return isinstance(env, PSpinEnvironment) and env.inst.p in (2, 3) \
             and env.inst.n == self.n
 
-    def _rate_offset(self, env) -> float:
-        # log lambda^{-1} = beta H - log C - log pi
-        return -env.log_C - self._log_pi
-
     def batch_log_inv_rates(self, env, states) -> np.ndarray:
-        """log lambda^{-1} at each given state."""
+        """log lambda^{-1} = beta H at each given state."""
         inst = env.inst
         X = np.asarray(states, dtype=float)
+        chunk = _walk_rows(inst)
         out = np.empty(X.shape[0])
-        done = 0
-        while done < X.shape[0]:
-            m = min(8192, X.shape[0] - done)
+        for done in range(0, X.shape[0], chunk):
             # no steps are walked, so no table is built for these rates
-            out[done:done + m] = inst.beta * _walker(inst, X[done:done + m], 0).H
-            done += m
-        return out + self._rate_offset(env)
+            out[done:done + chunk] = inst.beta * _walker(inst, X[done:done + chunk], 0).H
+        return out
 
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
                          want_end: bool = False) -> BlockStats:
         inst = env.inst
-        offset = self._rate_offset(env)
-        chunk = 8192 if inst.p == 2 else max(256, 2_000_000 // (self.n * self.n))
+        chunk = _walk_rows(inst)
         log_sums = np.empty(reps)
         log_maxes = np.empty(reps) if want_max else None
         ends = np.empty((reps, self.n)) if want_end else None
@@ -932,9 +932,9 @@ class HypercubeSRW(JumpChainModel):
                 ar, er = a[:r], e[:r]
                 top = ar.max(0)
                 s = (np.exp(ar - top) * er).sum(0)
-                np.logaddexp(ls, top + offset + np.log(s), out=ls)
+                np.logaddexp(ls, top + np.log(s), out=ls)
                 if want_max:
-                    np.maximum(lm, ((ar + offset) + np.log(er)).max(0), out=lm)
+                    np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
             log_sums[done:done + m] = ls
             if want_max:
                 log_maxes[done:done + m] = lm
@@ -946,7 +946,6 @@ class HypercubeSRW(JumpChainModel):
     def correlation_overlaps(self, env, log_t1: float, log_t2: float, reps: int,
                              rng: np.random.Generator, step_budget: int):
         inst = env.inst
-        offset = self._rate_offset(env)
         n = self.n
         x_first = np.zeros((reps, n))
         have1 = np.zeros(reps, dtype=bool)
@@ -955,8 +954,7 @@ class HypercubeSRW(JumpChainModel):
         cum = np.full(reps, -math.inf)
         alive = np.arange(reps)  # output row of each walker row
         for _ in range(step_budget):
-            term = inst.beta * walker.H + offset \
-                + np.log(rng.standard_exponential(walker.R))
+            term = inst.beta * walker.H + np.log(rng.standard_exponential(walker.R))
             nxt = np.logaddexp(cum, term)
             cross1 = ~have1 & (nxt > log_t1)
             # restrict first, so that only the crossing rows' states are read

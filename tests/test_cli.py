@@ -25,7 +25,8 @@ from extremalclock.cli import (
     run,
     validate_config,
 )
-from extremalclock import engine
+from extremalclock import engine, measures
+from extremalclock.conditions import DegenerateScheduleWarning
 
 from conftest import package_env
 
@@ -377,6 +378,44 @@ def test_cli_ppp_t_grid_beyond_t_max_is_a_config_error(tmp_path, capsys):
     # t_max bounds only the Poisson construction
     for other in ("sk-run", "verify", "ehrenfest", "ageing", "compare", "variance"):
         validate_config({"t_grid": [3.0]}, other)
+
+
+@pytest.mark.parametrize("fields", [{"K": 4e9}, {"u_min": 1e-9}])
+def test_cli_ppp_point_count_beyond_cap_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          fields):
+    # ppp holds all replicas * t_max * K / u_min expected points at once;
+    # validation stops a count it cannot allocate before anything is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("ppp sampled points for a rejected config")
+
+    monkeypatch.setattr(measures, "sample_sup_levels", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "replicas (ppp expects replicas * t_max * K / u_min" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    with pytest.raises(ConfigError, match="replicas"):
+        validate_config(fields, "ppp")
+    # the cap is 2^26 points: 2^22 replicas * 2 * 8 / 1 reach it, / 0.5 exceed it
+    at_cap = {"replicas": 2 ** 22, "t_max": 2.0, "K": 8.0, "u_min": 1.0}
+    validate_config(at_cap, "ppp")
+    with pytest.raises(ConfigError, match="replicas"):
+        validate_config(dict(at_cap, u_min=0.5), "ppp")
+    for other in ("sk-run", "verify", "ehrenfest", "ageing", "compare", "variance"):
+        validate_config(fields, other)
+
+
+def test_skrun_warns_at_zero_blocks(tmp_path):
+    # a_n = 49 < theta_n = 192 at n = 8, c = 0.25: k_n(1) = 0, and sk-run
+    # warns as verify and variance do at the same schedule
+    cfg = validate_config({"n_grid": [8], "c": 0.25, "replicas": 100,
+                           "out": str(tmp_path)}, "sk-run")
+    with pytest.warns(DegenerateScheduleWarning, match="k_n"):
+        run("sk-run", cfg)
+    with open(tmp_path / "skrun_ks.csv", encoding="utf-8") as fh:
+        assert [row["k_n"] for row in csv.DictReader(fh)] == ["0"]
 
 
 def test_cli_variance_needs_two_environments(tmp_path, capsys):

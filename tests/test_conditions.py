@@ -301,6 +301,18 @@ def test_env_replication_variance_positive_with_disorder():
     assert report.verdict == "trend-only"
 
 
+def test_env_replication_variance_positive_at_one_block():
+    # a_n = 202.7 >= theta_n = 192 at n = 8, c = 0.05: k_n(1) = 1, so no
+    # warning, and the disorder spreads the block-max tail across environments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = env_replication_variance(8, 2, c=0.05, beta=1.0, u=1.0, t=1.0,
+                                          env_reps=8, inner_reps=300,
+                                          rng=np.random.default_rng(0))
+    assert report.parameters["k_n"] == 1
+    assert report.estimate > 0.0
+
+
 def test_env_replication_variance_warns_at_zero_blocks():
     # a_n = 32.7 < theta_n = 108 at n = 6, c = 0.25: k_n(1) = 0, as verify reports it
     with pytest.warns(DegenerateScheduleWarning):

@@ -623,6 +623,29 @@ def test_batch_log_inv_rates_match_scalar(p):
     np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
 
+def test_batch_log_inv_rates_bound_p3_walker_rows(monkeypatch):
+    # a p=3 field walker builds an (R, n, n) array; the rates call hands
+    # it no more rows than block_statistics does, 2_000_000 // 40**2 = 1250
+    from extremalclock import pspin
+
+    sizes = []
+
+    class RecordingWalker(_BatchWalker):
+        def __init__(self, inst, x0):
+            sizes.append(len(x0))
+            super().__init__(inst, x0)
+
+    monkeypatch.setattr(pspin, "_BatchWalker", RecordingWalker)
+    inst = build_instance(40, 3, seed=37, beta=0.5)
+    model = HypercubeSRW(40)
+    X = model.sample_stationary(2000, np.random.default_rng(18))
+    rates = model.batch_log_inv_rates(PSpinEnvironment(inst), X)
+    assert max(sizes) <= 1250 and sum(sizes) == 2000
+    rows = [0, 1249, 1250, 1999]
+    np.testing.assert_allclose(rates[rows], [0.5 * hamiltonian(inst, X[i]) for i in rows],
+                               rtol=1e-10)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_block_statistics_hook_vs_generic(p):
     inst = build_instance(6, p, seed=33, beta=0.5)
