@@ -49,7 +49,8 @@ import numpy as np
 
 from . import __version__, conditions, ehrenfest, engine, measures, pspin, stats
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "config_hash", "run", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "Table", "load_config", "validate_config",
+           "config_hash", "run", "main"]
 
 COMMANDS = ("ppp", "sk-run", "verify", "ehrenfest", "ageing", "compare", "variance")
 

@@ -39,7 +39,6 @@ __all__ = [
     "DegenerateScheduleWarning",
     "ConditionReport",
     "q_tail",
-    "q_tail_max",
     "tail_functionals",
     "k_blocks",
     "nu_t",
@@ -103,28 +102,20 @@ class ConditionReport:
 # block-tail building blocks
 
 
-def _stacked_log_sums(model, env, sched, sets, rng, use_max: bool = False) -> list:
-    """Block sums (block maxima with ``use_max``) of every start set, in one walk.
+def _stacked_log_sums(model, env, sched, sets, rng) -> list:
+    """Block sums of every start set, in one walk.
 
     The sets are stacked row-wise and walked in one
     engine.block_statistics call, so every row is an independent block;
-    the log values come back split into the sets in their given order.
+    the log sums come back split into the sets in their given order.
     """
     if all(isinstance(s, np.ndarray) for s in sets):
         starts = np.concatenate(sets)
     else:
         starts = [x for s in sets for x in s]
     stats = engine.block_statistics(model, env, sched.theta_n, len(starts), rng,
-                                    starts=starts, want_max=use_max)
-    values = stats.log_maxes if use_max else stats.log_sums
-    return np.split(values, np.cumsum([len(s) for s in sets])[:-1])
-
-
-def _q_tail(model, env, sched, y, u: float, reps: int, rng, use_max: bool) -> MCAccumulator:
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    (values,) = _stacked_log_sums(model, env, sched, [[y] * reps], rng, use_max)
-    return MCAccumulator.from_values(values > sched.log_threshold(u))
+                                    starts=starts)
+    return np.split(stats.log_sums, np.cumsum([len(s) for s in sets])[:-1])
 
 
 def q_tail(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
@@ -133,12 +124,10 @@ def q_tail(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
     Estimates P_y(sum_{j=1}^{theta_n} lambda^{-1}(J(j)) e_j exceeds the
     u-threshold); the start state itself contributes no term.
     """
-    return _q_tail(model, env, sched, y, u, reps, rng, use_max=False)
-
-
-def q_tail_max(model, env, sched, y, u: float, reps: int, rng) -> MCAccumulator:
-    """As q_tail with the block sum replaced by the block maximum."""
-    return _q_tail(model, env, sched, y, u, reps, rng, use_max=True)
+    if u <= 0.0:
+        raise ValueError(f"u must be positive, got {u}")
+    (values,) = _stacked_log_sums(model, env, sched, [[y] * reps], rng)
+    return MCAccumulator.from_values(values > sched.log_threshold(u))
 
 
 def k_blocks(sched, t: float) -> int:

@@ -49,7 +49,6 @@ __all__ = [
     "clock_value",
     "blocked_clock_value",
     "blocked_clock_parts",
-    "powered",
     "time_changed_state",
     "jensen_sandwich_check",
     "BlockStats",
@@ -359,15 +358,6 @@ def blocked_clock_parts(traj: Trajectory, sched: ScalingSchedule, t: float):
     log_hat = _logsumexp(terms[1:last + 1]) - sched.log_c_n if k > 0 else -math.inf
     log_zero = float(terms[0]) - sched.log_c_n
     return log_hat, log_zero
-
-
-def powered(log_value: float, alpha: float) -> float:
-    """exp(alpha * log_value); the -inf sentinel maps to 0."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if log_value == -math.inf:
-        return 0.0
-    return math.exp(alpha * log_value)
 
 
 def time_changed_state(traj: Trajectory, sched: ScalingSchedule, log_time: float):

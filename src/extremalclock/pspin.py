@@ -12,12 +12,6 @@ module provides:
 * ``make_schedule`` -- the rescaling sequences gamma = n^{-c},
   alpha = gamma/beta, a_n, log c_n = gamma beta n, theta_n = 3 n^2 and
   the sub-block length v_n = round(n^omega);
-* ``H1BlockProcess`` -- the decoupled comparison process with
-  within-block covariance 1 - 2p|i-j|/n (PSD-repaired when needed) and
-  independence across blocks;
-* ``block_max_tail`` -- the block-maximum tail probabilities with and
-  without exponential marks;
-* ``thin_indices`` -- Bernoulli(gamma^2 log n) index dilution;
 * ``gaussian_comparison_rhs`` / ``max_cdf_mc`` -- the normal-comparison
   upper bound and the Monte Carlo max-CDF it dominates;
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
@@ -51,7 +45,6 @@ from .stats import MCAccumulator
 
 __all__ = [
     "TensorBudgetError",
-    "NumericalError",
     "IntegrityError",
     "PSpinInstance",
     "check_tensor_budget",
@@ -61,13 +54,7 @@ __all__ = [
     "delta_flip",
     "tau",
     "overlap",
-    "srw_step",
     "make_schedule",
-    "H1BlockProcess",
-    "sample_h1_block",
-    "sample_h1_process",
-    "block_max_tail",
-    "thin_indices",
     "gaussian_comparison_rhs",
     "max_cdf_mc",
     "save_instance",
@@ -84,10 +71,6 @@ DEFAULT_CACHE_SIZE = 2 ** 22
 
 class TensorBudgetError(MemoryError):
     """Requested coupling tensor exceeds the memory budget."""
-
-
-class NumericalError(RuntimeError):
-    """Covariance factorisation failed beyond repair."""
 
 
 class IntegrityError(RuntimeError):
@@ -318,12 +301,6 @@ def overlap(x, y) -> float:
     return float(a @ b) / a.size
 
 
-def srw_step(x, rng: np.random.Generator) -> np.ndarray:
-    """One simple-random-walk step: flip a uniformly chosen coordinate."""
-    arr = _as_spins(x)
-    return HypercubeSRW(arr.size).next_state(arr, rng)
-
-
 def _an_exponent(n: int, c: float) -> float:
     gamma = float(n) ** (-c)
     return gamma * gamma * n / 2.0
@@ -387,134 +364,6 @@ def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
 
 
 # ---------------------------------------------------------------------------
-# decoupled comparison process H^1
-
-
-def _repair_covariance(delta: np.ndarray):
-    """Clip negative eigenvalues, renormalise the diagonal to 1.
-
-    Returns (repaired matrix, Frobenius distance to the input).
-    """
-    w, v = np.linalg.eigh(delta)
-    if np.all(w >= 0.0):
-        return delta, 0.0
-    w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.T
-    diag = np.diag(m).copy()
-    if np.any(diag <= 0.0):
-        raise NumericalError("PSD repair produced a non-positive diagonal entry")
-    scale = 1.0 / np.sqrt(diag)
-    repaired = m * scale[:, None] * scale[None, :]
-    repaired = (repaired + repaired.T) / 2.0
-    return repaired, float(np.linalg.norm(repaired - delta))
-
-
-class H1BlockProcess:
-    """Block-independent Gaussian comparison process.
-
-    Within a block of length v_n the covariance is the linearised
-    overlap decay Delta^1_{ij} = 1 - 2p|i-j|/n; distinct blocks are
-    independent.  For block lengths that are large relative to n the
-    printed matrix is indefinite; it is repaired by eigenvalue clipping
-    with diagonal renormalisation, and ``repair_distance`` records the
-    Frobenius-norm change (0 when no repair was needed).
-    """
-
-    def __init__(self, n: int, p: int, v_n: int):
-        if v_n < 1:
-            raise ValueError(f"block length must be >= 1, got {v_n}")
-        self.n = n
-        self.p = p
-        self.v_n = v_n
-        idx = np.arange(v_n)
-        delta = 1.0 - 2.0 * p * np.abs(idx[:, None] - idx[None, :]) / n
-        np.fill_diagonal(delta, 1.0)
-        self.raw = delta
-        self.covariance, self.repair_distance = _repair_covariance(delta)
-        w, v = np.linalg.eigh(self.covariance)
-        if np.any(w < -1e-10):
-            raise NumericalError("covariance still indefinite after repair")
-        self._factor = v * np.sqrt(np.clip(w, 0.0, None))
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """(size, v_n) draws of one block."""
-        z = rng.standard_normal((size, self.v_n))
-        return z @ self._factor.T
-
-
-def sample_h1_block(n: int, p: int, v_n: int, rng: np.random.Generator) -> np.ndarray:
-    """Single block draw; see H1BlockProcess for the covariance."""
-    return H1BlockProcess(n, p, v_n).sample(rng, 1)[0]
-
-
-def sample_h1_process(n: int, p: int, v_n: int, length: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Concatenated independent blocks covering ``length`` indices.
-
-    length need not divide into whole blocks; the final partial block
-    is a truncated draw of a full block (leading-submatrix covariance).
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    proc = H1BlockProcess(n, p, v_n)
-    n_blocks = -(-length // v_n)
-    draws = proc.sample(rng, n_blocks)
-    return draws.reshape(-1)[:length]
-
-
-def block_max_tail(u: float, process, index_set, sched: ScalingSchedule,
-                   reps: int, rng: np.random.Generator,
-                   with_marks: bool = False) -> MCAccumulator:
-    """Tail of the block maximum: P(max_{i in I} e^{sqrt(n) beta U_i} > u^{1/alpha} c_n).
-
-    ``process`` must expose ``sample(rng, size) -> (size, L)`` with unit
-    variance marginals U_i (H1BlockProcess does); ``index_set`` uses the
-    1-based convention of the block {1, ..., v_n}.  With
-    ``with_marks=True`` each term carries an independent Exp(1) factor.
-    Comparison happens in the log domain.
-    """
-    if sched.beta is None:
-        raise ValueError("schedule carries no beta; build it with make_schedule")
-    idx = np.asarray(sorted(index_set), dtype=int)
-    if idx.size == 0 or idx[0] < 1:
-        raise ValueError("index set must be nonempty with 1-based indices")
-    cols = idx - 1
-    log_threshold = sched.log_threshold(u)
-    scale = math.sqrt(sched.n) * sched.beta
-    acc = MCAccumulator()
-    chunk = 65536
-    remaining = reps
-    while remaining > 0:
-        m = min(chunk, remaining)
-        draws = process.sample(rng, m)
-        if draws.shape[1] < idx[-1]:
-            raise ValueError(f"process of length {draws.shape[1]} cannot cover index {idx[-1]}")
-        terms = scale * draws[:, cols]
-        if with_marks:
-            terms = terms + np.log(rng.standard_exponential(terms.shape))
-        acc.update_many((terms.max(axis=1) > log_threshold).astype(float))
-        remaining -= m
-    return acc
-
-
-def thin_indices(k: int, n: int, rng: np.random.Generator, *, gamma: float) -> np.ndarray:
-    """Bernoulli-diluted index set over {1, ..., k}.
-
-    Inclusion rate gamma^2 rho_n with rho_n = log n, the minimal
-    diverging choice.  The rate must not exceed 1.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    rate = gamma * gamma * math.log(n)
-    if rate < 0.0 or rate > 1.0:
-        raise ValueError(f"thinning rate gamma^2 log n = {rate:.6g} outside [0, 1]")
-    if rate == 0.0 or k == 0:
-        return np.empty(0, dtype=int)
-    keep = rng.random(k) < rate
-    return np.nonzero(keep)[0] + 1
-
-
-# ---------------------------------------------------------------------------
 # Gaussian comparison (normal comparison inequality, upper bound form)
 
 
@@ -565,8 +414,10 @@ def gaussian_comparison_rhs(delta0, delta1, s):
     a, b = a[live], b[live]
     # ordered pairs (i,j) and (j,i) contribute identically; one row per level
     col = levels.reshape(-1, 1)
-    bounds = np.sum(2.0 * np.exp(-col * col / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b)),
-                    axis=1)
+    # s^2 overflows to inf past s ~ 1.3e154; exp(-inf) is then the exact bound 0
+    with np.errstate(over="ignore"):
+        bounds = np.sum(2.0 * np.exp(-col * col / (1.0 + a)) * (np.arcsin(a) - np.arcsin(b)),
+                        axis=1)
     return bounds if levels.ndim else float(bounds[0])
 
 
@@ -856,7 +707,7 @@ class HypercubeSRW(JumpChainModel):
 
     def next_state(self, x, rng):
         # no +-1 scan, which costs more than the flip: the chain's own
-        # states need no check, and srw_step checks its input
+        # states need no check
         out = np.array(x, dtype=float)
         k = int(rng.integers(self.n))
         out[k] = -out[k]

@@ -25,7 +25,6 @@ from extremalclock.engine import (
     estimate_correlation,
     jensen_sandwich_check,
     log_inverse_rate,
-    powered,
     simulate_trajectory,
     time_changed_state,
 )
@@ -168,16 +167,6 @@ def test_blocked_clock_equals_plain_clock_on_whole_blocks():
     assert blocked_clock_value(traj, sched, 0.01) == pytest.approx(zero0)
     with pytest.raises(ValueError):
         blocked_clock_parts(traj, sched, 4.0)  # needs 49 states
-
-
-def test_powered():
-    assert powered(-math.inf, 0.5) == 0.0
-    assert powered(math.log(4.0), 0.5) == pytest.approx(2.0)
-    assert powered(2.0, 1.0) == pytest.approx(math.exp(2.0))
-    with pytest.raises(ValueError):
-        powered(0.0, 0.0)
-    with pytest.raises(ValueError):
-        powered(0.0, 1.5)
 
 
 def test_time_changed_state_hand_built():

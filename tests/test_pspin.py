@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import norm
 
 import oracles
 from extremalclock import engine
 from extremalclock.engine import ScalingSchedule
 from extremalclock.pspin import (
-    H1BlockProcess,
     HypercubeSRW,
     IntegrityError,
     PSpinEnvironment,
@@ -24,7 +21,6 @@ from extremalclock.pspin import (
     _BatchWalker,
     _TableWalker,
     _walker,
-    block_max_tail,
     build_instance,
     check_schedule,
     delta_flip,
@@ -34,13 +30,9 @@ from extremalclock.pspin import (
     make_schedule,
     max_cdf_mc,
     overlap,
-    sample_h1_block,
-    sample_h1_process,
     sample_hamiltonians,
     save_instance,
-    srw_step,
     tau,
-    thin_indices,
 )
 
 
@@ -151,7 +143,7 @@ def test_delta_flip_matches_fresh_instance(p):
         delta_flip(inst, x, 5, h)
 
 
-def test_tau_overlap_srw_step():
+def test_tau_overlap_next_state():
     inst = build_instance(4, 2, seed=5, beta=1.7)
     x = spins([1, 1, -1, 1])
     assert tau(inst, x) == pytest.approx(1.7 * hamiltonian(inst, x))
@@ -161,11 +153,10 @@ def test_tau_overlap_srw_step():
     with pytest.raises(ValueError):
         overlap(x, spins([1, 1]))
     rng = np.random.default_rng(6)
+    model = HypercubeSRW(4)
     for _ in range(50):
-        z = srw_step(x, rng)
+        z = model.next_state(x, rng)
         assert int(np.sum(z != x)) == 1
-    with pytest.raises(ValueError):
-        srw_step(np.array([1.0, 0.5]), rng)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -320,9 +311,6 @@ def test_check_schedule_names_smallest_beta():
         check_schedule(2000, 0.01, 0.1)
 
 
-# -- decoupled comparison process --------------------------------------------
-
-
 def test_check_schedule_names_largest_n():
     with pytest.raises(ValueError, match="max n for c=0.01 is 1623"):
         check_schedule(2000, 0.01)
@@ -332,109 +320,6 @@ def test_check_schedule_names_largest_n():
         make_schedule(1624, 2, c=0.01, beta=1.0)
     with pytest.raises(ValueError):
         check_schedule(8, 0.5)
-
-
-def test_h1_covariance_no_repair():
-    proc = H1BlockProcess(16, 2, 3)
-    expect = np.array([[1.0, 0.75, 0.5], [0.75, 1.0, 0.75], [0.5, 0.75, 1.0]])
-    assert np.allclose(proc.raw, expect)
-    assert float(np.min(np.linalg.eigvalsh(expect))) > 0.0
-    assert proc.repair_distance == 0.0
-    assert np.allclose(proc.covariance, expect)
-
-    rng = np.random.default_rng(8)
-    draws = proc.sample(rng, 60_000)
-    emp = np.cov(draws.T)
-    assert np.max(np.abs(emp - expect)) < 0.03
-
-
-def test_h1_covariance_repair():
-    # 2p/n = 1 makes the linearised matrix indefinite for v >= 3
-    proc = H1BlockProcess(4, 2, 4)
-    assert float(np.min(np.linalg.eigvalsh(proc.raw))) < 0.0
-    assert proc.repair_distance > 0.0
-    assert np.allclose(np.diag(proc.covariance), 1.0, atol=1e-12)
-    assert float(np.min(np.linalg.eigvalsh(proc.covariance))) >= -1e-10
-    with pytest.raises(ValueError):
-        H1BlockProcess(4, 2, 0)
-
-
-def test_h1_process_block_structure():
-    n, p, v = 16, 2, 4
-    assert sample_h1_block(n, p, v, np.random.default_rng(0)).shape == (v,)
-    rng = np.random.default_rng(9)
-    proc = H1BlockProcess(n, p, v)
-    rows = np.stack([sample_h1_process(n, p, v, 2 * v, rng) for _ in range(4000)])
-    assert rows.shape == (4000, 2 * v)
-    emp = np.corrcoef(rows.T)
-    # adjacent within a block: the repaired covariance entry
-    assert abs(emp[0, 1] - proc.covariance[0, 1]) < 0.08
-    # adjacent across the block boundary: independent
-    assert abs(emp[v - 1, v]) < 0.08
-    # partial final block is a truncated draw
-    assert sample_h1_process(n, p, v, 2 * v + 2, rng).shape == (2 * v + 2,)
-    with pytest.raises(ValueError):
-        sample_h1_process(n, p, v, 0, rng)
-
-
-def test_block_max_tail_single_index_closed_form():
-    sched = make_schedule(8, 2, c=0.25, beta=1.0)
-    proc = H1BlockProcess(8, 2, sched.v_n)
-    rng = np.random.default_rng(10)
-    u = 1.0
-    acc = block_max_tail(u, proc, [1], sched, 60_000, rng)
-    # single unit-variance coordinate: P(sqrt(n) beta U > log threshold)
-    target = norm.sf(sched.log_threshold(u) / (math.sqrt(8.0) * 1.0))
-    assert abs(acc.mean - target) <= 3.0 * acc.sem + 1e-12
-    assert acc.count == 60_000
-
-
-def test_block_max_tail_with_marks_matches_quadrature():
-    sched = make_schedule(8, 2, c=0.25, beta=1.0)
-    proc = H1BlockProcess(8, 2, sched.v_n)
-    rng = np.random.default_rng(11)
-    u = 0.5
-    acc = block_max_tail(u, proc, [1], sched, 60_000, rng, with_marks=True)
-    thr = sched.log_threshold(u)
-    scale = math.sqrt(8.0)
-    # P(scale*U + log E > thr) = E_U P(E > exp(thr - scale*U))
-    target, _ = quad(
-        lambda z: norm.pdf(z) * math.exp(-math.exp(thr - scale * z)),
-        -12.0, 12.0, epsabs=1e-12)
-    assert abs(acc.mean - target) <= 3.0 * acc.sem + 1e-12
-
-
-def test_block_max_tail_validation():
-    sched = make_schedule(8, 2, c=0.25, beta=1.0)
-    proc = H1BlockProcess(8, 2, sched.v_n)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        block_max_tail(1.0, proc, [], sched, 10, rng)
-    with pytest.raises(ValueError):
-        block_max_tail(1.0, proc, [0], sched, 10, rng)  # 1-based indices
-    with pytest.raises(ValueError):
-        block_max_tail(1.0, proc, [sched.v_n + 1], sched, 10, rng)
-    bare = ScalingSchedule(n=8, a_n=10.0, log_c_n=1.0, theta_n=4,
-                           alpha_n=1.0, v_n=2)
-    with pytest.raises(ValueError):
-        block_max_tail(1.0, proc, [1], bare, 10, rng)
-
-
-def test_thin_indices():
-    rng = np.random.default_rng(12)
-    gamma = 16.0 ** -0.25
-    rate = gamma * gamma * math.log(16.0)
-    counts = [thin_indices(500, 16, rng, gamma=gamma).size for _ in range(400)]
-    mean = float(np.mean(counts))
-    se = float(np.std(counts, ddof=1)) / math.sqrt(400)
-    assert abs(mean - 500 * rate) <= 4.0 * se
-    idx = thin_indices(500, 16, rng, gamma=gamma)
-    assert idx.size == 0 or (idx.min() >= 1 and idx.max() <= 500)
-    assert thin_indices(0, 16, rng, gamma=gamma).size == 0
-    with pytest.raises(ValueError):
-        thin_indices(10, 8, rng, gamma=0.9)  # rate > 1
-    with pytest.raises(ValueError):
-        thin_indices(-1, 16, rng, gamma=gamma)
 
 
 # -- Gaussian comparison ------------------------------------------------------
@@ -545,6 +430,16 @@ def test_gaussian_comparison_rhs_sequence_matches_scalar():
     with pytest.raises(ValueError):
         gaussian_comparison_rhs(d0, d1, [[1.0]])
 
+
+
+def test_gaussian_comparison_rhs_huge_level_is_zero_without_overflow_warning():
+    # s^2 overflows a double past s ~ 1.3e154; the bound there is exactly 0
+    rng = np.random.default_rng(24)
+    d0, d1 = _random_correlation(5, rng), _random_correlation(5, rng)
+    bounds = gaussian_comparison_rhs(d0, d1, [1.0, 1e200])
+    assert bounds[0] == gaussian_comparison_rhs(d0, d1, 1.0) > 0.0
+    assert bounds[1] == 0.0
+    assert gaussian_comparison_rhs(d0, d1, 1e160) == 0.0
 
 # -- persistence --------------------------------------------------------------
 
@@ -727,21 +622,19 @@ def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_t
     assert bare.log_maxes is None and bare.end_states is None
 
 
-def test_trajectory_matches_srw_step_loop():
+def test_trajectory_matches_next_state_loop():
     model = HypercubeSRW(7)
     traj = engine.simulate_trajectory(model, 300, np.random.default_rng(62))
     rng = np.random.default_rng(62)
     x = model.initial_state(rng)
     states, marks = [x], [rng.standard_exponential()]
     for _ in range(300):
-        x = srw_step(x, rng)
+        x = model.next_state(x, rng)
         states.append(x)
         marks.append(rng.standard_exponential())
     np.testing.assert_array_equal(np.asarray(traj.states), np.asarray(states))
     np.testing.assert_array_equal(traj.marks, marks)
     assert np.all(np.abs(np.asarray(traj.states)) == 1.0)
-    with pytest.raises(ValueError):
-        srw_step(np.array([1.0, 0.0, -1.0]), rng)
 
 
 def test_correlation_hook_vs_generic():
