@@ -22,7 +22,9 @@ module provides:
   lookup in the exact 8 * 2^n-byte energy table
   (``PSpinInstance.energy_table``, no incremental drift); otherwise the
   walker carries a contraction field with O(n^{p-1}) incremental
-  Hamiltonian updates.  Both draw the same flip stream.
+  Hamiltonian updates.  Kernels draw and walkers walk: a kernel draws
+  each block's flips and then its marks, and either walker takes the
+  same flips.
 
 States are length-n numpy vectors with entries +-1 (float for BLAS).
 """
@@ -541,10 +543,12 @@ class _BatchWalker:
     The walker for n > 20, where the energy table would exceed 8 MB,
     and for walks too short to pay for building the table.  Holds R
     spin rows plus the contraction field F that makes each flip an
-    O(n) (p=2) or O(n^2) (p=3) update; ``H`` is kept current after
-    every step.  Drift from incremental updates is bounded by
-    steps * machine epsilon relative to the contraction magnitude,
-    negligible for block lengths 3n^2 at desk scale.
+    O(n) (p=2) or O(n^2) (p=3) update; ``H`` is current after every
+    walk.  ``walk`` applies a block of flips a row at a time, with its
+    per-step (R, n) temporaries in scratch arrays the walker keeps.
+    Drift from incremental updates is bounded by steps * machine
+    epsilon relative to the contraction magnitude, negligible for
+    block lengths 3n^2 at desk scale.
     """
 
     def __init__(self, inst: PSpinInstance, x0: np.ndarray):
@@ -556,19 +560,19 @@ class _BatchWalker:
         if inst.p == 3:
             self.S_kkl = np.einsum("kkl->kl", self.S)  # views of the diagonals
             self.S_lll = np.einsum("lll->l", self.S)
+        self._scratch = None
         self._recompute()
 
     def _recompute(self) -> None:
         inst, X = self.inst, self.X
+        # einsum, not a BLAS GEMM: at R = 4000, n = 18 a threaded GEMM
+        # leaves OpenBLAS workers spinning, and on 2 CPUs that slowed
+        # the rest of a verify run by about 35 ms per call
         if inst.p == 2:
-            # einsum, not a BLAS GEMM: at R = 4000, n = 18 a threaded GEMM
-            # leaves OpenBLAS workers spinning, and on 2 CPUs that slowed
-            # the rest of a verify run by about 35 ms per call
             self.F = np.einsum("rj,ij->ri", X, self.S)
         else:
             # F[r, i] = sum_{j,l} S[i,j,l] x_j x_l
-            t = np.tensordot(X, self.S, axes=([1], [2]))  # (R, i, j)
-            self.F = np.einsum("rij,rj->ri", t, X)
+            self.F = np.einsum("rij,rj->ri", np.einsum("rl,ijl->rij", X, self.S), X)
         self.K = np.einsum("ri,ri->r", self.F, self.X)
         self.H = inst.scale * self.K
 
@@ -576,32 +580,46 @@ class _BatchWalker:
     def R(self) -> int:
         return self.X.shape[0]
 
-    def step(self, rng: np.random.Generator) -> None:
-        inst = self.inst
-        R, n = self.X.shape
-        rows = np.arange(R)
-        k = rng.integers(0, n, R)
-        d = -2.0 * self.X[rows, k]
-        if inst.p == 2:
-            s_rows = self.S[k]  # (R, n)
-            dk = 2.0 * d * self.F[rows, k] + d * d * self.S[k, k]
-            self.F += d[:, None] * s_rows
+    def walk(self, flips: np.ndarray, out: np.ndarray) -> None:
+        """Flip coordinate flips[i, r] of row r at step i; out[i] = H after step i."""
+        if self._scratch is None:
+            R, n = self.X.shape
+            # rows, then (R, n) gathers and field updates, then p=3's (R, n, n) slices
+            self._scratch = (np.arange(R), np.empty((R, n)), np.empty((R, n)),
+                             np.empty((R, n, n)) if self.inst.p == 3 else None)
+        for k, h in zip(flips, out):
+            self._step(k, *self._scratch)
+            np.multiply(self.inst.scale, self.K, out=h)
+        self.H = out[-1].copy()
+
+    def _step(self, k, rows, G, T, M) -> None:
+        S, F, X = self.S, self.F, self.X
+        d = -2.0 * X[rows, k]  # bounds-checks k, so the takes may skip it
+        # mode="clip": with "raise", take copies into a fresh array before out
+        if self.inst.p == 2:
+            dk = 2.0 * d * F[rows, k] + d * d * S[k, k]
+            np.take(S, k, axis=0, out=G, mode="clip")  # S[k_r, :]
+            G *= d[:, None]
+            F += G
         else:
-            a = self.F[rows, k]
-            sd2 = self.S_kkl[k]                # (R, n): S[k,k,l]
-            b = np.einsum("rl,rl->r", sd2, self.X)
+            a = F[rows, k]
+            np.take(self.S_kkl, k, axis=0, out=G, mode="clip")  # S[k_r, k_r, :]
+            b = np.einsum("rl,rl->r", G, X)
             c3 = self.S_lll[k]
             dk = 3.0 * d * a + 3.0 * d * d * b + d ** 3 * c3
-            m = self.S.transpose(1, 0, 2)[k]   # (R, n, n): S[i, k_r, l]
-            self.F += (2.0 * d)[:, None] * np.einsum("ril,rl->ri", m, self.X) \
-                + (d * d)[:, None] * sd2
+            np.take(S.transpose(1, 0, 2), k, axis=0, out=M, mode="clip")  # S[:, k_r, :]
+            np.einsum("ril,rl->ri", M, X, out=T)
+            T *= (2.0 * d)[:, None]
+            G *= (d * d)[:, None]
+            T += G
+            F += T
         self.K += dk
-        self.X[rows, k] += d
-        self.H = inst.scale * self.K
+        X[rows, k] += d
 
     def restrict(self, keep: np.ndarray) -> "_BatchWalker":
         w = copy.copy(self)  # shares inst, S and the diagonal views
         w.X, w.F, w.K, w.H = self.X[keep], self.F[keep], self.K[keep], self.H[keep]
+        w._scratch = None
         return w
 
 
@@ -610,10 +628,11 @@ class _TableWalker:
 
     The walker at n <= 20 for walks long enough to pay for the table,
     with ``_BatchWalker``'s interface.  A replica is an int64 state
-    index (bit i set iff x_i = -1); a step XORs one bit per replica and
-    looks H up, so H is exact at every step, with no incremental drift.
-    ``X`` is decoded on demand.  A step draws the same
-    ``rng.integers(0, n, R)`` as ``_BatchWalker``.
+    index (bit i set iff x_i = -1).  ``walk`` takes a whole block of
+    flips at once: the state indices after every step are one prefix
+    XOR of the flipped bits along the steps, and their H one gather, so
+    H is exact at every step, with no incremental drift.  ``X`` is
+    decoded on demand.
     """
 
     def __init__(self, inst: PSpinInstance, x0: np.ndarray):
@@ -634,9 +653,15 @@ class _TableWalker:
     def X(self) -> np.ndarray:
         return 1.0 - 2.0 * ((self.idx[:, None] >> np.arange(self.n)) & 1)
 
-    def step(self, rng: np.random.Generator) -> None:
-        self.idx ^= self.bits[rng.integers(0, self.n, self.R)]
-        self.H = self.table[self.idx]
+    def walk(self, flips: np.ndarray, out: np.ndarray) -> None:
+        """Flip coordinate flips[i, r] of row r at step i; out[i] = H after step i."""
+        idx = self.bits[flips]
+        np.bitwise_xor.accumulate(idx, axis=0, out=idx)
+        idx ^= self.idx
+        # every index is below 2^n; "raise" would copy into a fresh array before out
+        np.take(self.table, idx, out=out, mode="clip")
+        self.idx = idx[-1].copy()
+        self.H = out[-1].copy()
 
     def restrict(self, keep: np.ndarray) -> "_TableWalker":
         w = object.__new__(_TableWalker)
@@ -644,6 +669,21 @@ class _TableWalker:
         w.idx = self.idx[keep]
         w.H = self.H[keep]
         return w
+
+
+def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """States of the rows ``sel`` before step j[c] of the block ``flips`` just walked.
+
+    Row c's state is its state after the block with the coordinates
+    flipped an odd number of times in its flips[j[c]:] toggled back.
+    """
+    X = walker.restrict(sel).X
+    m, n = X.shape
+    later = flips[:, sel] + np.arange(m) * n  # coordinate i of row c is c * n + i
+    undone = np.arange(len(flips))[:, None] >= j
+    counts = np.bincount(later[undone], minlength=m * n).reshape(m, n)
+    X[counts % 2 == 1] *= -1.0
+    return X
 
 
 # The table walker serves n <= 20 (8 * 2^n bytes of energies, at most
@@ -772,15 +812,14 @@ class HypercubeSRW(JumpChainModel):
             ls = np.full(m, -math.inf)
             lm = np.full(m, -math.inf)
             rows = min(theta, max(1, _BLOCK_ELEMS // m))
-            a = np.empty((rows, m))  # beta H of each step in the block
+            a = np.empty((rows, m))  # beta H after each step in the block
             e = np.empty((rows, m))  # and its mark
             for j in range(0, theta, rows):
                 r = min(rows, theta - j)
-                for i in range(r):
-                    walker.step(rng)
-                    np.multiply(inst.beta, walker.H, out=a[i])
-                    rng.standard_exponential(out=e[i])
                 ar, er = a[:r], e[:r]
+                walker.walk(rng.integers(0, self.n, (r, m)), ar)
+                rng.standard_exponential(out=er)
+                ar *= inst.beta
                 top = ar.max(0)
                 s = (np.exp(ar - top) * er).sum(0)
                 np.logaddexp(ls, top + np.log(s), out=ls)
@@ -796,36 +835,58 @@ class HypercubeSRW(JumpChainModel):
 
     def correlation_overlaps(self, env, log_t1: float, log_t2: float, reps: int,
                              rng: np.random.Generator, step_budget: int):
-        inst = env.inst
-        n = self.n
+        """Two-time overlaps of ``reps`` stationary walks, a block of steps at a time.
+
+        Step i owns the state before flip i, as in
+        ``engine.generic_correlation_overlaps``.  The running log-sum of
+        a block is one ``logaddexp.accumulate`` along its steps, seeded
+        with the sum before it, and a row's first step past log t1 or
+        log t2 is an ``argmax`` of the threshold mask.  Rows that crossed
+        log t2 leave the walk at the end of their block; no block runs
+        past ``step_budget``.
+        """
+        inst, n = env.inst, self.n
+        walker = _walker(inst, self.sample_stationary(reps, rng), reps * step_budget)
         x_first = np.zeros((reps, n))
         have1 = np.zeros(reps, dtype=bool)
         overlaps = np.full(reps, np.nan)
-        walker = _walker(inst, self.sample_stationary(reps, rng), reps * step_budget)
         cum = np.full(reps, -math.inf)
         alive = np.arange(reps)  # output row of each walker row
-        for _ in range(step_budget):
-            term = inst.beta * walker.H + np.log(rng.standard_exponential(walker.R))
-            nxt = np.logaddexp(cum, term)
-            cross1 = ~have1 & (nxt > log_t1)
-            # restrict first, so that only the crossing rows' states are read
+        # flat buffers: an (r, R) view of a prefix stays contiguous as R shrinks
+        size = max(_BLOCK_ELEMS, reps)
+        terms = np.empty(size + reps)
+        marks = np.empty(size)
+        done = 0
+        while done < step_budget:
+            R = walker.R
+            r = min(step_budget - done, max(1, _BLOCK_ELEMS // R))
+            K = rng.integers(0, n, (r, R))
+            E = rng.standard_exponential(out=marks[:r * R].reshape(r, R))
+            h = terms[:(r + 1) * R].reshape(r + 1, R)
+            h[0] = walker.H
+            walker.walk(K, h[1:])
+            S = h[:r]  # H before each flip, then the running log-sum
+            S *= inst.beta
+            S += np.log(E, out=E)
+            np.logaddexp(cum, S[0], out=S[0])
+            np.logaddexp.accumulate(S, axis=0, out=S)
+            cum = S[-1].copy()
+            done += r
+            cross1 = ~have1 & (cum > log_t1)
             if np.any(cross1):
-                x_first[alive[cross1]] = walker.restrict(cross1).X
+                j1 = np.argmax(S[:, cross1] > log_t1, axis=0)
+                x_first[alive[cross1]] = _states_before(walker, K, cross1, j1)
                 have1 |= cross1
-            cross2 = nxt > log_t2
+            cross2 = cum > log_t2
             if np.any(cross2):
+                j2 = np.argmax(S[:, cross2] > log_t2, axis=0)
                 rows = alive[cross2]
                 overlaps[rows] = np.einsum(
-                    "ri,ri->r", x_first[rows], walker.restrict(cross2).X) / n
+                    "ri,ri->r", x_first[rows], _states_before(walker, K, cross2, j2)) / n
                 keep = ~cross2
                 if not np.any(keep):
                     break
                 walker = walker.restrict(keep)
-                alive = alive[keep]
-                cum = nxt[keep]
-                have1 = have1[keep]
-            else:
-                cum = nxt
-            walker.step(rng)
+                alive, cum, have1 = alive[keep], cum[keep], have1[keep]
         finished = ~np.isnan(overlaps)
         return overlaps[finished], int(reps - finished.sum())

@@ -479,6 +479,26 @@ def test_cli_skrun_p3_shared_instances_deterministic_across_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["sk-run", "ageing", "variance"])
+def test_p3_walks_deterministic_across_threads(tmp_path, command):
+    # blocked p=3 walks through the pool: results.json minus the wall time,
+    # and every CSV, byte for byte at 1 and 2 threads
+    cfg = {"p": 3, "n_grid": [8, 12], "t_grid": [0.5, 1.0], "replicas": 40,
+           "inner_replicas": 20, "env_replicas": 2, "seed": 11}
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run(command, validate_config(dict(cfg, threads=threads, out=str(out))))
+        results = json.loads((out / "results.json").read_text())
+        results.pop("runtime_seconds")
+        csvs = sorted(out.glob("*.csv"))
+        assert [path.stem for path in csvs] == sorted(results["tables"])
+        outputs.append((results, [path.read_bytes() for path in csvs]))
+    assert outputs[0] == outputs[1]
+
+
 SHARED_WALK = {"n_grid": [8, 10], "p": 2, "c": 0.05, "u_grid": [0.5, 1.0, 2.0],
                "t_grid": [1.0, 2.0], "delta_grid": [1.0], "replicas": 200,
                "inner_replicas": 20, "seed": 5}

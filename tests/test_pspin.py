@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from extremalclock import engine
+from extremalclock import engine, pspin
 from extremalclock.engine import ScalingSchedule
 from extremalclock.pspin import (
     HypercubeSRW,
@@ -60,6 +60,12 @@ class PlainCube:
 
 def spins(bits):
     return np.asarray(bits, dtype=float)
+
+
+def _step(walker, rng):
+    """One step of every row, on the flips a kernel would draw for it."""
+    R, n = walker.X.shape
+    walker.walk(rng.integers(0, n, (1, R)), np.empty((1, R)))
 
 
 # -- instances and Hamiltonians ---------------------------------------------
@@ -166,7 +172,7 @@ def test_batch_walker_tracks_hamiltonian(p):
     x0 = rng.integers(0, 2, (8, 6)).astype(float) * 2 - 1
     walker = _BatchWalker(inst, x0)
     for _ in range(150):
-        walker.step(rng)
+        _step(walker, rng)
     fresh = build_instance(6, p, seed=11)
     for r in range(8):
         assert walker.H[r] == pytest.approx(
@@ -196,11 +202,13 @@ def _assert_walkers_agree(table, field):
 
 
 def _walk_both(table, field, steps, seed):
-    """Step both walkers on identically seeded streams, comparing after each step."""
+    """Walk both walkers on the same flips, one row of them at a time, comparing after each."""
     rng_t, rng_f = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(steps):
-        table.step(rng_t)
-        field.step(rng_f)
+        flips = rng_t.integers(0, table.n, (1, table.R))
+        np.testing.assert_array_equal(flips, rng_f.integers(0, field.inst.n, (1, field.R)))
+        table.walk(flips, np.empty((1, table.R)))
+        field.walk(flips, np.empty((1, field.R)))
         _assert_walkers_agree(table, field)
     assert rng_t.bit_generator.state == rng_f.bit_generator.state
 
@@ -218,6 +226,24 @@ def test_table_walker_matches_field_walker(n, p):
     assert table.R == field.R == int(keep.sum())
     _assert_walkers_agree(table, field)
     _walk_both(table, field, 100, seed=9)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_table_walker_block_equals_one_row_walks(p):
+    n, R, steps = 10, 37, 25
+    inst = build_instance(n, p, seed=80 + p)
+    x0 = np.random.default_rng(p).integers(0, 2, (R, n)).astype(float) * 2 - 1
+    flips = np.random.default_rng(p + 1).integers(0, n, (steps, R))
+    block, single = _TableWalker(inst, x0), _TableWalker(inst, x0)
+    out = np.empty((steps, R))
+    block.walk(flips, out)
+    for i in range(steps):
+        h = np.empty((1, R))
+        single.walk(flips[i:i + 1], h)
+        np.testing.assert_array_equal(h[0], out[i])
+    np.testing.assert_array_equal(block.idx, single.idx)
+    np.testing.assert_array_equal(block.H, single.H)
+    np.testing.assert_array_equal(block.X, single.X)
 
 
 def test_walker_chooses_table_up_to_n20_for_walks_that_pay_for_it():
@@ -250,7 +276,7 @@ def test_walkers_track_hamiltonian_property(n, p, seed, steps):
     for walker in (_TableWalker(inst, x0), _BatchWalker(inst, x0)):
         walk_rng = np.random.default_rng(seed)
         for _ in range(steps):
-            walker.step(walk_rng)
+            _step(walker, walk_rng)
         for x, h in zip(walker.X, walker.H):
             assert h == pytest.approx(hamiltonian(inst, x), rel=1e-10, abs=1e-10)
 
@@ -521,8 +547,6 @@ def test_batch_log_inv_rates_match_scalar(p):
 def test_batch_log_inv_rates_bound_p3_walker_rows(monkeypatch):
     # a p=3 field walker builds an (R, n, n) array; the rates call hands
     # it no more rows than block_statistics does, 2_000_000 // 40**2 = 1250
-    from extremalclock import pspin
-
     sizes = []
 
     class RecordingWalker(_BatchWalker):
@@ -580,18 +604,27 @@ def test_block_statistics_hook_respects_starts_and_ends():
 
 
 def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
-    """block_statistics with one logaddexp per step, for reps in one chunk."""
+    """block_statistics with one logaddexp per step, for reps in one chunk.
+
+    Draws each block's flips and then its marks, as the kernel does, and
+    walks the flips one row at a time.
+    """
     inst = env.inst
     x0 = model.sample_stationary(reps, rng) if starts is None else starts
     walker = _walker(inst, x0, reps * theta)
     offset = -env.log_C - model.log_pi(x0[0])
     ls = np.full(reps, -math.inf)
     lm = np.full(reps, -math.inf)
-    for _ in range(theta):
-        walker.step(rng)
-        term = inst.beta * walker.H + offset + np.log(rng.standard_exponential(reps))
-        ls = np.logaddexp(ls, term)
-        lm = np.maximum(lm, term)
+    rows = min(theta, max(1, pspin._BLOCK_ELEMS // reps))
+    for j in range(0, theta, rows):
+        r = min(rows, theta - j)
+        flips = rng.integers(0, model.n, (r, reps))
+        marks = rng.standard_exponential((r, reps))
+        for i in range(r):
+            walker.walk(flips[i:i + 1], np.empty((1, reps)))
+            term = inst.beta * walker.H + offset + np.log(marks[i])
+            ls = np.logaddexp(ls, term)
+            lm = np.maximum(lm, term)
     return ls, lm, walker.X
 
 
@@ -665,6 +698,134 @@ def test_correlation_hook_same_hold_gives_full_overlap():
     assert est.value == 1.0
 
 
+class _RecordingRng:
+    """A Generator stand-in that keeps a copy of every array it draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self._rng.integers(*args, **kwargs))
+        return self.draws[-1].copy()
+
+    def standard_exponential(self, size=None, out=None):
+        drawn = self._rng.standard_exponential(size=size, out=out)
+        self.draws.append(drawn.copy())
+        return drawn
+
+
+def _per_step_overlaps(inst, walker_type, draws, log_t1, log_t2):
+    """correlation_overlaps as a loop of single steps over its recorded draws.
+
+    ``draws`` holds the stationary starts, then each block's flips and
+    marks.  Step i owns the state before flip i, and a row leaves the
+    walk at the end of the block in which it crossed log t2.  Returns
+    the overlaps, the truncated count and the kinds of crossing seen.
+    """
+    x0 = draws[0] * 2.0 - 1.0
+    reps, n = x0.shape
+    walker = walker_type(inst, x0)
+    cum = np.full(reps, -math.inf)
+    x_first = np.zeros((reps, n))
+    overlaps = np.full(reps, np.nan)
+    alive = np.arange(reps)  # output row of each walker row
+    seen = set()
+    for flips, marks in zip(draws[1::2], draws[2::2]):
+        r = len(flips)
+        assert flips.shape == marks.shape == (r, walker.R)
+        for i in range(r):
+            nxt = np.logaddexp(cum, inst.beta * walker.H + np.log(marks[i]))
+            cross1 = (cum <= log_t1) & (log_t1 < nxt)
+            cross2 = (cum <= log_t2) & (log_t2 < nxt)
+            X = walker.X
+            x_first[alive[cross1]] = X[cross1]
+            rows = alive[cross2]
+            overlaps[rows] = np.einsum("ri,ri->r", x_first[rows], X[cross2]) / n
+            if r > 1 and np.any(cross1 | cross2):
+                seen.add({0: "first step", r - 1: "last step"}.get(i, "inner step"))
+            if np.any(cross1 & cross2):
+                seen.add("same step")
+            cum = nxt
+            walker.walk(flips[i:i + 1], np.empty((1, walker.R)))
+        keep = np.isnan(overlaps[alive])
+        if 0 < keep.sum() < len(keep):
+            seen.add("retired")
+        walker = walker.restrict(keep)
+        alive, cum = alive[keep], cum[keep]
+    finished = ~np.isnan(overlaps)
+    return overlaps[finished], int(reps - finished.sum()), seen
+
+
+@pytest.mark.parametrize("walker_type", [_TableWalker, _BatchWalker])
+@pytest.mark.parametrize("p", [2, 3])
+def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
+    # blocks of 256 // R steps, so that crossings fall on first and last
+    # steps; budgets that are no multiple of a block
+    n, reps = 8, 48
+    monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 256)
+    monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
+    inst = build_instance(n, p, seed=70 + p, beta=0.8)
+    env = PSpinEnvironment(inst)
+    seen = set()
+    for seed, (log_t1, log_t2, budget) in enumerate([
+            (3.0, 3.5, 203), (4.0, 6.0, 101), (5.0, 5.0, 77), (2.0, 7.0, 45)]):
+        rng = _RecordingRng(seed)
+        got, truncated = HypercubeSRW(n).correlation_overlaps(
+            env, log_t1, log_t2, reps, rng, budget)
+        want, want_truncated, events = _per_step_overlaps(
+            inst, walker_type, rng.draws, log_t1, log_t2)
+        np.testing.assert_array_equal(got, want)
+        assert truncated == want_truncated
+        blocks = rng.draws[1::2]
+        if truncated:  # the last block stops at the budget, short of its 256 // R steps
+            assert sum(len(flips) for flips in blocks) == budget
+            assert len(blocks[-1]) < 256 // blocks[-1].shape[1]
+        seen |= events
+    assert seen >= {"first step", "last step", "same step", "retired"}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernels_agree_across_walkers(monkeypatch, p):
+    # the walker choice is a cost decision only: the same draws, H to rounding
+    n = 9
+    inst = build_instance(n, p, seed=90 + p, beta=0.8)
+    env = PSpinEnvironment(inst)
+    model = HypercubeSRW(n)
+    results = []
+    for walker_type in (_TableWalker, _BatchWalker):
+        monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
+        stats = model.block_statistics(env, 50, 300, np.random.default_rng(5),
+                                       want_max=True, want_end=True)
+        overlaps = model.correlation_overlaps(env, 5.0, 6.5, 200, np.random.default_rng(6), 150)
+        results.append((stats, overlaps))
+    (table, table_overlaps), (field, field_overlaps) = results
+    np.testing.assert_allclose(table.log_sums, field.log_sums, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(table.log_maxes, field.log_maxes, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(table.end_states, field.end_states)
+    np.testing.assert_array_equal(table_overlaps[0], field_overlaps[0])
+    assert table_overlaps[1] == field_overlaps[1]
+    assert 0 < table_overlaps[1] < 200  # some replicas finished, some were truncated
+
+
+def test_correlation_overlaps_all_truncated(monkeypatch):
+    n, reps, budget = 8, 30, 50
+    monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 64)
+    inst = build_instance(n, 2, seed=72, beta=0.8)
+    env = PSpinEnvironment(inst)
+    rng = _RecordingRng(3)
+    got, truncated = HypercubeSRW(n).correlation_overlaps(env, 50.0, 60.0, reps, rng, budget)
+    assert got.size == 0 and truncated == reps
+    want, want_truncated, _ = _per_step_overlaps(inst, _TableWalker, rng.draws, 50.0, 60.0)
+    assert want.size == 0 and want_truncated == reps
+    assert sum(len(flips) for flips in rng.draws[1::2]) == budget
+    sched = ScalingSchedule(n=n, a_n=10.0, log_c_n=50.0, theta_n=4, alpha_n=1.0, v_n=2)
+    with pytest.raises(engine.StepBudgetError, match=f"{reps} truncated"):
+        engine.estimate_correlation(HypercubeSRW(n), env, sched, eps=0.5, t=1.0, s=1.0,
+                                    reps=reps, rng=np.random.default_rng(3),
+                                    step_budget=budget)
+
+
 def test_engine_runs_reference_loops_where_the_model_does_not_vectorise(monkeypatch):
     # p = 4 has no vectorised kernel: engine must run its reference loops
     inst = build_instance(4, 4, seed=38, beta=0.5)
@@ -724,7 +885,7 @@ def test_symmetric_tensor_publishes_diagonals_first():
         assert published.wait(timeout=10)
         x0 = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, -1.0]] * 4)
         walker = _BatchWalker(inst, x0)
-        walker.step(np.random.default_rng(0))
+        _step(walker, np.random.default_rng(0))
     finally:
         resume.set()
         builder.join(timeout=10)
@@ -755,7 +916,7 @@ def test_energy_table_is_published_complete():
         assert published.wait(timeout=10)
         x0 = np.array([[1.0, -1.0, 1.0, 1.0, -1.0, -1.0]] * 4)
         walker = _TableWalker(inst, x0)
-        walker.step(np.random.default_rng(0))
+        _step(walker, np.random.default_rng(0))
     finally:
         resume.set()
         build_thread.join(timeout=10)
