@@ -398,27 +398,27 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     """Variance of the max functional across independent environments.
 
     Each environment gets a fresh coupling tensor; the walk and mark
-    randomness is shared across environments (common random numbers),
-    so a deterministic environment (beta = 0 degenerate) yields exactly
-    zero variance.  Reported against the gamma^{-2} n^{1-p/2} scaling;
+    randomness is shared across environments (common random numbers).
+    At beta = 0 every rate is 1, so the variance is exactly 0: that
+    report (k_n = 0) comes back without a schedule, an instance or a
+    draw.  Reported against the gamma^{-2} n^{1-p/2} scaling;
     the constant in front is not pinned, hence trend-only.  At
     k_n(t) = 0 it reports k_n = 0, scales the block-max tail by 1
-    instead of 0 and, for beta > 0, warns like every blocked functional.
+    instead of 0 and warns like every blocked functional.
     """
     if env_reps < 2:
         raise ValueError(f"need at least 2 environments, got {env_reps}")
-    if beta > 0.0:
-        sched = make_schedule(n, p, c, beta)
-        k = k_blocks(sched, t)
-    else:
-        # beta = 0 degenerate: rates are constant, so the estimate is 0
-        # under any schedule.  The config chose no schedule, so this
-        # placeholder's k_n(t) raises no warning.
-        gamma = float(n) ** (-c)
-        sched = engine.ScalingSchedule(
-            n=n, a_n=10.0, log_c_n=0.0, theta_n=3 * n * n, alpha_n=1.0,
-            v_n=1, p=p, beta=None, gamma=gamma, c_exponent=c)
-        k = sched.blocks_in(t)
+    gamma = float(n) ** (-c)
+    parameters = {"functional": "env-variance-max", "u": u, "t": t, "c": c,
+                  "beta": beta, "env_reps": env_reps, "inner_reps": inner_reps}
+    target = gamma ** (-2) * float(n) ** (1.0 - p / 2.0)
+    if beta == 0.0:
+        # every rate is 1: each environment gives the same value on the
+        # shared walk, so the spread is exactly 0 without a schedule or a walk
+        return ConditionReport(id="2-1a", n=n, p=p, parameters=parameters | {"k_n": 0},
+                               estimate=0.0, se=0.0, target=target, verdict="trend-only")
+    sched = make_schedule(n, p, c, beta)
+    k = k_blocks(sched, t)
     model = HypercubeSRW(n)
     env_seeds = rng.integers(0, 2 ** 63 - 1, size=env_reps, dtype=np.int64)
     shared_entropy = int(rng.integers(0, 2 ** 63 - 1, dtype=np.int64))
@@ -437,12 +437,5 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     centered = values - values.mean()
     m4 = float((centered ** 4).mean())
     se = math.sqrt(max(m4 - variance ** 2, 0.0) / env_reps)
-    gamma = float(n) ** (-c)
-    return ConditionReport(
-        id="2-1a", n=n, p=p,
-        parameters={"functional": "env-variance-max", "u": u, "t": t, "c": c,
-                    "beta": beta, "env_reps": env_reps, "inner_reps": inner_reps,
-                    "k_n": k},
-        estimate=variance, se=se,
-        target=gamma ** (-2) * float(n) ** (1.0 - p / 2.0),
-        verdict="trend-only")
+    return ConditionReport(id="2-1a", n=n, p=p, parameters=parameters | {"k_n": k},
+                           estimate=variance, se=se, target=target, verdict="trend-only")

@@ -257,19 +257,17 @@ class ExtremalPath:
         return level
 
 
-def extremal_path(points: PointSample, floor: float | None = None) -> ExtremalPath:
-    """Collapse a point sample to its record sequence."""
-    if floor is None:
-        floor = points.u_min
+def extremal_path(points: PointSample) -> ExtremalPath:
+    """Collapse a point sample to its record sequence above ``points.u_min``."""
     order = np.argsort(points.times, kind="stable")
     bps = []
-    level = float(floor)
+    level = float(points.u_min)
     for idx in order:
         mag = float(points.magnitudes[idx])
         if mag > level:
             level = mag
             bps.append((float(points.times[idx]), mag))
-    return ExtremalPath(breakpoints=tuple(bps), floor=float(floor))
+    return ExtremalPath(breakpoints=tuple(bps), floor=float(points.u_min))
 
 
 def record_interval_mass(a: float, b: float) -> float:

@@ -96,10 +96,12 @@ class PSpinInstance:
     values are memoised per visited state in a bounded LRU map held in
     thread-local storage (the instance itself is shareable).  The
     vectorised walkers read H from lazily built derived arrays: the
-    symmetrised tensor (a p=3 walker takes the diagonals it reads as
-    views of it) and, for n <= 20 walks long enough to pay for it, the
-    exact table of H at all 2^n states (``energy_table``, 8 * 2^n
-    bytes).  Each is published in one assignment once complete.
+    field walker from the symmetrised tensor (a p=3 walker takes the
+    diagonals it reads as views of it), the table walker, for n <= 20
+    walks long enough to pay for it, from the exact table of H at all
+    2^n states (``energy_table``, 8 * 2^n bytes, built from the raw
+    couplings at any p).  Each is published in one assignment once
+    complete.
     """
 
     def __init__(self, n: int, p: int, seed: int, tensor: np.ndarray,
@@ -143,7 +145,7 @@ class PSpinInstance:
     def symmetric_tensor(self) -> np.ndarray:
         """Symmetrised couplings (same Hamiltonian, axis-exchangeable).
 
-        Built lazily; only the vectorised walkers need it, and each
+        Built lazily; only the field walker needs it, and a p=3 walker
         takes the diagonals it reads as views of it.  Doubles the tensor
         memory while alive.  It is published in one assignment once
         complete, so a thread that sees it set sees all of it; two
@@ -166,31 +168,23 @@ class PSpinInstance:
     def energy_table(self) -> np.ndarray:
         """H at all 2^n states; bit i of the index is set iff x_i = -1.
 
-        Built lazily from the Walsh coefficients of the symmetrised
-        tensor S, H(x) = scale * sum_A h(A) prod_{i in A} x_i, with
-        h(empty) = tr S and h({i,j}) = 2 S_ij (i < j) for p=2, and
-        h({l}) = S_lll + 3 sum_{a != l} S_aal and h({i,j,l}) = 6 S_ijl
-        (i < j < l) for p=3, followed by one in-place fast
-        Walsh-Hadamard transform.  Takes 8 * 2^n bytes.  The table is
+        Built lazily from the Walsh coefficients of the raw couplings,
+        H(x) = scale * sum_A h(A) prod_{i in A} x_i: since x_i^2 = 1,
+        J_{i_1..i_p} multiplies the monomial of the indices it holds an
+        odd number of times, so h is one bincount of J over the masks
+        bit[i_1] ^ ... ^ bit[i_p], at any p.  One in-place fast
+        Walsh-Hadamard transform follows.  Takes 8 * 2^n bytes.  The table is
         published in one assignment once complete, so a thread that
         sees it set sees all of it; two threads racing here both build,
         and their tables are equal.
         """
         if self._table is None:
-            S = self.symmetric_tensor()
-            n = self.n
-            bit = np.int64(1) << np.arange(n, dtype=np.int64)
-            coef = np.zeros(2 ** n)
-            if self.p == 2:
-                i, j = np.triu_indices(n, k=1)
-                coef[0] = np.trace(S)
-                coef[bit[i] | bit[j]] = 2.0 * S[i, j]
-            else:
-                diag3 = np.einsum("lll->l", S)
-                coef[bit] = diag3 + 3.0 * (np.einsum("kkl->kl", S).sum(axis=0) - diag3)
-                i, j, l = np.array(list(itertools.combinations(range(n), 3)),
-                                   dtype=np.intp).reshape(-1, 3).T
-                coef[bit[i] | bit[j] | bit[l]] = 6.0 * S[i, j, l]
+            bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
+            mask = bit
+            for _ in range(self.p - 1):
+                mask = np.bitwise_xor.outer(mask, bit)  # C order, as tensor.ravel()
+            coef = np.bincount(mask.ravel(), weights=self.tensor.ravel(),
+                               minlength=2 ** self.n)
             _walsh_hadamard(coef)
             coef *= self.scale
             self._table = coef
@@ -493,7 +487,7 @@ def load_instance(path, beta: float = 1.0, c: float = 0.25,
 
 
 def sample_hamiltonians(n: int, p: int, states, reps: int,
-                        rng: np.random.Generator, chunk: int = 4096) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """H values at fixed states across `reps` fresh environments.
 
     Returns a (reps, len(states)) array; column j is H(states[j]) as the
@@ -508,7 +502,7 @@ def sample_hamiltonians(n: int, p: int, states, reps: int,
     out = np.empty((reps, len(states)))
     done = 0
     while done < reps:
-        m = min(chunk, reps - done)
+        m = min(4096, reps - done)
         draws = rng.standard_normal((m, n ** p))
         out[done:done + m] = scale * (draws @ cols)
         done += m
@@ -546,6 +540,9 @@ class _BatchWalker:
     O(n) (p=2) or O(n^2) (p=3) update; ``H`` is current after every
     walk.  ``walk`` applies a block of flips a row at a time, with its
     per-step (R, n) temporaries in scratch arrays the walker keeps.
+    Any R may be handed over: p=3's (rows, n, n) temporaries, in
+    building F and at every step, go through ``slab`` rows at a time,
+    and each row's arithmetic is the same whatever R is.
     Drift from incremental updates is bounded by steps * machine
     epsilon relative to the contraction magnitude, negligible for
     block lengths 3n^2 at desk scale.
@@ -558,6 +555,7 @@ class _BatchWalker:
             raise ValueError("start states must form an (R, n) array")
         self.S = inst.symmetric_tensor()
         if inst.p == 3:
+            self.slab = max(256, _SLAB_ELEMS // (inst.n * inst.n))
             self.S_kkl = np.einsum("kkl->kl", self.S)  # views of the diagonals
             self.S_lll = np.einsum("lll->l", self.S)
         self._scratch = None
@@ -572,7 +570,11 @@ class _BatchWalker:
             self.F = np.einsum("rj,ij->ri", X, self.S)
         else:
             # F[r, i] = sum_{j,l} S[i,j,l] x_j x_l
-            self.F = np.einsum("rij,rj->ri", np.einsum("rl,ijl->rij", X, self.S), X)
+            self.F = np.empty(X.shape)
+            for s in range(0, len(X), self.slab):
+                rs = slice(s, s + self.slab)
+                np.einsum("rij,rj->ri", np.einsum("rl,ijl->rij", X[rs], self.S), X[rs],
+                          out=self.F[rs])
         self.K = np.einsum("ri,ri->r", self.F, self.X)
         self.H = inst.scale * self.K
 
@@ -584,9 +586,9 @@ class _BatchWalker:
         """Flip coordinate flips[i, r] of row r at step i; out[i] = H after step i."""
         if self._scratch is None:
             R, n = self.X.shape
-            # rows, then (R, n) gathers and field updates, then p=3's (R, n, n) slices
+            # rows, then (R, n) gathers and field updates, then p=3's (n, n) slices of one slab
             self._scratch = (np.arange(R), np.empty((R, n)), np.empty((R, n)),
-                             np.empty((R, n, n)) if self.inst.p == 3 else None)
+                             np.empty((min(R, self.slab), n, n)) if self.inst.p == 3 else None)
         for k, h in zip(flips, out):
             self._step(k, *self._scratch)
             np.multiply(self.inst.scale, self.K, out=h)
@@ -607,8 +609,11 @@ class _BatchWalker:
             b = np.einsum("rl,rl->r", G, X)
             c3 = self.S_lll[k]
             dk = 3.0 * d * a + 3.0 * d * d * b + d ** 3 * c3
-            np.take(S.transpose(1, 0, 2), k, axis=0, out=M, mode="clip")  # S[:, k_r, :]
-            np.einsum("ril,rl->ri", M, X, out=T)
+            for s in range(0, len(k), self.slab):
+                rs = slice(s, s + self.slab)
+                Ms = M[:len(k[rs])]
+                np.take(S.transpose(1, 0, 2), k[rs], axis=0, out=Ms, mode="clip")  # S[:, k_r, :]
+                np.einsum("ril,rl->ri", Ms, X[rs], out=T[rs])
             T *= (2.0 * d)[:, None]
             G *= (d * d)[:, None]
             T += G
@@ -696,16 +701,16 @@ _TABLE_MAX_N = 20
 _TABLE_BUILD_NS = 2.0
 _TABLE_SAVED_NS = {2: 45.0, 3: 400.0}
 
+# A p=3 field walker holds its (rows, n, n) temporaries for at most
+# max(256, _SLAB_ELEMS // n^2) rows at a time: 16 MB of doubles up to
+# n = 88.
+_SLAB_ELEMS = 2_000_000
+
 # block_statistics buffers a block of steps' beta H and marks, at most
 # this many doubles each, and reduces each block once.  2^17 added
 # 7.5 MB to the peak memory of a 45 MB p=3 landscape benchmark run,
 # 2^14 about 0.5 MB.
 _BLOCK_ELEMS = 2 ** 14
-
-
-def _walk_rows(inst: PSpinInstance) -> int:
-    """Rows a kernel hands one walker: a p=3 field walker builds an (R, n, n) array."""
-    return 8192 if inst.p == 2 else max(256, 2_000_000 // (inst.n * inst.n))
 
 
 def _walker(inst: PSpinInstance, x0: np.ndarray, work: int):
@@ -784,54 +789,34 @@ class HypercubeSRW(JumpChainModel):
 
     def batch_log_inv_rates(self, env, states) -> np.ndarray:
         """log lambda^{-1} = beta H at each given state."""
-        inst = env.inst
-        X = np.asarray(states, dtype=float)
-        chunk = _walk_rows(inst)
-        out = np.empty(X.shape[0])
-        for done in range(0, X.shape[0], chunk):
-            # no steps are walked, so no table is built for these rates
-            out[done:done + chunk] = inst.beta * _walker(inst, X[done:done + chunk], 0).H
-        return out
+        # no steps are walked, so no table is built for these rates
+        return env.inst.beta * _walker(env.inst, np.asarray(states, dtype=float), 0).H
 
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
                          want_end: bool = False) -> BlockStats:
         inst = env.inst
-        chunk = _walk_rows(inst)
-        log_sums = np.empty(reps)
-        log_maxes = np.empty(reps) if want_max else None
-        ends = np.empty((reps, self.n)) if want_end else None
-        done = 0
-        while done < reps:
-            m = min(chunk, reps - done)
-            if starts is None:
-                x0 = self.sample_stationary(m, rng)
-            else:
-                x0 = np.asarray(starts[done:done + m], dtype=float)
-            walker = _walker(inst, x0, reps * theta)
-            ls = np.full(m, -math.inf)
-            lm = np.full(m, -math.inf)
-            rows = min(theta, max(1, _BLOCK_ELEMS // m))
-            a = np.empty((rows, m))  # beta H after each step in the block
-            e = np.empty((rows, m))  # and its mark
-            for j in range(0, theta, rows):
-                r = min(rows, theta - j)
-                ar, er = a[:r], e[:r]
-                walker.walk(rng.integers(0, self.n, (r, m)), ar)
-                rng.standard_exponential(out=er)
-                ar *= inst.beta
-                top = ar.max(0)
-                s = (np.exp(ar - top) * er).sum(0)
-                np.logaddexp(ls, top + np.log(s), out=ls)
-                if want_max:
-                    np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
-            log_sums[done:done + m] = ls
+        x0 = self.sample_stationary(reps, rng) if starts is None \
+            else np.asarray(starts, dtype=float)
+        walker = _walker(inst, x0, reps * theta)
+        ls = np.full(reps, -math.inf)
+        lm = np.full(reps, -math.inf) if want_max else None
+        rows = min(theta, max(1, _BLOCK_ELEMS // reps))
+        a = np.empty((rows, reps))  # beta H after each step in the block
+        e = np.empty((rows, reps))  # and its mark
+        for j in range(0, theta, rows):
+            r = min(rows, theta - j)
+            ar, er = a[:r], e[:r]
+            walker.walk(rng.integers(0, self.n, (r, reps)), ar)
+            rng.standard_exponential(out=er)
+            ar *= inst.beta
+            top = ar.max(0)
+            s = (np.exp(ar - top) * er).sum(0)
+            np.logaddexp(ls, top + np.log(s), out=ls)
             if want_max:
-                log_maxes[done:done + m] = lm
-            if want_end:
-                ends[done:done + m] = walker.X
-            done += m
-        return BlockStats(log_sums=log_sums, log_maxes=log_maxes, end_states=ends)
+                np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
+        return BlockStats(log_sums=ls, log_maxes=lm,
+                          end_states=walker.X if want_end else None)
 
     def correlation_overlaps(self, env, log_t1: float, log_t2: float, reps: int,
                              rng: np.random.Generator, step_budget: int):

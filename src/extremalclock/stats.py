@@ -213,8 +213,7 @@ class KSReport:
 _QUANTILE_PROBS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def empirical_vs_extremal(samples, measure, t: float, significance: float = 0.01,
-                          quantile_probs=_QUANTILE_PROBS) -> KSReport:
+def empirical_vs_extremal(samples, measure, t: float, significance: float = 0.01) -> KSReport:
     """KS comparison of supremum samples against an extremal marginal.
 
     The reference law is P(M(t) <= u) = exp(-t * tail(u)); theoretical
@@ -228,7 +227,7 @@ def empirical_vs_extremal(samples, measure, t: float, significance: float = 0.01
     stat = ks_statistic(emp, lambda u: extremal_marginal(measure, t, u))
     thr = ks_threshold(emp.count, significance)
     table = []
-    for p in quantile_probs:
+    for p in _QUANTILE_PROBS:
         # P(M(t) <= u) = p  <=>  tail(u) = -ln(p)/t
         theo = tail_inverse(measure, -math.log(p) / t)
         table.append((p, emp.quantile(p), theo))

@@ -22,7 +22,7 @@ from extremalclock.conditions import (
     sigma_sq_t,
     tail_functionals,
 )
-from extremalclock import engine
+from extremalclock import conditions, engine
 from extremalclock.engine import (
     CompleteGraphChain,
     ConstantEnvironment,
@@ -278,7 +278,7 @@ def test_env_replication_variance_zero_at_beta_zero():
 
 
 def test_env_replication_variance_at_beta_zero_raises_no_warning():
-    # beta = 0 walks a placeholder schedule the config never chose
+    # beta = 0 builds no schedule, so no k_n(t) = 0 can warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
@@ -286,6 +286,21 @@ def test_env_replication_variance_at_beta_zero_raises_no_warning():
                                           rng=np.random.default_rng(12))
     assert report.estimate == 0.0
     assert report.parameters["k_n"] == 0
+
+
+def test_env_replication_variance_at_beta_zero_walks_nothing(monkeypatch):
+    # every rate is 1 at beta = 0: the spread is exactly 0 without a walk
+    def no_instance(*args, **kwargs):
+        raise AssertionError("beta = 0 needs no environment")
+
+    monkeypatch.setattr(conditions, "build_instance", no_instance)
+    rng = np.random.default_rng(14)
+    state = rng.bit_generator.state
+    report = env_replication_variance(40, 3, c=0.25, beta=0.0, u=1.0, t=1e6,
+                                      env_reps=5, inner_reps=200, rng=rng)
+    assert (report.estimate, report.se, report.parameters["k_n"]) == (0.0, 0.0, 0)
+    assert report.target == pytest.approx(1.0)  # gamma^{-2} n^{1-p/2} = 40^{1/2} 40^{-1/2}
+    assert rng.bit_generator.state == state
 
 
 def test_env_replication_variance_positive_with_disorder():

@@ -4,6 +4,7 @@ comparison machinery, persistence, vectorised chain hooks."""
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,7 +185,8 @@ def _state(index, n):
     return spins([-1.0 if (index >> i) & 1 else 1.0 for i in range(n)])
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (2, 5), (2, 10), (3, 2), (3, 3), (3, 5), (3, 8)])
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 5), (2, 10), (3, 2), (3, 3), (3, 5), (3, 8),
+                                  (4, 3), (4, 6), (5, 2), (5, 5)])
 def test_energy_table_matches_brute_force(p, n):
     inst = build_instance(n, p, seed=40 + n)
     table = inst.energy_table()
@@ -544,25 +546,55 @@ def test_batch_log_inv_rates_match_scalar(p):
     np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
 
-def test_batch_log_inv_rates_bound_p3_walker_rows(monkeypatch):
-    # a p=3 field walker builds an (R, n, n) array; the rates call hands
-    # it no more rows than block_statistics does, 2_000_000 // 40**2 = 1250
-    sizes = []
-
-    class RecordingWalker(_BatchWalker):
-        def __init__(self, inst, x0):
-            sizes.append(len(x0))
-            super().__init__(inst, x0)
-
-    monkeypatch.setattr(pspin, "_BatchWalker", RecordingWalker)
-    inst = build_instance(40, 3, seed=37, beta=0.5)
-    model = HypercubeSRW(40)
-    X = model.sample_stationary(2000, np.random.default_rng(18))
+def test_p3_field_walker_bounds_its_own_slabs():
+    # the walker takes its (rows, n, n) temporaries max(256, 2_000_000 // 40**2)
+    # = 1250 rows at a time, with each row's arithmetic independent of R
+    n, R = 40, 2000
+    inst = build_instance(n, 3, seed=37, beta=0.5)
+    model = HypercubeSRW(n)
+    X = model.sample_stationary(R, np.random.default_rng(18))
     rates = model.batch_log_inv_rates(PSpinEnvironment(inst), X)
-    assert max(sizes) <= 1250 and sum(sizes) == 2000
     rows = [0, 1249, 1250, 1999]
     np.testing.assert_allclose(rates[rows], [0.5 * hamiltonian(inst, X[i]) for i in rows],
                                rtol=1e-10)
+    flips = np.random.default_rng(19).integers(0, n, (6, R))
+    whole, out = _BatchWalker(inst, X), np.empty((6, R))
+    whole.walk(flips, out)
+    halves = (slice(0, 1250), slice(1250, R))
+    parts = [_BatchWalker(inst, X[s]) for s in halves]
+    for part, s in zip(parts, halves):
+        part_out = np.empty((6, part.R))
+        part.walk(flips[:, s], part_out)
+        np.testing.assert_array_equal(part_out, out[:, s])
+    for name in ("X", "F", "K", "H"):
+        np.testing.assert_array_equal(
+            getattr(whole, name), np.concatenate([getattr(w, name) for w in parts]))
+    np.testing.assert_allclose(whole.H[rows], [hamiltonian(inst, whole.X[i]) for i in rows],
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("kernel", ["rates", "block_statistics", "correlation_overlaps"])
+def test_p3_kernels_peak_memory_is_bounded_by_the_walker_slab(kernel):
+    # at n = 40, R = 4000 a whole (R, n, n) temporary would take 51 MB alone
+    n, R = 40, 4000
+    inst = build_instance(n, 3, seed=38, beta=0.5)
+    inst.symmetric_tensor()
+    env, model = PSpinEnvironment(inst), HypercubeSRW(n)
+    rng = np.random.default_rng(20)
+    X = model.sample_stationary(R, rng) if kernel == "rates" else None
+    tracemalloc.start()
+    try:
+        if kernel == "rates":
+            model.batch_log_inv_rates(env, X)
+        elif kernel == "block_statistics":
+            model.block_statistics(env, 2, R, rng, want_max=True, want_end=True)
+        else:
+            _, truncated = model.correlation_overlaps(env, 1e9, 2e9, R, rng, 2)
+            assert truncated == R
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -604,7 +636,7 @@ def test_block_statistics_hook_respects_starts_and_ends():
 
 
 def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
-    """block_statistics with one logaddexp per step, for reps in one chunk.
+    """block_statistics with one logaddexp per step, on one walker of all reps.
 
     Draws each block's flips and then its marks, as the kernel does, and
     walks the flips one row at a time.
