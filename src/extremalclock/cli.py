@@ -3,11 +3,17 @@
 One run = one subcommand + one JSON config.  Outputs land in the output
 directory as results.json (summary: command, config hash, seed, table
 names, condition reports, runtime), one CSV per table, and
-manifest.json (versions, timestamp, the full config).  Identical
+manifest.json (versions, timestamp, the full config, the job-stream
+bit generator, the CPU count and the git revision).  Identical
 (config, seed) pairs give identical results.json apart from the
 runtime_seconds field, regardless of thread count: every Monte Carlo
 job owns a stream keyed by (seed, job index) and results are merged in
-job order, never in completion order.
+job order, never in completion order.  Job streams are SFC64
+(``engine.stream``): cheaper per draw than Philox, and no stream is
+ever jumped or advanced, so nothing needs a counter-based generator.
+Coupling tensors come from Philox streams keyed by the instance seed,
+because the saved-instance format names that generator: landscapes do
+not change with the job streams.
 
 Subcommands:
   ppp        extremal-process marginals sampled from the Poisson construction
@@ -40,6 +46,7 @@ import importlib.metadata
 import json
 import math
 import os
+import pathlib
 import platform
 import sys
 import time
@@ -280,10 +287,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # deterministic job execution
 
 
-def _job_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-
-
 def _instance_seed(seed: int, n: int, p: int, replica: int = 0) -> int:
     ss = np.random.SeedSequence((seed, n, p, replica, 0x5EED))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -291,7 +294,7 @@ def _instance_seed(seed: int, n: int, p: int, replica: int = 0) -> int:
 
 def _run_jobs(jobs, cfg: ExperimentConfig):
     """Run callables job(rng) -> result; output order == job order."""
-    rngs = [_job_rng(cfg.seed, i) for i in range(len(jobs))]
+    rngs = [engine.stream((cfg.seed, i)) for i in range(len(jobs))]
     if cfg.threads <= 1 or len(jobs) <= 1:
         return [job(rng) for job, rng in zip(jobs, rngs)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -661,6 +664,28 @@ def _scipy_version() -> str | None:
         return None
 
 
+def _git_revision(root: pathlib.Path) -> str | None:
+    """Commit checked out at ``root``, read from its .git without running git.
+
+    None where ``root`` holds no readable .git directory, as for an
+    installed package.
+    """
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
 def run(command: str, cfg: ExperimentConfig) -> dict:
     """Execute one subcommand and write its artifacts; returns results dict."""
     if command not in _DISPATCH:
@@ -697,6 +722,10 @@ def run(command: str, cfg: ExperimentConfig) -> dict:
             "extremalclock": __version__,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "job_stream": type(engine.stream(0).bit_generator).__name__,
+        "cpu_count": os.cpu_count(),
+        # the package sits at <checkout>/src/extremalclock in a source tree
+        "git_revision": _git_revision(pathlib.Path(__file__).resolve().parents[2]),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -426,10 +426,9 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     for e in range(env_reps):
         inst = build_instance(n, p, int(env_seeds[e]), beta=beta, c=c)
         env = PSpinEnvironment(inst)
-        inner_rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(shared_entropy)))
         log_maxes = engine.block_statistics(model, env, sched.theta_n, inner_reps,
-                                            inner_rng, want_max=True).log_maxes
+                                            engine.stream(shared_entropy),
+                                            want_max=True).log_maxes
         # scaled by 1 at k_n(t) = 0, where a factor 0 would hide every spread
         values[e] = max(1, k) * float(np.mean(log_maxes > sched.log_threshold(u)))
     acc = MCAccumulator.from_values(values)

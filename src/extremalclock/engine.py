@@ -43,6 +43,7 @@ __all__ = [
     "TabularEnvironment",
     "ScalingSchedule",
     "Trajectory",
+    "stream",
     "log_inverse_rate",
     "log_inverse_rates",
     "simulate_trajectory",
@@ -258,6 +259,20 @@ class Trajectory:
     # log of the i-th clock summand lambda^{-1}(J(i)) e_i
     def log_terms(self) -> np.ndarray:
         return self.log_inv_rates + np.log(self.marks)
+
+
+def stream(entropy) -> np.random.Generator:
+    """The Monte Carlo stream keyed by ``entropy`` (SeedSequence entropy).
+
+    Equal keys give equal draws; distinct keys give independent streams
+    through SeedSequence's hashing.  Every job stream is one of these.
+    The bit generator is SFC64, cheaper per draw than a counter-based
+    generator such as Philox, whose jump-ahead nothing here needs: no
+    stream is ever jumped or advanced.  Coupling tensors are not drawn
+    here: their Philox stream is part of the persisted instance format
+    (``pspin.GENERATOR_ID``).
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def log_inverse_rate(env: EnvironmentOracle, model: JumpChainModel, x) -> float:

@@ -208,6 +208,7 @@ def _walsh_hadamard(a: np.ndarray) -> None:
 
 
 def _tensor_rng(seed: int) -> np.random.Generator:
+    # Philox, not engine.stream: GENERATOR_ID pins this stream in the saved header
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -367,6 +368,8 @@ def _check_comparison_matrix(delta: np.ndarray, name: str) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ValueError(f"{name} must be square")
+    if not np.all(np.isfinite(delta)):
+        raise ValueError(f"{name} must have finite entries")
     if not np.allclose(delta, delta.T, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
     if not np.allclose(np.diag(delta), 1.0, atol=1e-12):

@@ -3,6 +3,8 @@
 import csv
 import importlib.metadata
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +19,7 @@ from extremalclock.cli import (
     ExperimentConfig,
     Table,
     _fmt_cell,
+    _git_revision,
     _run_jobs,
     _scipy_version,
     config_hash,
@@ -180,8 +183,28 @@ def test_run_ehrenfest_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["replicas"] == 300
     assert set(manifest["versions"]) == {"python", "numpy", "scipy", "extremalclock"}
+    assert manifest["job_stream"] == "SFC64"
+    assert manifest["cpu_count"] == os.cpu_count()
+    # a source checkout gives its commit; an installed package gives null
+    rev = manifest["git_revision"]
+    assert rev is None or re.fullmatch("[0-9a-f]{40}", rev)
     with pytest.raises(ValueError):
         run("nope", cfg)
+
+
+def test_git_revision_read_from_dot_git(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    assert _git_revision(tmp_path) is None
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert _git_revision(tmp_path) is None
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+    assert _git_revision(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+    assert _git_revision(tmp_path) == sha[::-1]
+    (git / "HEAD").write_text(sha + "\n")
+    assert _git_revision(tmp_path) == sha
 
 
 def test_manifest_scipy_version_is_read_without_scipy(tmp_path, monkeypatch):

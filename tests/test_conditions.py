@@ -263,44 +263,28 @@ def test_eta_on_small_hypercube():
     assert 0.0 <= report.estimate <= k
 
 
-def test_env_replication_variance_zero_at_beta_zero():
-    report = env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
-                                      env_reps=5, inner_reps=200,
-                                      rng=np.random.default_rng(12))
-    # deterministic environment + shared walk randomness: exactly zero
-    assert report.estimate == 0.0
-    assert report.parameters["functional"] == "env-variance-max"
-    assert report.target == pytest.approx(6.0 ** 0.5)  # gamma^{-2} n^{1-p/2}
-    with pytest.raises(ValueError):
-        env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
-                                 env_reps=1, inner_reps=10,
-                                 rng=np.random.default_rng(0))
-
-
-def test_env_replication_variance_at_beta_zero_raises_no_warning():
-    # beta = 0 builds no schedule, so no k_n(t) = 0 can warn
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
-                                          env_reps=5, inner_reps=200,
-                                          rng=np.random.default_rng(12))
-    assert report.estimate == 0.0
-    assert report.parameters["k_n"] == 0
-
-
-def test_env_replication_variance_at_beta_zero_walks_nothing(monkeypatch):
-    # every rate is 1 at beta = 0: the spread is exactly 0 without a walk
+def test_env_replication_variance_zero_at_beta_zero(monkeypatch):
+    # every rate is 1 at beta = 0: the spread is exactly 0 without a schedule
+    # (so no k_n(t) = 0 warning), an environment, a walk or a draw
     def no_instance(*args, **kwargs):
         raise AssertionError("beta = 0 needs no environment")
 
     monkeypatch.setattr(conditions, "build_instance", no_instance)
-    rng = np.random.default_rng(14)
-    state = rng.bit_generator.state
-    report = env_replication_variance(40, 3, c=0.25, beta=0.0, u=1.0, t=1e6,
-                                      env_reps=5, inner_reps=200, rng=rng)
-    assert (report.estimate, report.se, report.parameters["k_n"]) == (0.0, 0.0, 0)
-    assert report.target == pytest.approx(1.0)  # gamma^{-2} n^{1-p/2} = 40^{1/2} 40^{-1/2}
-    assert rng.bit_generator.state == state
+    for n, p, t, target in ((6, 2, 1.0, 6.0 ** 0.5), (40, 3, 1e6, 1.0)):
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = env_replication_variance(n, p, c=0.25, beta=0.0, u=1.0, t=t,
+                                              env_reps=5, inner_reps=200, rng=rng)
+        assert (report.estimate, report.se, report.parameters["k_n"]) == (0.0, 0.0, 0)
+        assert report.parameters["functional"] == "env-variance-max"
+        assert report.target == pytest.approx(target)  # gamma^{-2} n^{1-p/2}
+        assert rng.bit_generator.state == state
+    with pytest.raises(ValueError):
+        env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
+                                 env_reps=1, inner_reps=10,
+                                 rng=np.random.default_rng(0))
 
 
 def test_env_replication_variance_positive_with_disorder():

@@ -86,6 +86,23 @@ def test_build_instance_determinism():
         build_instance(4, 1, seed=0)
 
 
+@pytest.mark.parametrize("n, p, seed, digest", [
+    (8, 2, 7, "90d732c8fc31eb47713b464a8670ffd07c3867c5cda4afffa4a24b1d4f705420"),
+    (6, 3, 11, "105097be147e552301595551ef4c0b2568d1dabf3c0ad30e55f5e5fc579623f6"),
+])
+def test_landscape_head_hash_pinned(n, p, seed, digest):
+    # couplings come from the Philox stream the saved header names, never
+    # from a job stream: these digests hold whatever engine.stream draws
+    assert build_instance(n, p, seed).head_hash().hex() == digest
+
+
+def test_job_stream_keyed_by_seed_and_job_index():
+    draws = [engine.stream((5, index)).random(8) for index in (0, 0, 1)]
+    assert np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[0], draws[2])
+    assert isinstance(engine.stream((5, 0)).bit_generator, np.random.SFC64)
+
+
 def test_build_instance_budget():
     with pytest.raises(TensorBudgetError) as err:
         build_instance(100, 3, seed=0, memory_budget=8 * 10 ** 5)
@@ -369,6 +386,18 @@ def test_comparison_matrix_validation():
         gaussian_comparison_rhs(not_psd, np.eye(3), 1.0)
     with pytest.raises(ValueError):
         max_cdf_mc(bad_sym, 1.0, 10, rng)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_comparison_matrix_rejects_non_finite_entries(bad):
+    # np.allclose holds for equal infinities, so only the finiteness check catches inf
+    d = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="delta must have finite entries"):
+        max_cdf_mc(d, 1.0, 100, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="delta0 must have finite entries"):
+        gaussian_comparison_rhs(d, np.eye(2), 1.0)
+    with pytest.raises(ValueError, match="delta1 must have finite entries"):
+        gaussian_comparison_rhs(np.eye(2), d, [0.5, 1.0])
 
 
 def test_gaussian_comparison_dominates_exact_difference():
