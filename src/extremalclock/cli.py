@@ -411,19 +411,24 @@ def _cmd_ppp(cfg: ExperimentConfig):
     return [ks_table, q_table], [], extras, False
 
 
-def _powered_marginals(model, env, sched, t, reps, rng):
-    """(S^b(t))^{alpha_n} samples: block sums plus the index-0 term."""
-    k = conditions.k_blocks(sched, t)
+def _powered_marginals(model, env, sched, t_grid, reps, rng):
+    """[((S^b(t))^{alpha_n} samples, k_n(t))] for each t of t_grid, from one walk.
+
+    The walk stops at each k_n(t) in increasing order and reads the
+    running block sum there, so one replica's samples nest in t.
+    """
+    ks = [conditions.k_blocks(sched, t) for t in t_grid]
     X = model.sample_stationary(reps, rng)
-    log_term0 = engine.log_inverse_rates(model, env, X) \
-        + np.log(rng.standard_exponential(reps))
-    if k > 0:
-        blocks = engine.block_statistics(model, env, sched.theta_n * k, reps, rng,
-                                         starts=X)
-        log_s = np.logaddexp(blocks.log_sums, log_term0) - sched.log_c_n
-    else:
-        log_s = log_term0 - sched.log_c_n
-    return np.exp(sched.alpha_n * log_s), k
+    log_s = engine.log_inverse_rates(model, env, X) + np.log(rng.standard_exponential(reps))
+    powered, done = {}, 0
+    for k in sorted(set(ks)):
+        if k > done:
+            blocks = engine.block_statistics(model, env, sched.theta_n * (k - done), reps,
+                                             rng, starts=X, want_end=True)
+            X, done = blocks.end_states, k
+            log_s = np.logaddexp(blocks.log_sums, log_s)
+        powered[k] = np.exp(sched.alpha_n * (log_s - sched.log_c_n))
+    return [(powered[k], k) for k in ks]
 
 
 def _cmd_skrun(cfg: ExperimentConfig):
@@ -432,15 +437,16 @@ def _cmd_skrun(cfg: ExperimentConfig):
     q_table = Table("skrun_quantiles", ["t", "prob", "empirical", "theoretical"])
     limit = measures.TailMeasure.pareto(2.0 * cfg.p)
 
-    def job(rng, model, env, sched, t, prov):
-        samples, k = _powered_marginals(model, env, sched, t, cfg.replicas, rng)
-        rep = stats.empirical_vs_extremal(samples, limit, t, cfg.significance)
-        return _ks_rows(ks_table, q_table, prov, t, rep, k_n=k,
-                        mean=float(np.mean(samples)), median=float(np.median(samples)))
+    def job(rng, model, env, sched, prov):
+        marginals = _powered_marginals(model, env, sched, cfg.t_grid, cfg.replicas, rng)
+        return [row for t, (samples, k) in zip(cfg.t_grid, marginals) for row in _ks_rows(
+            ks_table, q_table, prov, t,
+            stats.empirical_vs_extremal(samples, limit, t, cfg.significance), k_n=k,
+            mean=float(np.mean(samples)), median=float(np.median(samples)))]
 
-    _file_rows([functools.partial(job, model=m, env=e, sched=s, t=t,
+    _file_rows([functools.partial(job, model=m, env=e, sched=s,
                                   prov=_prov(cfg, n=n, beta=beta))
-                for n, beta, s, m, e in _landscapes(cfg) for t in cfg.t_grid], cfg)
+                for n, beta, s, m, e in _landscapes(cfg)], cfg)
     return [ks_table, q_table], [], {}, False
 
 
@@ -487,14 +493,9 @@ def _cmd_verify(cfg: ExperimentConfig):
                 [("cond31", {"delta": dd},
                   conditions.condition31_estimate(m, e, s, dd, t0, cfg.replicas, rng))])
 
-        def dr_job(rng, m=model, e=env, s=sched):
-            steps = max(s.theta_n * s.blocks_in(t0), 1)
-            traj = engine.simulate_trajectory(m, steps, rng)
-            tags = {"u": cfg.u_grid[0], "t": t0}
-            return [("dr", tags, rep) for rep in conditions.dr_path_functionals(
-                m, e, s, cfg.u_grid[0], t0, traj, cfg.inner_replicas, rng)]
-
-        add(dr_job)
+        add(lambda rng, m=model, e=env, s=sched: [
+            ("dr", {"u": cfg.u_grid[0], "t": t0}, rep) for rep in conditions.dr_path_functionals(
+                m, e, s, cfg.u_grid[0], t0, cfg.inner_replicas, rng)])
 
     filed = _file_rows(jobs, cfg)
     by_series = {}

@@ -7,9 +7,9 @@ reach: block-sum tails (`q_tail`), their k_n(t)-scaled versions
 `tail_functionals` yields all three over a (u, t) grid from one walk),
 an exact mixing deviation (`mixing_check`), the initial-distribution
 smallness (`condition0_check`), the truncated one-jump mean
-(`condition31_estimate`), the along-the-path functionals
-(`dr_path_functionals`) and the environment-to-environment variance of
-the max functional (`env_replication_variance`).
+(`condition31_estimate`), the functionals along one path that
+`dr_path_functionals` walks itself, and the environment-to-environment
+variance of the max functional (`env_replication_variance`).
 
 Every estimator emits a ConditionReport.  Condition ids follow the fixed
 vocabulary {0, 1-1, 2-1a, 2-1b, 3-1, DR-1.14, DR-1.15}; where two
@@ -231,12 +231,7 @@ def nu_t(model, env, sched, u: float, t: float, reps: int, rng) -> ConditionRepo
 
 
 def sigma_sq_t(model, env, sched, u: float, t: float, reps: int, rng) -> ConditionReport:
-    """Two-point functional over 2-step pairs; drives the variance condition.
-
-    Per outer pair (x, x') the two block tails use independent inner
-    replicas, one each, so the product indicator is unbiased for
-    Q(x)Q(x'); squaring a shared estimate would bias upward.
-    """
+    """Two-point functional over 2-step pairs; drives the variance condition."""
     return tail_functionals(model, env, sched, (u,), (t,), reps, rng,
                             ("sigma-sq",))["sigma-sq", u, t]
 
@@ -351,27 +346,26 @@ def condition31_estimate(model, env, sched, delta: float, t: float,
         estimate=estimate, se=se, target=target, verdict=verdict)
 
 
-def dr_path_functionals(model, env, sched, u: float, t: float, traj,
+def dr_path_functionals(model, env, sched, u: float, t: float,
                         inner_reps: int, rng) -> tuple[ConditionReport, ConditionReport]:
     """Along-the-path intensity and its squared companion.
 
-    At each block boundary theta_n * i, i = 1..k_n(t), the one-step
-    average of the block tail is estimated by sampling a single
-    neighbor of the boundary state and running inner_reps block
-    replicas from it.  Returns (sum of boundary estimates, sum of
-    squared boundary estimates); the second SE uses the delta method
-    per boundary.
+    One path from a stationary start hops theta_n steps at a time
+    (``model.step_batch``) to its k_n(t) block boundaries.  At each the
+    one-step average of the block tail is estimated by sampling a single
+    neighbor and running inner_reps block replicas from it.  Returns
+    (sum of boundary estimates, sum of squared boundary estimates); the
+    second SE uses the delta method per boundary.
     """
     if u <= 0.0 or t <= 0.0:
         raise ValueError("u and t must be positive")
     k = k_blocks(sched, t)
-    needed = sched.theta_n * k
-    if len(traj.states) < needed + 1:
-        raise ValueError(
-            f"trajectory has {len(traj.states)} states, needs {needed + 1} "
-            f"to cover k_n(t) = {k} blocks")
+    x = model.sample_stationary(1, rng)
+    ys = []
+    for _ in range(k):
+        x = model.step_batch(x, rng, steps=sched.theta_n)
+        ys.append(model.next_state(x[0], rng))
     # one stacked walk: inner_reps rows from each boundary's sampled neighbor
-    ys = [model.next_state(traj.states[sched.theta_n * i], rng) for i in range(1, k + 1)]
     sets = [[y] * inner_reps for y in ys]
     sums = _stacked_log_sums(model, env, sched, sets, rng) if k else []
     log_threshold = sched.log_threshold(u)

@@ -679,6 +679,12 @@ class _TableWalker:
         return w
 
 
+def _negate_odd(X: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Negate in place each entry of X whose flat index ``cells`` holds an odd number of times."""
+    odd = np.bincount(cells, minlength=X.size).reshape(X.shape) % 2 == 1
+    return np.negative(X, out=X, where=odd)
+
+
 def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) -> np.ndarray:
     """States of the rows ``sel`` before step j[c] of the block ``flips`` just walked.
 
@@ -689,9 +695,7 @@ def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) ->
     m, n = X.shape
     later = flips[:, sel] + np.arange(m) * n  # coordinate i of row c is c * n + i
     undone = np.arange(len(flips))[:, None] >= j
-    counts = np.bincount(later[undone], minlength=m * n).reshape(m, n)
-    X[counts % 2 == 1] *= -1.0
-    return X
+    return _negate_odd(X, later[undone])
 
 
 # The table walker serves n <= 20 (8 * 2^n bytes of energies, at most
@@ -772,13 +776,11 @@ class HypercubeSRW(JumpChainModel):
 
     def step_batch(self, states: np.ndarray, rng: np.random.Generator,
                    steps: int = 1) -> np.ndarray:
-        """Advance every row `steps` SRW flips (no environment needed)."""
+        """Advance every row `steps` SRW flips, drawn as one (steps, R) array."""
         X = np.array(states, dtype=float, copy=True)
-        rows = np.arange(X.shape[0])
-        for _ in range(steps):
-            k = rng.integers(0, self.n, X.shape[0])
-            X[rows, k] = -X[rows, k]
-        return X
+        R, n = X.shape
+        flips = rng.integers(0, n, (steps, R))
+        return _negate_odd(X, (flips + np.arange(R) * n).ravel())
 
     def vectorises(self, env) -> bool:
         """True when env is a p in {2, 3} p-spin environment on this hypercube.

@@ -28,7 +28,7 @@ from extremalclock.cli import (
     run,
     validate_config,
 )
-from extremalclock import engine, measures
+from extremalclock import cli, engine, measures
 from extremalclock.conditions import DegenerateScheduleWarning
 
 from conftest import package_env
@@ -441,6 +441,44 @@ def test_skrun_warns_at_zero_blocks(tmp_path):
         assert [row["k_n"] for row in csv.DictReader(fh)] == ["0"]
 
 
+def test_skrun_walks_each_landscape_once_for_its_t_grid(tmp_path, monkeypatch):
+    # one pool job per n, whatever the t_grid; in it one walk stops at each
+    # k_n(t), so every replica's powered marginal is non-decreasing in t
+    cfg = validate_config({"n_grid": [8, 10], "t_grid": [0.5, 1.0, 2.0], "replicas": 40,
+                           "out": str(tmp_path)}, "sk-run")
+    handed = []
+
+    def counting_run_jobs(jobs, cfg):
+        handed.append(len(jobs))
+        return _run_jobs(jobs, cfg)
+
+    monkeypatch.setattr(cli, "_run_jobs", counting_run_jobs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScheduleWarning)
+        run("sk-run", cfg)
+        assert handed == [len(cfg.n_grid)]
+        for _, _, sched, model, env in cli._landscapes(cfg):
+            marginals = cli._powered_marginals(model, env, sched, cfg.t_grid,
+                                               cfg.replicas, engine.stream(0))
+            ks = [k for _, k in marginals]
+            assert ks == sorted(ks) and ks[0] < ks[-1]
+            samples = np.stack([s for s, _ in marginals])
+            assert samples.shape == (3, cfg.replicas)
+            assert np.all(np.diff(samples, axis=0) >= 0.0)
+
+
+def test_verify_dr_hops_without_a_trajectory(tmp_path, monkeypatch):
+    # the DR job walks its own path to the block boundaries: no full
+    # trajectory of states and marks is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify simulated a full trajectory")
+
+    monkeypatch.setattr(engine, "simulate_trajectory", refuse)
+    results = run("verify", validate_config(dict(TINY, n_grid=[8], out=str(tmp_path))))
+    dr = [rep for rep in results["reports"] if rep["id"] in ("DR-1.14", "DR-1.15")]
+    assert len(dr) == 2 and all(rep["parameters"]["k_n"] >= 1 for rep in dr)
+
+
 def test_cli_variance_needs_two_environments(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [6], "env_replicas": 1}))
@@ -484,15 +522,15 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_cli_skrun_p3_shared_instances_deterministic_across_threads(tmp_path):
-    # two t per n: two pool jobs first walk each p=3 instance together
+def test_cli_ageing_p3_shared_instances_deterministic_across_threads(tmp_path):
+    # two (t, s) per n: two pool jobs first walk each p=3 instance together
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [8, 10], "p": 3, "t_grid": [0.5, 1.0],
                                     "replicas": 40, "seed": 3}))
     outputs = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
-        proc = _cli(["sk-run", "--config", str(cfg_path), "--threads", str(threads),
+        proc = _cli(["ageing", "--config", str(cfg_path), "--threads", str(threads),
                      "--out", str(out)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         results = json.loads((out / "results.json").read_text())

@@ -27,7 +27,6 @@ from extremalclock.engine import (
     CompleteGraphChain,
     ConstantEnvironment,
     ScalingSchedule,
-    simulate_trajectory,
 )
 from extremalclock.pspin import HypercubeSRW, PSpinEnvironment, build_instance
 
@@ -224,9 +223,8 @@ def test_dr_functionals_match_stationary_intensity():
     # boundary estimates and the stationary nu agree
     model, env, sched = toy_setup()
     rng = np.random.default_rng(10)
-    traj = simulate_trajectory(model, steps=10, rng=rng, env=env)
     dr_nu, dr_sq = dr_path_functionals(model, env, sched, u=1.0, t=1.0,
-                                       traj=traj, inner_reps=400, rng=rng)
+                                       inner_reps=400, rng=rng)
     assert dr_nu.id == "DR-1.14" and dr_sq.id == "DR-1.15"
     target_nu = 10.0 * oracles.toy_block_tail(2.0, 1.0)
     assert abs(dr_nu.estimate - target_nu) <= 3.0 * dr_nu.se
@@ -235,10 +233,6 @@ def test_dr_functionals_match_stationary_intensity():
     p = oracles.toy_block_tail(2.0, 1.0)
     bias = 10.0 * p * (1.0 - p) / 400.0
     assert abs(dr_sq.estimate - (10.0 * p * p + bias)) <= 3.0 * dr_sq.se + bias
-    with pytest.raises(ValueError):
-        short = simulate_trajectory(model, steps=3, rng=rng, env=env)
-        dr_path_functionals(model, env, sched, u=1.0, t=1.0, traj=short,
-                            inner_reps=10, rng=rng)
 
 
 def test_eta_requires_hypercube():

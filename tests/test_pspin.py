@@ -555,6 +555,24 @@ def test_hypercube_basics():
         HypercubeSRW(0)
 
 
+@pytest.mark.parametrize("R", [7, 8])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_step_batch_equals_a_per_step_loop(steps, R):
+    # one (steps, R) draw gives the same flips as `steps` draws of R, and
+    # leaves the stream where the loop leaves it, for odd and even R alike
+    model = HypercubeSRW(5)
+    X = model.sample_stationary(R, engine.stream(1))
+    batch_rng, loop_rng = engine.stream(2), engine.stream(2)
+    stepped = model.step_batch(X, batch_rng, steps=steps)
+    looped, rows = X.copy(), np.arange(R)
+    for _ in range(steps):
+        k = loop_rng.integers(0, 5, R)
+        looped[rows, k] = -looped[rows, k]
+    assert np.array_equal(stepped, looped)
+    assert np.array_equal(batch_rng.integers(0, 5, 9), loop_rng.integers(0, 5, 9))
+    assert batch_rng.standard_exponential() == loop_rng.standard_exponential()
+
+
 def test_environment_wrapper():
     inst = build_instance(5, 2, seed=30, beta=0.7)
     env = PSpinEnvironment(inst)
