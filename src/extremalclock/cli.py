@@ -133,9 +133,9 @@ _KS_COMMANDS = ("ppp", "sk-run")
 # subcommands that build an n^p coupling tensor for every n in n_grid,
 # and a schedule for every n with beta > 0
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
-# ppp expects replicas * t_max * K / u_min Poisson points and holds about
-# 25 bytes per point at its peak (measured), so this cap is about 1.7 GB
-_PPP_MAX_POINTS = 2 ** 26
+# ppp draws a Poisson count per query interval, with mean at most
+# t_max * K / u_min; numpy's Poisson sampler raises above about 9.2e18
+_PPP_MAX_MEAN = 2 ** 62
 
 
 def _is_int(value) -> bool:
@@ -241,12 +241,12 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             and max(merged["t_grid"]) > merged["t_max"]:
         flag("t_grid", f"entries must not exceed t_max = {merged['t_max']} for ppp, "
                        "whose Poisson points cover [0, t_max]")
-    if command == "ppp" and _is_int(merged["replicas"]) and all(
+    if command == "ppp" and all(
             _is_number(merged[name]) and merged[name] > 0 for name in ("t_max", "K", "u_min")):
-        points = merged["replicas"] * merged["t_max"] * merged["K"] / merged["u_min"]
-        if points > _PPP_MAX_POINTS:
-            flag("replicas", f"ppp expects replicas * t_max * K / u_min = {points:.4g} "
-                             f"Poisson points, more than {_PPP_MAX_POINTS}")
+        mean = merged["t_max"] * merged["K"] / merged["u_min"]
+        if mean > _PPP_MAX_MEAN:
+            flag("u_min", f"ppp draws Poisson counts of mean up to t_max * K / u_min = "
+                          f"{mean:.4g}, more than 2^62")
     if command == "variance" and merged["env_replicas"] == 1:
         flag("env_replicas", "must be >= 2 for variance, which measures the spread "
                              "across environments")

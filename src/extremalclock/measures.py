@@ -300,33 +300,41 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
     """Vectorised sup_path sampler: (reps, len(t_grid)) array of levels.
 
     Each row is one realisation of the truncated point process queried
-    at every time in ``t_grid`` (floor u_min).  Equivalent in law to
-    calling sample_poisson_points + sup_path per replica, but runs as a
-    handful of array passes: one ``maximum.at`` over (replica, bucket)
-    keys, then a running maximum along the sorted query times.
+    at every time in ``t_grid`` (floor u_min), equal in law to calling
+    sample_poisson_points + sup_path per replica.  A level never reads
+    where a point falls inside a query interval, so no points are drawn:
+    the interval between consecutive sorted query times (from 0) holds
+    k ~ Poisson(width * tail(u_min)) points, drawn as one (reps, T)
+    array, then one (reps, T) array of uniforms U.  A mark's tail
+    fraction tail(mag) / tail(u_min) is uniform, so the largest of k
+    marks has tail fraction g = 1 - U^(1/k) in (0, 1] and level
+    tail_inverse(g * tail(u_min)), u_min / g for Pareto; k = 0 or U = 0
+    gives g = 1, the floor.  The levels are the running maximum over the
+    sorted intervals.  Time and memory are O(reps * len(t_grid)), and
+    ``t_max`` only bounds the query times.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid > t_max):
         raise ValueError("query times must not exceed t_max")
-    counts = rng.poisson(t_max * tail_mass(measure, u_min), reps)
-    times = rng.random(int(counts.sum()))
-    np.subtract(1.0, times, out=times)
-    times *= t_max  # uniform on (0, t_max]
-    mags = _sample_magnitudes(measure, u_min, times.size, rng)
-    # a point's bucket is the number of query times before it: it counts
-    # for every query from its bucket on, and bucket T holds the points
-    # born after every query
-    bucket = np.zeros(times.size, dtype=np.min_scalar_type(t_grid.size))
-    for t in t_grid:
-        bucket += times > t
-    cols = t_grid.size + 1
-    key = np.repeat(np.arange(reps) * cols, counts)
-    key += bucket
-    best = np.full(reps * cols, float(u_min))
-    np.maximum.at(best, key, mags)
-    levels = np.maximum.accumulate(best.reshape(reps, cols), axis=1)
-    out = np.empty((reps, t_grid.size))
-    out[:, np.argsort(t_grid, kind="stable")] = levels[:, :-1]
+    order = np.argsort(t_grid, kind="stable")
+    widths = np.diff(t_grid[order], prepend=0.0)
+    base = tail_mass(measure, u_min)
+    counts = rng.poisson(widths * base, (reps, t_grid.size))
+    g = rng.random((reps, t_grid.size))
+    with np.errstate(divide="ignore"):  # log(0) and x / 0 both give g = 1
+        np.log(g, out=g)
+        g /= counts
+    np.expm1(g, out=g)
+    np.negative(g, out=g)
+    if measure.kind == "pareto":
+        cell = np.divide(u_min, g, out=g)
+    else:
+        cell = np.full(g.shape, float(u_min))
+        filled = counts > 0
+        cell[filled] = [tail_inverse(measure, gi * base) for gi in g[filled].tolist()]
+    levels = np.maximum.accumulate(cell, axis=1)
+    out = np.empty_like(levels)
+    out[:, order] = levels
     return out
 
 

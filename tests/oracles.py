@@ -128,22 +128,24 @@ def pareto_sup_levels_per_t(K: float, t_grid, t_max: float, u_min: float,
                             reps: int, rng) -> np.ndarray:
     """Sup levels of truncated K/u point processes, one masked pass per t.
 
-    Draws in the sampler's documented order (Poisson counts per replica,
-    then uniform times, then magnitudes u_min/U) and, for each query
-    time, folds the magnitudes of the points born by then into a copy of
-    the floor column.
+    Draws in the sampler's documented order (a (reps, T) array of
+    Poisson counts for the intervals between the sorted query times,
+    then a (reps, T) array of uniforms U), sets each non-empty
+    interval's top mark to u_min / (1 - U^(1/k)), and for each query
+    time takes the largest top mark, or the floor, over the intervals
+    that end by then.
     """
-    counts = rng.poisson(t_max * K / u_min, reps)
-    total = int(counts.sum())
-    times = t_max * (1.0 - rng.random(total))
-    mags = u_min / (1.0 - rng.random(total))
-    rep_ids = np.repeat(np.arange(reps), counts)
-    out = np.full((reps, len(t_grid)), float(u_min))
+    sorted_t = np.sort(np.asarray(t_grid, dtype=float))
+    widths = np.diff(sorted_t, prepend=0.0)
+    counts = rng.poisson(widths * K / u_min, (reps, sorted_t.size))
+    uniforms = rng.random((reps, sorted_t.size))
+    top = np.full(counts.shape, float(u_min))
+    filled = counts > 0
+    with np.errstate(divide="ignore"):  # U = 0 leaves the floor
+        top[filled] = u_min / -np.expm1(np.log(uniforms[filled]) / counts[filled])
+    out = np.empty((reps, len(t_grid)))
     for j, t in enumerate(t_grid):
-        mask = times <= t
-        col = out[:, j].copy()
-        np.maximum.at(col, rep_ids[mask], mags[mask])
-        out[:, j] = col
+        out[:, j] = top[:, sorted_t <= t].max(axis=1, initial=u_min)
     return out
 
 

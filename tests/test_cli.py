@@ -3,6 +3,7 @@
 import csv
 import importlib.metadata
 import json
+import math
 import os
 import re
 import subprocess
@@ -403,29 +404,38 @@ def test_cli_ppp_t_grid_beyond_t_max_is_a_config_error(tmp_path, capsys):
         validate_config({"t_grid": [3.0]}, other)
 
 
-@pytest.mark.parametrize("fields", [{"K": 4e9}, {"u_min": 1e-9}])
+@pytest.mark.parametrize("fields", [{"K": 4e9}, {"u_min": 1e-9}, {"K": 1e300}])
 def test_cli_ppp_point_count_beyond_cap_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                           fields):
-    # ppp holds all replicas * t_max * K / u_min expected points at once;
-    # validation stops a count it cannot allocate before anything is sampled
-    def refuse(*args, **kwargs):
-        raise AssertionError("ppp sampled points for a rejected config")
-
-    monkeypatch.setattr(measures, "sample_sup_levels", refuse)
+    # ppp draws one Poisson count per (replica, query interval), not the
+    # points, so 1.6e11 expected points per replica run; only a count mean
+    # t_max * K / u_min above 2^62, which numpy's Poisson sampler cannot
+    # draw, is stopped before anything is sampled
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(fields))
+    if 2.0 * fields.get("K", 4.0) / fields.get("u_min", 0.05) <= 2.0 ** 62:
+        assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "ppp_quantiles.csv", encoding="utf-8") as fh:
+            levels = [float(row["empirical"]) for row in csv.DictReader(fh)]
+        assert levels and all(math.isfinite(x) for x in levels)
+        return
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ppp sampled levels for a rejected config")
+
+    monkeypatch.setattr(measures, "sample_sup_levels", refuse)
     assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "replicas (ppp expects replicas * t_max * K / u_min" in err
+    assert "u_min (ppp draws Poisson counts of mean up to t_max * K / u_min" in err
     assert "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    with pytest.raises(ConfigError, match="replicas"):
+    with pytest.raises(ConfigError, match="u_min"):
         validate_config(fields, "ppp")
-    # the cap is 2^26 points: 2^22 replicas * 2 * 8 / 1 reach it, / 0.5 exceed it
-    at_cap = {"replicas": 2 ** 22, "t_max": 2.0, "K": 8.0, "u_min": 1.0}
-    validate_config(at_cap, "ppp")
-    with pytest.raises(ConfigError, match="replicas"):
-        validate_config(dict(at_cap, u_min=0.5), "ppp")
+    # the limit is a mean of 2^62: 2 * 2^61 / 1 reaches it, / 0.5 exceeds it
+    at_limit = {"t_max": 2.0, "K": 2.0 ** 61, "u_min": 1.0}
+    validate_config(at_limit, "ppp")
+    with pytest.raises(ConfigError, match="u_min"):
+        validate_config(dict(at_limit, u_min=0.5), "ppp")
     for other in ("sk-run", "verify", "ehrenfest", "ageing", "compare", "variance"):
         validate_config(fields, other)
 

@@ -1,6 +1,7 @@
 """Tail measures, extremal marginals, point sampling, record structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from extremalclock.measures import (
     tail_inverse,
     tail_mass,
 )
+from extremalclock.stats import empirical_vs_extremal
 
 
 def test_pareto_tail_values():
@@ -220,16 +222,47 @@ def test_range_avoidance_closed_form():
 
 
 def test_sample_sup_levels_matches_scalar_path():
-    # law equivalence is tested via KS elsewhere; here check the
-    # vectorised sampler respects the floor, monotonicity and t_max
+    # the interval sampler against the point-by-point reference: the same
+    # P(level <= u), replica by replica sample_poisson_points + sup_path
     m = TailMeasure.pareto(4.0)
     rng = np.random.default_rng(21)
-    levels = sample_sup_levels(m, [0.5, 1.0, 2.0], 2.0, 0.05, 400, rng)
-    assert levels.shape == (400, 3)
+    reps, t_grid = 4000, [0.5, 2.0]
+    levels = sample_sup_levels(m, t_grid, 2.0, 0.05, reps, rng)
+    assert levels.shape == (reps, 2)
     assert np.all(levels >= 0.05)
     assert np.all(np.diff(levels, axis=1) >= 0.0)
+    paths = [sample_poisson_points(m, 2.0, 0.05, rng) for _ in range(reps)]
+    scalar = np.array([[sup_path(pts, t) for t in t_grid] for pts in paths])
+    for j in range(len(t_grid)):
+        for u in (1.0, 4.0, 16.0):
+            p_vec = float(np.mean(levels[:, j] <= u))
+            p_ref = float(np.mean(scalar[:, j] <= u))
+            se = math.sqrt((p_vec * (1.0 - p_vec) + p_ref * (1.0 - p_ref)) / reps)
+            assert abs(p_vec - p_ref) <= 4.0 * se, (t_grid[j], u, p_vec, p_ref)
     with pytest.raises(ValueError):
         sample_sup_levels(m, [3.0], 2.0, 0.05, 10, rng)
+
+
+def test_sample_sup_levels_inverts_a_custom_tail():
+    # K/u given as a plain function takes the numerical tail_inverse per
+    # non-empty interval, and must still follow the Pareto(4) marginal
+    custom = TailMeasure.from_tail(lambda u: 4.0 / u)
+    levels = sample_sup_levels(custom, [1.0], 2.0, 0.05, 2000, np.random.default_rng(24))
+    report = empirical_vs_extremal(levels[:, 0], TailMeasure.pareto(4.0), 1.0)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def test_sample_sup_levels_memory_scales_with_the_query_cells():
+    # the limit-laws ppp draw: 4.8M Poisson points, but only 120k cells
+    m = TailMeasure.pareto(4.0)
+    rng = np.random.default_rng(25)
+    tracemalloc.start()
+    try:
+        sample_sup_levels(m, [0.25, 0.5, 1.0, 2.0], 2.0, 0.05, 30_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("t_grid, t_max", [
