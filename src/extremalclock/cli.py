@@ -358,8 +358,8 @@ def _prov(cfg: ExperimentConfig, n: int = 0, beta: float | None = None) -> dict:
 def _landscapes(cfg: ExperimentConfig):
     """(n, beta, schedule, model, environment) for each n_grid entry.
 
-    The one place that decides which p-spin environment a run draws for
-    each n: the instance is keyed by (seed, n, p).
+    Each environment is replica 0 of the (seed, n, p, replica) key of
+    `_instance_seed`, which also keys `variance`'s environments.
     """
     for i, n in enumerate(cfg.n_grid):
         beta = cfg.beta_for(i)
@@ -382,6 +382,13 @@ def _file_rows(jobs, cfg: ExperimentConfig) -> list:
     for table, prov, row in filed:
         table.add(prov, **row)
     return filed
+
+
+def _landscape_rows(job, cfg: ExperimentConfig) -> list:
+    """_file_rows over one job per landscape: job(rng, model=, env=, sched=, prov=)."""
+    return _file_rows([functools.partial(job, model=m, env=e, sched=s,
+                                         prov=_prov(cfg, n=n, beta=beta))
+                       for n, beta, s, m, e in _landscapes(cfg)], cfg)
 
 
 def _ks_rows(ks_table, q_table, prov, t, rep, **extra) -> list:
@@ -444,9 +451,7 @@ def _cmd_skrun(cfg: ExperimentConfig):
             stats.empirical_vs_extremal(samples, limit, t, cfg.significance), k_n=k,
             mean=float(np.mean(samples)), median=float(np.median(samples)))]
 
-    _file_rows([functools.partial(job, model=m, env=e, sched=s,
-                                  prov=_prov(cfg, n=n, beta=beta))
-                for n, beta, s, m, e in _landscapes(cfg)], cfg)
+    _landscape_rows(job, cfg)
     return [ks_table, q_table], [], {}, False
 
 
@@ -457,47 +462,33 @@ _TREND_KINDS = {"nu": "nu", "sigma-sq": "sigma", "eta": "eta"}
 def _cmd_verify(cfg: ExperimentConfig):
     cond_table = Table("conditions", ["id", "functional", "u", "t", "delta",
                                       "estimate", "se", "target", "verdict"])
-    jobs = []
     t0 = cfg.t_grid[0]
-    for n, beta, sched, model, env in _landscapes(cfg):
-        prov = _prov(cfg, n=n, beta=beta)
 
-        def add(job, prov=prov):
-            # job returns (kind, tags, report) triples; kind names a report
-            # whose parameters name no functional
-            jobs.append(lambda rng: [(cond_table, prov, dict(
-                id=rep.id, functional=rep.parameters.get("functional", kind),
-                u=tags.get("u", ""), t=tags.get("t", ""), delta=tags.get("delta", ""),
-                estimate=rep.estimate, se=rep.se,
-                target="" if rep.target is None else rep.target,
-                verdict=rep.verdict, report=rep)) for kind, tags, rep in job(rng)])
-
-        add(lambda rng, nn=n, s=sched:
-            [("mixing", {}, conditions.mixing_report(nn, s.theta_n, (0, 1, 2)))])
-        add(lambda rng, m=model, e=env, s=sched:
-            [("cond0", {}, conditions.condition0_check(m, e, s, cfg.v, cfg.replicas, rng))])
-
-        def tails_job(rng, m=model, e=env, s=sched):
-            result = conditions.tail_functionals(m, e, s, cfg.u_grid, cfg.t_grid,
-                                                 cfg.replicas, rng)
-            rows = []
-            for u in cfg.u_grid:
-                rows.extend(("nu", {"u": u, "t": t}, result["nu", u, t]) for t in cfg.t_grid)
-                rows.append(("sigma", {"u": u, "t": t0}, result["sigma-sq", u, t0]))
-                rows.append(("eta", {"u": u, "t": t0}, result["eta", u, t0]))
-            return rows
-
-        add(tails_job)
+    def job(rng, model, env, sched, prov):
+        # (kind, tags, report) in table order; kind names a report whose
+        # parameters name no functional
+        found = [("mixing", {}, conditions.mixing_report(sched.n, sched.theta_n, (0, 1, 2))),
+                 ("cond0", {}, conditions.condition0_check(model, env, sched, cfg.v,
+                                                           cfg.replicas, rng))]
+        tails = conditions.tail_functionals(model, env, sched, cfg.u_grid, cfg.t_grid,
+                                            cfg.replicas, rng)
+        for u in cfg.u_grid:
+            found.extend(("nu", {"u": u, "t": t}, tails["nu", u, t]) for t in cfg.t_grid)
+            found.append(("sigma", {"u": u, "t": t0}, tails["sigma-sq", u, t0]))
+            found.append(("eta", {"u": u, "t": t0}, tails["eta", u, t0]))
         for delta in cfg.delta_grid:
-            add(lambda rng, m=model, e=env, s=sched, dd=delta:
-                [("cond31", {"delta": dd},
-                  conditions.condition31_estimate(m, e, s, dd, t0, cfg.replicas, rng))])
+            found.append(("cond31", {"delta": delta}, conditions.condition31_estimate(
+                model, env, sched, delta, t0, cfg.replicas, rng)))
+        found.extend(("dr", {"u": cfg.u_grid[0], "t": t0}, rep) for rep in
+                     conditions.dr_path_functionals(model, env, sched, cfg.u_grid[0], t0,
+                                                    cfg.inner_replicas, rng))
+        return [(cond_table, prov, dict(
+            id=rep.id, functional=rep.parameters.get("functional", kind),
+            u=tags.get("u", ""), t=tags.get("t", ""), delta=tags.get("delta", ""),
+            estimate=rep.estimate, se=rep.se, target="" if rep.target is None else rep.target,
+            verdict=rep.verdict, report=rep)) for kind, tags, rep in found]
 
-        add(lambda rng, m=model, e=env, s=sched: [
-            ("dr", {"u": cfg.u_grid[0], "t": t0}, rep) for rep in conditions.dr_path_functionals(
-                m, e, s, cfg.u_grid[0], t0, cfg.inner_replicas, rng)])
-
-    filed = _file_rows(jobs, cfg)
+    filed = _landscape_rows(job, cfg)
     by_series = {}
     for _, prov, row in filed:
         if row["functional"] in _TREND_KINDS:
@@ -561,17 +552,19 @@ def _cmd_ageing(cfg: ExperimentConfig):
     table = Table("ageing", ["t", "s", "epsilon", "estimate", "se", "completed",
                              "truncated", "limit"])
 
-    def job(rng, model, env, sched, t, s, prov):
-        est = engine.estimate_correlation(model, env, sched, cfg.epsilon, t, s,
-                                          cfg.replicas, rng, step_budget=cfg.step_budget)
-        return [(table, prov, dict(t=t, s=s, epsilon=cfg.epsilon, estimate=est.value,
-                                   se=est.se, completed=est.completed,
-                                   truncated=est.truncated, limit=t / (t + s)))]
+    def job(rng, model, env, sched, prov):
+        rows = []
+        for t in cfg.t_grid:
+            for s in cfg.s_grid:
+                est = engine.estimate_correlation(model, env, sched, cfg.epsilon, t, s,
+                                                  cfg.replicas, rng,
+                                                  step_budget=cfg.step_budget)
+                rows.append((table, prov, dict(
+                    t=t, s=s, epsilon=cfg.epsilon, estimate=est.value, se=est.se,
+                    completed=est.completed, truncated=est.truncated, limit=t / (t + s))))
+        return rows
 
-    filed = _file_rows([functools.partial(job, model=m, env=e, sched=sc, t=t, s=s,
-                                          prov=_prov(cfg, n=n, beta=beta))
-                        for n, beta, sc, m, e in _landscapes(cfg)
-                        for t in cfg.t_grid for s in cfg.s_grid], cfg)
+    filed = _landscape_rows(job, cfg)
     return [table], [], {}, any(row["truncated"] > 0 for _, _, row in filed)
 
 
@@ -622,7 +615,8 @@ def _cmd_variance(cfg: ExperimentConfig):
     def job(rng, n, beta):
         rep = conditions.env_replication_variance(
             n, cfg.p, cfg.c, beta, cfg.u_grid[0], cfg.t_grid[0],
-            cfg.env_replicas, cfg.inner_replicas, rng)
+            [_instance_seed(cfg.seed, n, cfg.p, e) for e in range(cfg.env_replicas)],
+            cfg.inner_replicas, rng)
         return [(table, _prov(cfg, n=n, beta=beta), dict(
             estimate=rep.estimate, se=rep.se, scaling=rep.target,
             ratio=rep.estimate / rep.target if rep.target else float("nan"), report=rep))]

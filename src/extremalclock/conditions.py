@@ -387,12 +387,13 @@ def dr_path_functionals(model, env, sched, u: float, t: float,
 
 
 def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
-                             t: float, env_reps: int, inner_reps: int,
+                             t: float, env_seeds, inner_reps: int,
                              rng) -> ConditionReport:
-    """Variance of the max functional across independent environments.
+    """Variance of the max functional across the environments of ``env_seeds``.
 
-    Each environment gets a fresh coupling tensor; the walk and mark
-    randomness is shared across environments (common random numbers).
+    Environment e is the coupling tensor of instance seed env_seeds[e],
+    built one at a time.  ``rng`` gives only the walk and mark entropy,
+    shared across environments (common random numbers).
     At beta = 0 every rate is 1, so the variance is exactly 0: that
     report (k_n = 0) comes back without a schedule, an instance or a
     draw.  Reported against the gamma^{-2} n^{1-p/2} scaling;
@@ -400,6 +401,7 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     k_n(t) = 0 it reports k_n = 0, scales the block-max tail by 1
     instead of 0 and warns like every blocked functional.
     """
+    env_reps = len(env_seeds)
     if env_reps < 2:
         raise ValueError(f"need at least 2 environments, got {env_reps}")
     gamma = float(n) ** (-c)
@@ -414,12 +416,10 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     sched = make_schedule(n, p, c, beta)
     k = k_blocks(sched, t)
     model = HypercubeSRW(n)
-    env_seeds = rng.integers(0, 2 ** 63 - 1, size=env_reps, dtype=np.int64)
     shared_entropy = int(rng.integers(0, 2 ** 63 - 1, dtype=np.int64))
     values = np.empty(env_reps)
-    for e in range(env_reps):
-        inst = build_instance(n, p, int(env_seeds[e]), beta=beta, c=c)
-        env = PSpinEnvironment(inst)
+    for e, seed in enumerate(env_seeds):
+        env = PSpinEnvironment(build_instance(n, p, int(seed), beta=beta, c=c))
         log_maxes = engine.block_statistics(model, env, sched.theta_n, inner_reps,
                                             engine.stream(shared_entropy),
                                             want_max=True).log_maxes

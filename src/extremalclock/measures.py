@@ -90,13 +90,17 @@ def tail_mass(measure: TailMeasure, u):
     if measure.kind == "pareto":
         mass = measure.constant / arr
     else:
-        mass = np.array([measure.tail_fn(x) for x in arr.ravel().tolist()],
+        mass = np.array([_custom_mass(measure, x) for x in arr.ravel().tolist()],
                         dtype=float).reshape(arr.shape)
-        bad = ~(np.isfinite(mass) & (mass >= 0.0))
-        if np.any(bad):
-            raise ValueError(f"tail function returned invalid mass {mass[bad].flat[0]} "
-                             f"at u={arr[bad].flat[0]}")
     return float(mass) if mass.ndim == 0 else mass
+
+
+def _custom_mass(measure: TailMeasure, u: float) -> float:
+    """The custom tail at one u > 0, checked finite and nonnegative."""
+    mass = float(measure.tail_fn(u))
+    if not (math.isfinite(mass) and mass >= 0.0):
+        raise ValueError(f"tail function returned invalid mass {mass} at u={u}")
+    return mass
 
 
 def tail_inverse(measure: TailMeasure, mass: float) -> float:
@@ -111,18 +115,18 @@ def tail_inverse(measure: TailMeasure, mass: float) -> float:
         return measure.constant / mass
     # Bracket the crossing, tail(lo) >= mass >= tail(hi), expanding outward.
     lo, hi = 1.0, 1.0
-    while tail_mass(measure, lo) < mass:
+    while _custom_mass(measure, lo) < mass:
         lo /= 2.0
         if lo < 1e-300:
             raise ValueError("tail inverse bracket underflow; mass too large")
-    while tail_mass(measure, hi) > mass:
+    while _custom_mass(measure, hi) > mass:
         hi *= 2.0
         if hi > 1e300:
             raise ValueError("tail inverse bracket overflow; mass too small")
     # Bisect, keeping tail(hi) <= mass, until hi is within the tolerance of lo.
     while hi - lo > _INVERSION_RTOL * lo:
         mid = 0.5 * (lo + hi)
-        if tail_mass(measure, mid) <= mass:
+        if _custom_mass(measure, mid) <= mass:
             hi = mid
         else:
             lo = mid

@@ -29,7 +29,7 @@ from extremalclock.cli import (
     run,
     validate_config,
 )
-from extremalclock import cli, engine, measures
+from extremalclock import cli, conditions, engine, measures, pspin
 from extremalclock.conditions import DegenerateScheduleWarning
 
 from conftest import package_env
@@ -451,11 +451,11 @@ def test_skrun_warns_at_zero_blocks(tmp_path):
         assert [row["k_n"] for row in csv.DictReader(fh)] == ["0"]
 
 
-def test_skrun_walks_each_landscape_once_for_its_t_grid(tmp_path, monkeypatch):
-    # one pool job per n, whatever the t_grid; in it one walk stops at each
-    # k_n(t), so every replica's powered marginal is non-decreasing in t
-    cfg = validate_config({"n_grid": [8, 10], "t_grid": [0.5, 1.0, 2.0], "replicas": 40,
-                           "out": str(tmp_path)}, "sk-run")
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
+def test_one_pool_job_per_landscape(tmp_path, monkeypatch, command):
+    # every grid of a landscape runs in its one job, on its one stream
+    cfg = validate_config(dict(TINY, n_grid=[8, 10], t_grid=[0.5, 1.0], s_grid=[0.5, 1.0],
+                               env_replicas=2, out=str(tmp_path)), command)
     handed = []
 
     def counting_run_jobs(jobs, cfg):
@@ -465,8 +465,40 @@ def test_skrun_walks_each_landscape_once_for_its_t_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_run_jobs", counting_run_jobs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateScheduleWarning)
-        run("sk-run", cfg)
-        assert handed == [len(cfg.n_grid)]
+        run(command, cfg)
+    assert handed == [len(cfg.n_grid)]
+
+
+def test_variance_environments_are_keyed_by_replica(tmp_path, monkeypatch):
+    # environment e of variance is instance seed (seed, n, p, e); e = 0 is
+    # the landscape that sk-run, verify and ageing walk at that (seed, n, p)
+    cfg = validate_config(dict(TINY, n_grid=[8, 10], env_replicas=3, out=str(tmp_path)),
+                          "variance")
+    seeds = {"conditions": [], "pspin": []}
+
+    def recording(owner, build):
+        def build_instance(n, p, seed, **kwargs):
+            seeds[owner].append((n, seed))
+            return build(n, p, seed, **kwargs)
+        return build_instance
+
+    monkeypatch.setattr(conditions, "build_instance",
+                        recording("conditions", conditions.build_instance))
+    monkeypatch.setattr(pspin, "build_instance", recording("pspin", pspin.build_instance))
+    run("variance", cfg)
+    assert seeds["conditions"] == [(n, cli._instance_seed(cfg.seed, n, cfg.p, e))
+                                   for n in cfg.n_grid for e in range(3)]
+    list(cli._landscapes(cfg))
+    assert seeds["pspin"] == [(n, seed) for n, seed in seeds["conditions"][::3]]
+
+
+def test_skrun_walks_each_landscape_once_for_its_t_grid():
+    # one walk per landscape stops at each k_n(t), so every replica's
+    # powered marginal is non-decreasing in t
+    cfg = validate_config({"n_grid": [8, 10], "t_grid": [0.5, 1.0, 2.0], "replicas": 40},
+                          "sk-run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScheduleWarning)
         for _, _, sched, model, env in cli._landscapes(cfg):
             marginals = cli._powered_marginals(model, env, sched, cfg.t_grid,
                                                cfg.replicas, engine.stream(0))
@@ -533,7 +565,8 @@ def test_cli_runs_without_loading_scipy(tmp_path):
 
 
 def test_cli_ageing_p3_shared_instances_deterministic_across_threads(tmp_path):
-    # two (t, s) per n: two pool jobs first walk each p=3 instance together
+    # two (t, s) per n, both walked in that n's one job: the pool runs the
+    # two p=3 landscapes at once, and no two jobs share an instance
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [8, 10], "p": 3, "t_grid": [0.5, 1.0],
                                     "replicas": 40, "seed": 3}))

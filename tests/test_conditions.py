@@ -270,14 +270,14 @@ def test_env_replication_variance_zero_at_beta_zero(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = env_replication_variance(n, p, c=0.25, beta=0.0, u=1.0, t=t,
-                                              env_reps=5, inner_reps=200, rng=rng)
+                                              env_seeds=range(5), inner_reps=200, rng=rng)
         assert (report.estimate, report.se, report.parameters["k_n"]) == (0.0, 0.0, 0)
         assert report.parameters["functional"] == "env-variance-max"
         assert report.target == pytest.approx(target)  # gamma^{-2} n^{1-p/2}
         assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         env_replication_variance(6, 2, c=0.25, beta=0.0, u=1.0, t=1.0,
-                                 env_reps=1, inner_reps=10,
+                                 env_seeds=range(1), inner_reps=10,
                                  rng=np.random.default_rng(0))
 
 
@@ -285,7 +285,7 @@ def test_env_replication_variance_positive_with_disorder():
     # k_n(1) = 0 at n = 6, c = 0.25, so the degenerate path runs and warns
     with pytest.warns(DegenerateScheduleWarning):
         report = env_replication_variance(6, 2, c=0.25, beta=1.0, u=1.0, t=1.0,
-                                          env_reps=8, inner_reps=300,
+                                          env_seeds=range(8), inner_reps=300,
                                           rng=np.random.default_rng(13))
     assert report.estimate >= 0.0
     assert report.se >= 0.0
@@ -298,7 +298,7 @@ def test_env_replication_variance_positive_at_one_block():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = env_replication_variance(8, 2, c=0.05, beta=1.0, u=1.0, t=1.0,
-                                          env_reps=8, inner_reps=300,
+                                          env_seeds=range(8), inner_reps=300,
                                           rng=np.random.default_rng(0))
     assert report.parameters["k_n"] == 1
     assert report.estimate > 0.0
@@ -308,6 +308,6 @@ def test_env_replication_variance_warns_at_zero_blocks():
     # a_n = 32.7 < theta_n = 108 at n = 6, c = 0.25: k_n(1) = 0, as verify reports it
     with pytest.warns(DegenerateScheduleWarning):
         report = env_replication_variance(6, 2, c=0.25, beta=1.0, u=1.0, t=1.0,
-                                          env_reps=2, inner_reps=20,
+                                          env_seeds=range(2), inner_reps=20,
                                           rng=np.random.default_rng(14))
     assert report.parameters["k_n"] == 0

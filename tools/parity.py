@@ -1,0 +1,205 @@
+"""Compare the outputs of two source trees on a fixed matrix of runs.
+
+    python tools/parity.py REV_OR_DIR [--law N]
+
+The base is a directory holding a source tree, or a git revision of
+this checkout, extracted with `git archive`.  It and the tree holding
+this script run, at one thread, every subcommand at `{}`, each
+benchmark workload's configs at seeds 0 and 1, and the multi-point
+grids of `matrix`; this tree runs them again at two threads.  For each
+CSV, and results.json without runtime_seconds, each pair of runs prints
+"identical", or how many rows differ and their largest relative
+difference.
+
+With --law N both trees run the workload configs at seeds 0..N-1.
+Every numeric cell that differs between the trees gets two z of the
+difference of its means over the seeds: with the combined SE of two
+independent samples, and paired by seed.  Both trees walk the same
+landscape at one seed, so read the paired z where the landscape moves
+a cell.  Each column prints both trees' means and the mean, sd and
+largest |z| of its cells; cells equal at every seed are left out.
+Needs numpy, and git and tar for a revision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import pathlib
+import runpy
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COMMANDS = ("ppp", "sk-run", "verify", "ehrenfest", "ageing", "compare", "variance")
+
+# runs (name, command, config) in order; every output lands in out/name
+_CHILD = """
+import json, sys, warnings
+from extremalclock import cli
+warnings.simplefilter("ignore")
+runs, out, threads = json.load(sys.stdin)
+for name, command, cfg in runs:
+    cli.run(command, cli.validate_config(
+        dict(cfg, threads=threads, out=f"{out}/{name}"), command))
+"""
+
+
+def _workload_runs(seeds) -> list:
+    """(name, command, config) of every benchmark workload step at each seed."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return [(f"{w.name}-{command}-s{seed}", command, dict(fields, seed=seed))
+            for w in workloads.values() for seed in seeds
+            for command, fields in w.steps]
+
+
+def matrix() -> list:
+    return ([(f"{command}-default", command, {}) for command in COMMANDS]
+            + _workload_runs((0, 1))
+            + [("ageing-2x2", "ageing", {"n_grid": [8, 12], "t_grid": [0.5, 1.0],
+                                         "s_grid": [0.5, 1.0], "replicas": 400}),
+               ("sk-run-3t", "sk-run", {"n_grid": [8, 12], "t_grid": [0.5, 1.0, 2.0]}),
+               # p = 3 above n = 20 takes the field walker, not the energy table
+               ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
+
+
+def run_tree(tree: pathlib.Path, runs, out: pathlib.Path, threads: int) -> pathlib.Path:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env, text=True,
+                          input=json.dumps([runs, str(out), threads]), capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"runs in {tree} failed:\n{proc.stderr}")
+    return out
+
+
+def read_rows(path: pathlib.Path) -> list:
+    """A CSV's rows, or one row per line of results.json minus runtime_seconds."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    results = json.loads(path.read_text(encoding="utf-8"))
+    results.pop("runtime_seconds", None)
+    # '"key": value' lines split into the key and the value
+    return [line.rstrip(",").split(": ")
+            for line in json.dumps(results, sort_keys=True, indent=0).splitlines()]
+
+
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def diff(a: list, b: list) -> str:
+    if a == b:
+        return "identical"
+    differing = sum(ra != rb for ra, rb in zip(a, b)) + abs(len(a) - len(b))
+    worst = 0.0
+    for ra, rb in zip(a, b):
+        # trends.csv joins a series into one cell with ';'
+        for x, y in zip(";".join(ra).split(";"), ";".join(rb).split(";")):
+            fx, fy = _float(x), _float(y)
+            if fx is not None and fy is not None and fx != fy:
+                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return (f"{differing} of {max(len(a), len(b))} rows differ, "
+            f"largest relative difference {worst:.3g}")
+
+
+def _outputs(directory: pathlib.Path) -> set:
+    return {p.name for p in directory.iterdir() if p.suffix == ".csv"
+            or p.name == "results.json"}
+
+
+def compare(label: str, runs, a: pathlib.Path, b: pathlib.Path) -> list:
+    lines = []
+    for name, _, _ in runs:
+        for file in sorted(_outputs(a / name) | _outputs(b / name)):
+            pa, pb = a / name / file, b / name / file
+            verdict = (diff(read_rows(pa), read_rows(pb)) if pa.exists() and pb.exists()
+                       else "missing on one side")
+            lines.append(f"{label:10} {name:32} {file:22} {verdict}")
+    return lines
+
+
+def parity(base: pathlib.Path, runs, scratch: pathlib.Path) -> list:
+    """Report lines: base against this tree at 1 thread, then this tree at 1 against 2."""
+    old = run_tree(base, runs, scratch / "base", 1)
+    new = run_tree(ROOT, runs, scratch / "work", 1)
+    two = run_tree(ROOT, runs, scratch / "work-t2", 2)
+    return compare("parity", runs, old, new) + compare("threads", runs, new, two)
+
+
+def law(base: pathlib.Path, seeds: int, scratch: pathlib.Path) -> list:
+    """Per table column: both means and the z of each cell that differs between trees."""
+    runs = _workload_runs(range(seeds))
+    old = run_tree(base, runs, scratch / "base", 1)
+    new = run_tree(ROOT, runs, scratch / "work", 1)
+    cells = {}  # (step, file, column, row) -> [(base, work) value at each seed]
+    for name, _, _ in runs:
+        for file in sorted(f for f in _outputs(old / name) if f.endswith(".csv")):
+            a, b = read_rows(old / name / file), read_rows(new / name / file)
+            for i, (ra, rb) in enumerate(zip(a[1:], b[1:])):
+                for column, x, y in zip(a[0], ra, rb):
+                    if _float(x) is not None and _float(y) is not None:
+                        key = (name.rsplit("-s", 1)[0], file, column, i)
+                        cells.setdefault(key, []).append((float(x), float(y)))
+    columns = {}  # (step, file, column) -> [(base mean, work mean, z, paired z)]
+    for (step, file, column, _), pairs in cells.items():
+        va, vb = np.asarray(pairs).T
+        if np.array_equal(va, vb) or not np.all(np.isfinite([va, vb])):
+            continue
+        d = va - vb
+        columns.setdefault((step, file, column), []).append((
+            va.mean(), vb.mean(), _z(d.mean(), (va.var(ddof=1) + vb.var(ddof=1)) / len(d)),
+            _z(d.mean(), d.var(ddof=1) / len(d))))
+    every = [e for entries in columns.values() for e in entries]
+    return [f"{'/'.join(key):48} {_summary(entries)}"
+            for key, entries in sorted(columns.items())] + [
+        f"{'all differing cells':48} {_summary(every)}"]
+
+
+def _z(diff: float, var: float) -> float:
+    return diff / np.sqrt(var) if var > 0 else np.inf * np.sign(diff)
+
+
+def _summary(entries) -> str:
+    """Both means, then mean, sd and largest |z| of the combined-SE and paired z."""
+    if not entries:
+        return "no differing cells"
+    base, work, z, paired = (np.asarray(x) for x in zip(*entries))
+    return f"base {base.mean():<10.4g} work {work.mean():<10.4g} {len(z)} cells" + "".join(
+        f"; {label} {v.mean():+.2f} sd {v.std():.2f} max|z| {np.abs(v).max():.2f}"
+        for label, v in (("z", z), ("paired z", paired)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", metavar="REV_OR_DIR")
+    parser.add_argument("--law", type=int, metavar="N",
+                        help="compare the law over N config seeds instead of bytes")
+    args = parser.parse_args(argv)
+    if args.law is not None and args.law < 2:
+        parser.error("--law needs at least 2 seeds")
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch, base = pathlib.Path(tmp), pathlib.Path(args.base)
+        if not base.is_dir():
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base],
+                                     capture_output=True, check=True).stdout
+            base = scratch / "tree"
+            base.mkdir()
+            subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        lines = (law(base, args.law, scratch) if args.law is not None
+                 else parity(base, matrix(), scratch))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
