@@ -26,8 +26,8 @@ for d in (1, 2, 4):
     b = ehrenfest.hitting_bound(chain, d)
     print(f"  E_0 T_{d} = {e:8.4f}  bound {b:8.4f}  ok={e <= b}")
 
-# The full hitting-time law by first-step recursion; parity makes odd
-# entries vanish when d is even.
+# The full hitting-time law, propagated through the chain killed at d;
+# parity makes odd entries vanish when d is even.
 dist = ehrenfest.hitting_time_distribution(chain, 2, horizon=8)
 print(f"\nP(T_2 = k), k<=8: {np.round(dist, 5)}")
 window = ehrenfest.hitting_window_probability(chain, 2, 4, 300)
@@ -39,6 +39,8 @@ exact = ehrenfest.expected_hitting_from_zero(chain, 2)
 print(f"simulated E_0 T_2 = {acc.mean:.4f} +- {acc.sem:.4f} (exact {exact:.4f})")
 
 # Occupation of a distance level over a window, exact vs Monte Carlo.
+# The simulation draws only the visits: the first passage to the level,
+# then each return to it, one uniform per visit.
 occ = ehrenfest.occupation_exact(chain, 2, 40)
 sim = ehrenfest.occupation_statistic(chain, 2, 40, 20_000, np.random.default_rng(6))
 print(f"occupation of level 2 in 40 steps: exact {occ:.4f}, "

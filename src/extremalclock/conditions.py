@@ -429,6 +429,8 @@ def env_replication_variance(n: int, p: int, c: float, beta: float, u: float,
     variance = acc.variance
     centered = values - values.mean()
     m4 = float((centered ** 4).mean())
-    se = math.sqrt(max(m4 - variance ** 2, 0.0) / env_reps)
+    # Var(s^2) = (m4 - (E-3)/(E-1) s^4) / E, positive whenever the values
+    # differ: m4 >= m2^2 and E^2 (E-3) / (E-1)^3 < 1
+    se = math.sqrt((m4 - (env_reps - 3) / (env_reps - 1) * variance ** 2) / env_reps)
     return ConditionReport(id="2-1a", n=n, p=p, parameters=parameters | {"k_n": k},
                            estimate=variance, se=se, target=target, verdict="trend-only")

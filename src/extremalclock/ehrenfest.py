@@ -34,8 +34,6 @@ __all__ = [
     "distance_process_check",
 ]
 
-_OCCUPATION_BLOCK = 1 << 18  # uniforms drawn at once by occupation_statistic
-
 
 @dataclass(frozen=True)
 class EhrenfestChain:
@@ -122,29 +120,38 @@ def hitting_bound(chain: EhrenfestChain, d: int) -> float:
     return d / (1.0 - 2.0 * d / n)
 
 
+def _passage_laws(chain: EhrenfestChain, d: int, horizon: int) -> np.ndarray:
+    """Rows P_0(T_d = j) and P_d(T_d^+ = j) for j = 0..horizon.
+
+    Both start vectors, e_0 and e_d, go through the chain killed at d
+    together, one (2, n+1) vector-matrix product per step; entry j of a
+    row is the mass that reaches d at step j, which is then removed.
+    Column 0 is 0: d >= 1 is not hit at step 0, and a return takes at
+    least 2 steps.
+    """
+    P = transition_matrix(chain)
+    v = np.zeros((2, chain.n + 1))
+    v[0, 0] = v[1, d] = 1.0
+    out = np.zeros((2, horizon + 1))
+    for j in range(1, horizon + 1):
+        v = v @ P
+        out[:, j] = v[:, d]
+        v[:, d] = 0.0
+    return out
+
+
 def hitting_time_distribution(chain: EhrenfestChain, d: int, horizon: int) -> np.ndarray:
     """P_0(T_d = j) for j = 0..horizon, exactly.
 
-    Computed by absorbing the chain at d and propagating the mass of
-    the sub-stochastic interior block; entry j is the probability that
-    absorption happens exactly at step j.
+    The first-passage row of ``_passage_laws``: the chain is killed at
+    d and entry j is the mass absorbed exactly at step j.
     """
     n = chain.n
     if not 1 <= d <= n:
         raise ValueError(f"d must lie in 1..{n}, got {d}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    P = transition_matrix(chain)
-    interior = np.arange(d)  # states 0..d-1; start at 0 never sees states > d first
-    T = P[np.ix_(interior, interior)]
-    to_target = P[interior, d]
-    v = np.zeros(d)
-    v[0] = 1.0
-    out = np.zeros(horizon + 1)
-    for j in range(1, horizon + 1):
-        out[j] = v @ to_target
-        v = v @ T
-    return out
+    return _passage_laws(chain, d, horizon)[0]
 
 
 def hitting_window_probability(chain: EhrenfestChain, d: int, lo: int, hi: int) -> float:
@@ -207,27 +214,31 @@ def occupation_statistic(chain: EhrenfestChain, d: int, v_n: int, reps: int,
                          rng: np.random.Generator) -> MCAccumulator:
     """Monte Carlo E_0 Z with Z = sum_{j=1}^{v_n} 1{Q(j)=d} (j - d).
 
-    Uniforms come in blocks of steps, ``rng.random((steps, reps))``,
-    which is the stream of one ``rng.random(reps)`` per step.  Each row
-    is overwritten by its step's hit indicators, and a block enters Z
-    as one ``weights @ hits`` product; Z sums integers, so it is exact.
+    An exact renewal sampler.  By the strong Markov property the visits
+    of Q to d are a first passage T_d from 0 followed by i.i.d. first
+    returns to d, whose laws up to v_n come from ``_passage_laws``.
+    Each replica draws its first visit by inverting the first-passage
+    CDF with one uniform (an index past v_n means no visit), then, while
+    its visit time j is at most v_n, adds j - d and draws the next
+    return with one more uniform.  So a call draws one uniform per
+    replica and per visit, not one per step; a return takes at least 2
+    steps, so the loop runs at most (v_n - d)/2 + 1 rounds.  Z sums
+    integers, so it is exact.
     """
     n = chain.n
     if not 1 <= d <= v_n:
         raise ValueError(f"need 1 <= d <= v_n, got d={d}, v_n={v_n}")
-    # weight j - d of step j; Q(j) <= j, so no hit before step d
-    weights = np.maximum(np.arange(1, v_n + 1) - d, 0).astype(float)
-    state = np.zeros(reps)
+    if d > n:
+        raise ValueError(f"d={d} exceeds n={n}: the chain never reaches it")
+    # cdf[i] = P(T <= i + 1); side="right" skips the zero-mass times
+    first_cdf, return_cdf = np.cumsum(_passage_laws(chain, d, v_n)[:, 1:], axis=1)
+    times = np.searchsorted(first_cdf, rng.random(reps), side="right") + 1
     z = np.zeros(reps)
-    rows = max(1, _OCCUPATION_BLOCK // reps)
-    for first in range(0, v_n, rows):
-        block = rng.random((min(rows, v_n - first), reps))
-        for u in block:
-            # u - Q/n < 0 exactly where u < Q/n, the down step
-            np.subtract(u, state / n, out=u)
-            state += np.copysign(1.0, u, out=u)
-            np.equal(state, d, out=u)
-        z += weights[first:first + len(block)] @ block
+    live = np.flatnonzero(times <= v_n)
+    while live.size:
+        z[live] += times[live] - d
+        times[live] += np.searchsorted(return_cdf, rng.random(live.size), side="right") + 1
+        live = live[times[live] <= v_n]
     return MCAccumulator.from_values(z)
 
 

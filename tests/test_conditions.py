@@ -29,6 +29,7 @@ from extremalclock.engine import (
     ScalingSchedule,
 )
 from extremalclock.pspin import HypercubeSRW, PSpinEnvironment, build_instance
+from extremalclock.stats import MCAccumulator
 
 REPS = 20_000
 
@@ -302,6 +303,38 @@ def test_env_replication_variance_positive_at_one_block():
                                           rng=np.random.default_rng(0))
     assert report.parameters["k_n"] == 1
     assert report.estimate > 0.0
+
+
+@pytest.mark.parametrize("env_reps", [2, 3])
+def test_env_replication_variance_se_at_few_environments(env_reps):
+    # at E <= 3 the biased m4 is below s^4, which once clipped the SE to 0
+    report = env_replication_variance(8, 2, c=0.05, beta=1.0, u=1.0, t=1.0,
+                                      env_seeds=range(env_reps), inner_reps=300,
+                                      rng=np.random.default_rng(0))
+    assert report.estimate > 0.0
+    assert report.se > 0.0
+
+
+def test_env_replication_variance_se_formula(monkeypatch):
+    seen = []
+
+    class Recording(MCAccumulator):
+        @classmethod
+        def from_values(cls, values):
+            seen.append(np.array(values))
+            return MCAccumulator.from_values(values)
+
+    monkeypatch.setattr(conditions, "MCAccumulator", Recording)
+    report = env_replication_variance(8, 2, c=0.05, beta=1.0, u=1.0, t=1.0,
+                                      env_seeds=range(6), inner_reps=300,
+                                      rng=np.random.default_rng(1))
+    (values,) = seen
+    e = len(values)
+    s2 = float(np.var(values, ddof=1))
+    m4 = float(np.mean((values - values.mean()) ** 4))
+    assert report.estimate == pytest.approx(s2, rel=1e-12)
+    assert report.se == pytest.approx(math.sqrt((m4 - (e - 3) / (e - 1) * s2 ** 2) / e),
+                                      rel=1e-12)
 
 
 def test_env_replication_variance_warns_at_zero_blocks():

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from extremalclock.ehrenfest import (
     EhrenfestChain,
+    _passage_laws,
     distance_laws,
     distance_process_check,
     exact_distribution,
@@ -22,7 +23,6 @@ from extremalclock.ehrenfest import (
     simulate_hitting_time,
     transition_matrix,
 )
-from extremalclock.stats import MCAccumulator
 
 
 def test_transition_matrix_structure():
@@ -207,13 +207,96 @@ def test_occupation_exact_matches_mc():
         occupation_exact(chain, 0, 4)
 
 
-@pytest.mark.parametrize("n, d, v_n, reps", [(6, 2, 40, 3000), (16, 2, 768, 500), (5, 3, 3, 7)])
-def test_occupation_statistic_matches_per_step_loop(n, d, v_n, reps):
-    # blocked draws read the same stream as one draw per step, and Z is exact
-    acc = occupation_statistic(EhrenfestChain(n), d, v_n, reps, np.random.default_rng(9))
-    z = oracles.occupation_loop(n, d, v_n, reps, np.random.default_rng(9))
-    ref = MCAccumulator.from_values(z)
-    assert (acc.count, acc.mean, acc.m2) == (ref.count, ref.mean, ref.m2)
+def _variance_se(values) -> float:
+    """SE of the unbiased sample variance: sqrt((m4 - (R-3)/(R-1) s^4) / R)."""
+    r = len(values)
+    s2 = float(np.var(values, ddof=1))
+    m4 = float(np.mean((values - np.mean(values)) ** 4))
+    return math.sqrt((m4 - (r - 3) / (r - 1) * s2 ** 2) / r)
+
+
+class _CountingRng:
+    """A generator that counts the uniforms it hands out and the calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.uniforms = self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        self.uniforms += int(np.prod(size))
+        return self._rng.random(size)
+
+
+# (6, 2, 40) is checked by test_occupation_exact_matches_mc
+@pytest.mark.parametrize("n, d, v_n, reps", [
+    (8, 4, 192, 20_000), (16, 2, 768, 20_000), (32, 2, 3072, 50_000),
+    (7, 7, 60, 20_000), (5, 3, 3, 100)])
+def test_occupation_statistic_mean_matches_exact(n, d, v_n, reps):
+    chain = EhrenfestChain(n)
+    acc = occupation_statistic(chain, d, v_n, reps, np.random.default_rng(21))
+    exact = occupation_exact(chain, d, v_n)
+    assert acc.count == reps
+    assert abs(acc.mean - exact) <= 4.0 * acc.sem
+    if v_n < d + 2:  # the only possible visit, Q(d) = d, adds d - d = 0
+        assert (acc.mean, acc.sem, exact) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, d, v_n", [(8, 2, 192), (7, 7, 60)])
+def test_occupation_statistic_variance_matches_per_step_loop(n, d, v_n):
+    # the renewal sampler and one uniform per step draw Z from one law
+    reps = 20_000
+    acc = occupation_statistic(EhrenfestChain(n), d, v_n, reps, np.random.default_rng(22))
+    z = oracles.occupation_loop(n, d, v_n, reps, np.random.default_rng(23))
+    # both samples share one law under the null, so the loop's m4 serves both
+    combined = math.sqrt(2.0) * _variance_se(z)
+    assert abs(acc.variance - float(np.var(z, ddof=1))) <= 4.0 * combined
+
+
+def _brute_force_passage(n, d, horizon):
+    """P_0(T_d = j) and P_d(T_d^+ = j) over all n^horizon flip sequences."""
+    flips = np.array(list(itertools.product(range(n), repeat=horizon)))
+    popcount = np.array([bin(b).count("1") for b in range(1 << n)])
+    out = np.zeros((2, horizon + 1))
+    for row, start in enumerate((0, (1 << d) - 1)):
+        bits = np.full(len(flips), start)
+        first = np.zeros(len(flips), dtype=np.int64)
+        for j in range(1, horizon + 1):
+            bits ^= 1 << flips[:, j - 1]
+            hit = (first == 0) & (popcount[bits] == d)
+            first[hit] = j
+        out[row] = np.bincount(first, minlength=horizon + 1) / len(flips)
+    out[:, 0] = 0.0  # no visit within the horizon
+    return out
+
+
+def test_passage_laws_match_brute_force():
+    for d in range(1, 5):
+        laws = _passage_laws(EhrenfestChain(4), d, 8)
+        np.testing.assert_allclose(laws, _brute_force_passage(4, d, 8), rtol=0.0, atol=1e-15)
+    for n, d, lo, hi in ((3, 2, 2, 6), (8, 3, 3, 12), (16, 7, 14, 768), (12, 1, 0, 5)):
+        first = _passage_laws(EhrenfestChain(n), d, hi)[0]
+        expected = oracles.hitting_window_dist_sum(n, d, lo, hi)
+        assert abs(float(first[lo + 1:hi].sum()) - expected) <= 1e-12
+        np.testing.assert_array_equal(hitting_time_distribution(EhrenfestChain(n), d, hi), first)
+
+
+def test_occupation_statistic_draws_per_visit():
+    # the limit-laws ehrenfest config, 28.8M uniforms at one per step:
+    # one uniform per replica and per visit to d instead
+    uniforms = {}
+    for n in (8, 16, 24, 32):
+        rng = _CountingRng(n)
+        occupation_statistic(EhrenfestChain(n), 2, 3 * n * n, 5000, rng)
+        assert rng.calls - 1 <= 3 * n * n // 2  # a return takes >= 2 steps
+        uniforms[n] = rng.uniforms
+    assert uniforms[32] < 20_000
+    assert sum(uniforms.values()) <= 200_000
+
+
+def test_occupation_statistic_rejects_unreachable_distance():
+    with pytest.raises(ValueError, match=r"d=5 exceeds n=4"):
+        occupation_statistic(EhrenfestChain(4), 5, 10, 10, np.random.default_rng(0))
 
 
 def test_occupation_exact_tiny_case_by_hand():
