@@ -24,9 +24,10 @@ env = pspin.PSpinEnvironment(inst)
 model = pspin.HypercubeSRW(n)
 rng = np.random.default_rng(8)
 
-print(f"n={n}: C_n(t, t+s) vs the t/(t+s) limit")
-for t, s in ((1.0, 1.0), (1.0, 3.0), (2.0, 1.0)):
-    est = engine.estimate_correlation(model, env, sched, 0.5, t, s, 1000, rng)
+print(f"n={n}: C_n(t, t+s) vs the t/(t+s) limit, every (t, s) from one walk")
+pairs = ((1.0, 1.0), (1.0, 3.0), (2.0, 1.0))
+for (t, s), est in zip(pairs, engine.estimate_correlation(model, env, sched, 0.5, pairs,
+                                                          1000, rng)):
     print(f"  (t, s)=({t}, {s}): {est.value:.3f} +- {est.se:.3f}   "
           f"limit {t / (t + s):.3f}   ({est.truncated} truncated)")
 

@@ -130,6 +130,8 @@ _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
 _SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 # subcommands that KS-test `replicas` samples against a limit law
 _KS_COMMANDS = ("ppp", "sk-run")
+# subcommands whose replicas walk theta_n k_n(t) steps, and the t of t_grid they walk to
+_WALK_T = {"sk-run": max, "verify": lambda t_grid: t_grid[0]}
 # subcommands that build an n^p coupling tensor for every n in n_grid,
 # and a schedule for every n with beta > 0
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
@@ -221,6 +223,22 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 flag(name, str(exc))
                 break
+        else:  # every schedule fits: bound the walks they set
+            budget = merged["step_budget"]
+            if command in _WALK_T and "t_grid" in valid_grids and _is_int(budget) \
+                    and budget >= 1:
+                t = _WALK_T[command](merged["t_grid"])
+                for n, _ in scheduled:
+                    # a_n and theta_n do not depend on beta
+                    sched = pspin.make_schedule(n, merged["p"], merged["c"], 1.0)
+                    jumps = sched.a_n * t
+                    steps = sched.theta_n * (math.floor(jumps) // sched.theta_n) \
+                        if math.isfinite(jumps) else math.inf
+                    if steps > budget:
+                        flag("t_grid", f"{command} walks theta_n k_n(t) = {steps:.4g} steps "
+                                       f"per replica at n={n}, t={t}, more than "
+                                       f"step_budget = {budget}")
+                        break
     if not (_is_number(merged["epsilon"]) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
     if not (_is_number(merged["significance"])
@@ -553,16 +571,13 @@ def _cmd_ageing(cfg: ExperimentConfig):
                              "truncated", "limit"])
 
     def job(rng, model, env, sched, prov):
-        rows = []
-        for t in cfg.t_grid:
-            for s in cfg.s_grid:
-                est = engine.estimate_correlation(model, env, sched, cfg.epsilon, t, s,
-                                                  cfg.replicas, rng,
-                                                  step_budget=cfg.step_budget)
-                rows.append((table, prov, dict(
-                    t=t, s=s, epsilon=cfg.epsilon, estimate=est.value, se=est.se,
-                    completed=est.completed, truncated=est.truncated, limit=t / (t + s))))
-        return rows
+        pairs = [(t, s) for t in cfg.t_grid for s in cfg.s_grid]
+        estimates = engine.estimate_correlation(model, env, sched, cfg.epsilon, pairs,
+                                                cfg.replicas, rng, cfg.step_budget)
+        return [(table, prov, dict(
+            t=t, s=s, epsilon=cfg.epsilon, estimate=est.value, se=est.se,
+            completed=est.completed, truncated=est.truncated, limit=t / (t + s)))
+            for (t, s), est in zip(pairs, estimates)]
 
     filed = _landscape_rows(job, cfg)
     return [table], [], {}, any(row["truncated"] > 0 for _, _, row in filed)

@@ -3,8 +3,9 @@
 Each condition of the underlying limit theorem reduces, for a reversible
 jump chain under stationarity, to an expectation that Monte Carlo can
 reach: block-sum tails (`q_tail`), their k_n(t)-scaled versions
-(`nu_t`), two-point products (`sigma_sq_t`, `pair_distance2_functional`;
-`tail_functionals` yields all three over a (u, t) grid from one walk),
+(`nu_t`), two-point products (`sigma_sq_t` over two-step pairs, and eta
+over uniform distance-2 pairs on the hypercube; `tail_functionals`
+yields all three over a (u, t) grid from one walk),
 an exact mixing deviation (`mixing_check`), the initial-distribution
 smallness (`condition0_check`), the truncated one-jump mean
 (`condition31_estimate`), the functionals along one path that
@@ -43,7 +44,6 @@ __all__ = [
     "k_blocks",
     "nu_t",
     "sigma_sq_t",
-    "pair_distance2_functional",
     "mixing_check",
     "mixing_report",
     "condition0_check",
@@ -234,12 +234,6 @@ def sigma_sq_t(model, env, sched, u: float, t: float, reps: int, rng) -> Conditi
     """Two-point functional over 2-step pairs; drives the variance condition."""
     return tail_functionals(model, env, sched, (u,), (t,), reps, rng,
                             ("sigma-sq",))["sigma-sq", u, t]
-
-
-def pair_distance2_functional(model, env, sched, u: float, t: float,
-                              reps: int, rng) -> ConditionReport:
-    """k_n(t) x E[Q(x)Q(x')] over uniform distance-2 pairs on the hypercube."""
-    return tail_functionals(model, env, sched, (u,), (t,), reps, rng, ("eta",))["eta", u, t]
 
 
 # ---------------------------------------------------------------------------

@@ -501,74 +501,71 @@ class CorrelationEstimate:
 
 
 def estimate_correlation(model: JumpChainModel, env: EnvironmentOracle,
-                         sched: ScalingSchedule, eps: float, t: float, s: float,
-                         reps: int, rng: np.random.Generator,
-                         step_budget: int = 10 ** 8) -> CorrelationEstimate:
-    """Monte Carlo estimate of the two-time overlap probability.
+                         sched: ScalingSchedule, eps: float, pairs, reps: int,
+                         rng: np.random.Generator,
+                         step_budget: int = 10 ** 8) -> list[CorrelationEstimate]:
+    """Monte Carlo estimates of the two-time overlap probability, one per (t, s) of ``pairs``.
 
-    Per replica the chain runs from a stationary start until the
-    unscaled clock passes (t+s)^{1/alpha_n} c_n; the states occupied at
-    clock times t^{1/alpha_n} c_n and (t+s)^{1/alpha_n} c_n are compared
-    through the model overlap, counting overlap >= 1 - eps.  Replicas
-    that exhaust ``step_budget`` before the second crossing are dropped
-    from the estimate and reported in ``truncated``; if every replica is
-    truncated a StepBudgetError is raised.
+    One walk per replica, from a stationary start, records the state
+    occupied at each clock level x^{1/alpha_n} c_n, x in {t} and {t+s};
+    a pair compares its two states through the model overlap, counting
+    overlap >= 1 - eps.  Replicas that exhaust ``step_budget`` before a
+    pair's t+s are dropped from its estimate and reported in its
+    ``truncated``; a pair that loses every replica raises StepBudgetError.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not (t > 0.0 and s >= 0.0):
-        raise ValueError(f"need t > 0 and s >= 0, got t={t}, s={s}")
-    log_t1 = sched.log_threshold(t)
-    log_t2 = sched.log_threshold(t + s)
+    if not pairs or not all(t > 0.0 and s >= 0.0 for t, s in pairs):
+        raise ValueError(f"need pairs of t > 0 and s >= 0, got {pairs}")
+    times = sorted({x for t, s in pairs for x in (t, t + s)})
+    levels = [sched.log_threshold(x) for x in times]
+    index = [(times.index(t), times.index(t + s)) for t, s in pairs]
     if _vectorised(model, env):
-        overlaps, truncated = model.correlation_overlaps(
-            env, log_t1, log_t2, reps, rng, step_budget)
+        overlaps = model.correlation_overlaps(env, levels, index, reps, rng, step_budget)
     else:
-        overlaps, truncated = generic_correlation_overlaps(
-            model, env, log_t1, log_t2, reps, rng, step_budget)
-    overlaps = np.asarray(overlaps)
-    if overlaps.size == 0:
-        raise StepBudgetError(
-            f"no replica reached the clock horizon within {step_budget} steps "
-            f"({truncated} truncated)"
-        )
-    acc = MCAccumulator.from_values((overlaps >= 1.0 - eps).astype(float))
-    return CorrelationEstimate(acc=acc, truncated=int(truncated))
+        overlaps = generic_correlation_overlaps(model, env, levels, index, reps, rng,
+                                                step_budget)
+    estimates = []
+    for column in np.asarray(overlaps).T:
+        finished = column[~np.isnan(column)]
+        truncated = reps - finished.size
+        if finished.size == 0:
+            raise StepBudgetError(f"no replica reached the clock horizon within "
+                                  f"{step_budget} steps ({truncated} truncated)")
+        acc = MCAccumulator.from_values((finished >= 1.0 - eps).astype(float))
+        estimates.append(CorrelationEstimate(acc=acc, truncated=truncated))
+    return estimates
 
 
 def generic_correlation_overlaps(model: JumpChainModel, env: EnvironmentOracle,
-                                 log_t1: float, log_t2: float, reps: int,
-                                 rng: np.random.Generator, step_budget: int):
+                                 log_levels, pairs, reps: int,
+                                 rng: np.random.Generator, step_budget: int) -> np.ndarray:
     """Reference per-replica two-time overlap sampler.
 
-    Returns (overlap values for completed replicas, truncated count).
-    A replica's k-th iteration owns the holding interval of J(k): the
-    crossing state is the one whose interval covers the queried time.
-    Draw order per iteration: the mark of the current state, then the
-    transition.
+    Returns the overlaps of each of ``pairs``' (earlier, later) indices
+    into the increasing ``log_levels``, as a (reps, len(pairs)) array,
+    NaN where the budget ran out first.  A replica's k-th iteration owns
+    the holding interval of J(k), covering the levels it passes; the
+    replica stops at the largest.  Draw order per iteration: the mark of
+    the current state, then the transition.
     """
     overlap = getattr(model, "overlap", None)
     if overlap is None:
         raise ValueError("model provides no overlap function")
-    vals = []
-    truncated = 0
-    for _ in range(reps):
+    out = np.full((reps, len(pairs)), np.nan)
+    for r in range(reps):
         x = model.initial_state(rng)
         cum = -math.inf
-        x1 = None
-        done = None
+        states = []  # the state at each level passed so far
         for _ in range(step_budget):
             term = log_inverse_rate(env, model, x) + math.log(rng.standard_exponential())
-            nxt = np.logaddexp(cum, term)
-            if x1 is None and cum <= log_t1 < nxt:
-                x1 = x
-            if cum <= log_t2 < nxt:
-                done = overlap(x1, x)
+            cum = np.logaddexp(cum, term)
+            while len(states) < len(log_levels) and log_levels[len(states)] < cum:
+                states.append(x)
+            if len(states) == len(log_levels):
                 break
-            cum = nxt
             x = model.next_state(x, rng)
-        if done is None:
-            truncated += 1
-        else:
-            vals.append(done)
-    return np.asarray(vals, dtype=float), truncated
+        for c, (a, b) in enumerate(pairs):
+            if b < len(states):
+                out[r, c] = overlap(states[a], states[b])
+    return out

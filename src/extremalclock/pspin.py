@@ -823,23 +823,23 @@ class HypercubeSRW(JumpChainModel):
         return BlockStats(log_sums=ls, log_maxes=lm,
                           end_states=walker.X if want_end else None)
 
-    def correlation_overlaps(self, env, log_t1: float, log_t2: float, reps: int,
-                             rng: np.random.Generator, step_budget: int):
+    def correlation_overlaps(self, env, log_levels, pairs, reps: int,
+                             rng: np.random.Generator, step_budget: int) -> np.ndarray:
         """Two-time overlaps of ``reps`` stationary walks, a block of steps at a time.
 
-        Step i owns the state before flip i, as in
-        ``engine.generic_correlation_overlaps``.  The running log-sum of
-        a block is one ``logaddexp.accumulate`` along its steps, seeded
-        with the sum before it, and a row's first step past log t1 or
-        log t2 is an ``argmax`` of the threshold mask.  Rows that crossed
-        log t2 leave the walk at the end of their block; no block runs
-        past ``step_budget``.
+        Same contract as ``engine.generic_correlation_overlaps``; step i
+        owns the state before flip i.  The running log-sum of a block is
+        one ``logaddexp.accumulate`` along its steps, seeded with the sum
+        before it.  Each level passed in a block gives its rows' first
+        steps past it as an ``argmax`` of the level mask.  Rows past the
+        largest level leave the walk at the end of their block; no block
+        runs past ``step_budget``.
         """
         inst, n = env.inst, self.n
+        levels = np.asarray(log_levels, dtype=float)
         walker = _walker(inst, self.sample_stationary(reps, rng), reps * step_budget)
-        x_first = np.zeros((reps, n))
-        have1 = np.zeros(reps, dtype=bool)
-        overlaps = np.full(reps, np.nan)
+        states = np.full((reps, len(levels), n), np.nan)  # the state at each level
+        passed = np.zeros(reps, dtype=np.intp)  # levels each walker row has passed
         cum = np.full(reps, -math.inf)
         alive = np.arange(reps)  # output row of each walker row
         # flat buffers: an (r, R) view of a prefix stays contiguous as R shrinks
@@ -862,21 +862,20 @@ class HypercubeSRW(JumpChainModel):
             np.logaddexp.accumulate(S, axis=0, out=S)
             cum = S[-1].copy()
             done += r
-            cross1 = ~have1 & (cum > log_t1)
-            if np.any(cross1):
-                j1 = np.argmax(S[:, cross1] > log_t1, axis=0)
-                x_first[alive[cross1]] = _states_before(walker, K, cross1, j1)
-                have1 |= cross1
-            cross2 = cum > log_t2
-            if np.any(cross2):
-                j2 = np.argmax(S[:, cross2] > log_t2, axis=0)
-                rows = alive[cross2]
-                overlaps[rows] = np.einsum(
-                    "ri,ri->r", x_first[rows], _states_before(walker, K, cross2, j2)) / n
-                keep = ~cross2
-                if not np.any(keep):
-                    break
-                walker = walker.restrict(keep)
-                alive, cum, have1 = alive[keep], cum[keep], have1[keep]
-        finished = ~np.isnan(overlaps)
-        return overlaps[finished], int(reps - finished.sum())
+            now = np.searchsorted(levels, cum)  # levels below the running sum
+            if not np.any(now > passed):
+                continue
+            for level in range(passed.min(), now.max()):
+                cross = (passed <= level) & (now > level)
+                if np.any(cross):
+                    j = np.argmax(S[:, cross] > levels[level], axis=0)
+                    states[alive[cross], level] = _states_before(walker, K, cross, j)
+            passed, keep = now, now < len(levels)
+            if np.all(keep):
+                continue
+            if not np.any(keep):
+                break
+            walker = walker.restrict(keep)
+            alive, cum, passed = alive[keep], cum[keep], passed[keep]
+        first, last = np.asarray(pairs).T
+        return np.einsum("rci,rci->rc", states[:, first], states[:, last]) / n

@@ -346,7 +346,8 @@ def test_cli_oversized_tensor_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "n_grid (tensor for n=1000, p=3" in err and "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    validate_config({"p": 3, "n_grid": [8, 812]}, command)
+    # with a step budget that covers sk-run's and verify's 1.7e92 steps per replica
+    validate_config({"p": 3, "n_grid": [8, 812], "step_budget": 10 ** 93}, command)
     # subcommands without a p-spin tensor keep any n
     for other in ("ppp", "ehrenfest", "compare"):
         validate_config({"p": 3, "n_grid": [1000]}, other)
@@ -362,7 +363,8 @@ def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
     assert "n_grid (a_n overflows for n=2000" in err and "max n for c=0.01 is 1623" in err
     assert "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    validate_config({"n_grid": [1623], "p": 2, "c": 0.01}, command)
+    # with a step budget that covers sk-run's and verify's 1.1e306 steps per replica
+    validate_config({"n_grid": [1623], "p": 2, "c": 0.01, "step_budget": 10 ** 307}, command)
     # variance builds no schedule where beta = 0; other subcommands none at all
     validate_config({"n_grid": [8, 2000], "p": 2, "c": 0.01, "beta": [1.0, 0.0]},
                     "variance")
@@ -509,6 +511,36 @@ def test_skrun_walks_each_landscape_once_for_its_t_grid():
             assert np.all(np.diff(samples, axis=0) >= 0.0)
 
 
+def test_ageing_walks_each_landscape_once_for_its_grid(tmp_path, monkeypatch):
+    # one walk per landscape serves the whole (t, s) grid: it makes the
+    # draws of a one-pair walk to the grid's largest t + s, and ageing
+    # hands the kernel every pair in one call per n
+    cfg = validate_config({"n_grid": [8, 10], "t_grid": [0.5, 1.0], "s_grid": [0.5, 1.0],
+                           "replicas": 40, "out": str(tmp_path)}, "ageing")
+    pairs = [(t, s) for t in cfg.t_grid for s in cfg.s_grid]
+    for _, _, sched, model, env in cli._landscapes(cfg):
+        grid, one = engine.stream(0), engine.stream(0)
+        estimates = engine.estimate_correlation(model, env, sched, cfg.epsilon, pairs,
+                                                cfg.replicas, grid, cfg.step_budget)
+        engine.estimate_correlation(model, env, sched, cfg.epsilon, [(1.0, 1.0)],
+                                    cfg.replicas, one, cfg.step_budget)
+        assert len(estimates) == len(pairs)
+        np.testing.assert_equal(grid.bit_generator.state, one.bit_generator.state)
+    calls = []
+    correlation_overlaps = pspin.HypercubeSRW.correlation_overlaps
+
+    def counted(self, env, log_levels, index, *args):
+        calls.append((len(log_levels), len(index)))
+        return correlation_overlaps(self, env, log_levels, index, *args)
+
+    monkeypatch.setattr(pspin.HypercubeSRW, "correlation_overlaps", counted)
+    run("ageing", cfg)
+    assert calls == [(4, 4)] * len(cfg.n_grid)
+    with open(tmp_path / "ageing.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["t"]), float(r["s"])) for r in rows] == pairs * len(cfg.n_grid)
+
+
 def test_verify_dr_hops_without_a_trajectory(tmp_path, monkeypatch):
     # the DR job walks its own path to the block boundaries: no full
     # trajectory of states and marks is built
@@ -541,6 +573,29 @@ def test_cli_exhausted_step_budget_exits_cleanly(tmp_path):
     assert "step budget exhausted" in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert not (tmp_path / "results.json").exists()
+
+
+def test_walks_longer_than_the_step_budget_are_config_errors(tmp_path, capsys):
+    # sk-run walks theta_n k_n(t) steps per replica to its largest t and
+    # verify to its first; both are bounded by step_budget
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8], "t_grid": [1e300]}))
+    assert main(["sk-run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_grid (sk-run walks theta_n k_n(t) = 2.027e+302 steps" in err
+    assert "step_budget = 10000000" in err and "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    with pytest.raises(ConfigError, match=r"t_grid \(verify walks .* = inf steps"):
+        validate_config({"n_grid": [8], "t_grid": [1e308]}, "verify")
+    # n = 40 at t = 1 takes 3 * 40^2 * 4029 = 19.3M steps, over the default budget
+    with pytest.raises(ConfigError, match="1.934e\\+07 steps per replica at n=40"):
+        validate_config({"n_grid": [40]}, "sk-run")
+    validate_config({"n_grid": [40], "step_budget": 2 * 10 ** 7}, "sk-run")
+    wide = {"n_grid": [8], "t_grid": [0.5, 1e6]}
+    with pytest.raises(ConfigError, match="at n=8, t=1000000.0, more than"):
+        validate_config(wide, "sk-run")
+    validate_config(wide, "verify")  # verify walks to t_grid[0] only
+    validate_config({"n_grid": [8], "t_grid": [1e6, 0.5]}, "ageing")  # truncates instead
 
 
 _NO_SCIPY_CHILD = """

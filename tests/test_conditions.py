@@ -17,7 +17,6 @@ from extremalclock.conditions import (
     mixing_check,
     mixing_report,
     nu_t,
-    pair_distance2_functional,
     q_tail,
     sigma_sq_t,
     tail_functionals,
@@ -239,8 +238,8 @@ def test_dr_functionals_match_stationary_intensity():
 def test_eta_requires_hypercube():
     model, env, sched = toy_setup()
     with pytest.raises(ValueError):
-        pair_distance2_functional(model, env, sched, u=1.0, t=1.0,
-                                  reps=10, rng=np.random.default_rng(0))
+        tail_functionals(model, env, sched, (1.0,), (1.0,), reps=10,
+                         rng=np.random.default_rng(0), functionals=("eta",))
 
 
 def test_eta_on_small_hypercube():
@@ -248,9 +247,9 @@ def test_eta_on_small_hypercube():
     inst = build_instance(6, 2, seed=3, beta=1.0, c=0.25)
     sched = make_schedule(6, 2, c=0.25, beta=1.0)
     # t large enough that the schedule admits at least one block
-    report = pair_distance2_functional(HypercubeSRW(6), PSpinEnvironment(inst),
-                                       sched, u=1.0, t=4.0, reps=2000,
-                                       rng=np.random.default_rng(11))
+    report = tail_functionals(HypercubeSRW(6), PSpinEnvironment(inst), sched, (1.0,), (4.0,),
+                              reps=2000, rng=np.random.default_rng(11),
+                              functionals=("eta",))["eta", 1.0, 4.0]
     assert report.id == "2-1b"
     assert report.parameters["functional"] == "eta"
     k = sched.blocks_in(4.0)

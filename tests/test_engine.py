@@ -227,8 +227,8 @@ def test_correlation_s_zero_is_one():
     chain = CompleteGraphChain(3)
     env = ConstantEnvironment(1.0)
     sched = toy_schedule(a_n=10.0)
-    est = estimate_correlation(chain, env, sched, eps=0.5, t=1.0, s=0.0,
-                               reps=200, rng=rng, step_budget=10_000)
+    (est,) = estimate_correlation(chain, env, sched, eps=0.5, pairs=[(1.0, 0.0)],
+                                  reps=200, rng=rng, step_budget=10_000)
     assert est.value == 1.0
     assert est.truncated == 0
     assert est.completed == 200
@@ -240,13 +240,13 @@ def test_correlation_validation_and_budget():
     env = ConstantEnvironment(1.0)
     sched = toy_schedule(a_n=10.0, log_c_n=50.0)  # unreachable horizon
     with pytest.raises(StepBudgetError):
-        estimate_correlation(chain, env, sched, eps=0.5, t=1.0, s=1.0,
+        estimate_correlation(chain, env, sched, eps=0.5, pairs=[(1.0, 1.0)],
                              reps=20, rng=rng, step_budget=3)
     with pytest.raises(ValueError):
-        estimate_correlation(chain, env, sched, eps=0.0, t=1.0, s=1.0,
+        estimate_correlation(chain, env, sched, eps=0.0, pairs=[(1.0, 1.0)],
                              reps=20, rng=rng)
     with pytest.raises(ValueError):
-        estimate_correlation(chain, env, sched, eps=0.5, t=0.0, s=1.0,
+        estimate_correlation(chain, env, sched, eps=0.5, pairs=[(0.0, 1.0)],
                              reps=20, rng=rng)
 
 
@@ -259,7 +259,7 @@ def test_correlation_two_state_is_degenerate():
     chain = CompleteGraphChain(2)
     env = ConstantEnvironment(1.0)
     sched = toy_schedule(a_n=10.0)
-    est = estimate_correlation(chain, env, sched, eps=0.5, t=0.5, s=1.0,
-                               reps=2000, rng=rng, step_budget=100_000)
+    (est,) = estimate_correlation(chain, env, sched, eps=0.5, pairs=[(0.5, 1.0)],
+                                  reps=2000, rng=rng, step_budget=100_000)
     assert est.truncated == 0
     assert 0.0 < est.value < 1.0

@@ -1,4 +1,4 @@
-"""Self-test of tools/parity.py: a tree compared with itself is identical."""
+"""Self-tests of tools/parity.py: a tree compared with itself is identical, in bytes and in law."""
 
 import importlib.util
 import pathlib
@@ -23,3 +23,15 @@ def test_parity_of_a_tree_with_itself_is_identical(tmp_path):
     assert all(line.endswith(" identical") for line in lines), lines
     assert parity.diff([["a", "1.0"]], [["a", "1.5"]]) == (
         "1 of 1 rows differ, largest relative difference 0.333")
+
+
+def test_law_of_a_tree_with_itself_has_no_differing_cells(tmp_path):
+    parity = _load_parity()
+    runs = [(f"sk-run-small-s{seed}", "sk-run", {"n_grid": [8], "t_grid": [0.5, 1.0],
+                                                 "replicas": 40, "seed": seed})
+            for seed in range(2)]
+    lines = parity.law(ROOT, runs, tmp_path)
+    assert len(lines) == 1 and lines[0].endswith(" no differing cells"), lines
+    names = [name for name, _, _ in parity.law_runs(2)]
+    for grid in ("ageing-2x2", "sk-run-3t"):
+        assert [f"{grid}-s0", f"{grid}-s1"] == [n for n in names if n.startswith(grid)]

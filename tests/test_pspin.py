@@ -636,8 +636,8 @@ def test_p3_kernels_peak_memory_is_bounded_by_the_walker_slab(kernel):
         elif kernel == "block_statistics":
             model.block_statistics(env, 2, R, rng, want_max=True, want_end=True)
         else:
-            _, truncated = model.correlation_overlaps(env, 1e9, 2e9, R, rng, 2)
-            assert truncated == R
+            overlaps = model.correlation_overlaps(env, [1e9, 2e9], [(0, 1)], R, rng, 2)
+            assert np.isnan(overlaps).all()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -750,19 +750,23 @@ def test_trajectory_matches_next_state_loop():
 
 
 def test_correlation_hook_vs_generic():
+    # a 2 x 2 (t, s) grid from one walk each, checked pair by pair
     inst = build_instance(6, 2, seed=35, beta=0.5)
     env = PSpinEnvironment(inst)
     sched = ScalingSchedule(n=6, a_n=20.0, log_c_n=2.0, theta_n=4,
                             alpha_n=1.0, v_n=2)
+    pairs = [(t, s) for t in (0.5, 1.0) for s in (0.5, 1.0)]
     fast = engine.estimate_correlation(
-        HypercubeSRW(6), env, sched, eps=0.5, t=1.0, s=1.0,
+        HypercubeSRW(6), env, sched, eps=0.5, pairs=pairs,
         reps=1500, rng=np.random.default_rng(19), step_budget=100_000)
     slow = engine.estimate_correlation(
-        PlainCube(6), env, sched, eps=0.5, t=1.0, s=1.0,
+        PlainCube(6), env, sched, eps=0.5, pairs=pairs,
         reps=1500, rng=np.random.default_rng(20), step_budget=100_000)
-    assert fast.truncated == 0 and slow.truncated == 0
-    se = math.sqrt(fast.se ** 2 + slow.se ** 2)
-    assert abs(fast.value - slow.value) <= 4.0 * se
+    assert len(fast) == len(slow) == len(pairs)
+    for f, w in zip(fast, slow):
+        assert f.truncated == 0 and w.truncated == 0
+        se = math.sqrt(f.se ** 2 + w.se ** 2)
+        assert abs(f.value - w.value) <= 4.0 * se
 
 
 def test_correlation_hook_same_hold_gives_full_overlap():
@@ -771,8 +775,8 @@ def test_correlation_hook_same_hold_gives_full_overlap():
     env = PSpinEnvironment(inst)
     sched = ScalingSchedule(n=6, a_n=10.0, log_c_n=-60.0, theta_n=4,
                             alpha_n=1.0, v_n=2)
-    est = engine.estimate_correlation(
-        HypercubeSRW(6), env, sched, eps=0.5, t=1.0, s=0.5,
+    (est,) = engine.estimate_correlation(
+        HypercubeSRW(6), env, sched, eps=0.5, pairs=[(1.0, 0.5)],
         reps=64, rng=np.random.default_rng(21), step_budget=1000)
     assert est.value == 1.0
 
@@ -794,20 +798,20 @@ class _RecordingRng:
         return drawn
 
 
-def _per_step_overlaps(inst, walker_type, draws, log_t1, log_t2):
+def _per_step_overlaps(inst, walker_type, draws, log_levels, pairs):
     """correlation_overlaps as a loop of single steps over its recorded draws.
 
     ``draws`` holds the stationary starts, then each block's flips and
     marks.  Step i owns the state before flip i, and a row leaves the
-    walk at the end of the block in which it crossed log t2.  Returns
-    the overlaps, the truncated count and the kinds of crossing seen.
+    walk at the end of the block in which it passed the last level.
+    Returns the (reps, len(pairs)) overlaps and the kinds of crossing
+    seen.
     """
     x0 = draws[0] * 2.0 - 1.0
     reps, n = x0.shape
     walker = walker_type(inst, x0)
     cum = np.full(reps, -math.inf)
-    x_first = np.zeros((reps, n))
-    overlaps = np.full(reps, np.nan)
+    states = np.full((reps, len(log_levels), n), np.nan)
     alive = np.arange(reps)  # output row of each walker row
     seen = set()
     for flips, marks in zip(draws[1::2], draws[2::2]):
@@ -815,49 +819,49 @@ def _per_step_overlaps(inst, walker_type, draws, log_t1, log_t2):
         assert flips.shape == marks.shape == (r, walker.R)
         for i in range(r):
             nxt = np.logaddexp(cum, inst.beta * walker.H + np.log(marks[i]))
-            cross1 = (cum <= log_t1) & (log_t1 < nxt)
-            cross2 = (cum <= log_t2) & (log_t2 < nxt)
+            crossed = np.array([(cum <= level) & (level < nxt) for level in log_levels])
             X = walker.X
-            x_first[alive[cross1]] = X[cross1]
-            rows = alive[cross2]
-            overlaps[rows] = np.einsum("ri,ri->r", x_first[rows], X[cross2]) / n
-            if r > 1 and np.any(cross1 | cross2):
+            for level, cross in enumerate(crossed):
+                states[alive[cross], level] = X[cross]
+            if r > 1 and crossed.any():
                 seen.add({0: "first step", r - 1: "last step"}.get(i, "inner step"))
-            if np.any(cross1 & cross2):
+            if np.any(crossed.sum(axis=0) > 1):
                 seen.add("same step")
             cum = nxt
             walker.walk(flips[i:i + 1], np.empty((1, walker.R)))
-        keep = np.isnan(overlaps[alive])
+        keep = np.isnan(states[alive, -1, 0])
         if 0 < keep.sum() < len(keep):
             seen.add("retired")
         walker = walker.restrict(keep)
         alive, cum = alive[keep], cum[keep]
-    finished = ~np.isnan(overlaps)
-    return overlaps[finished], int(reps - finished.sum()), seen
+    overlaps = np.array([[x[a] @ x[b] / n for a, b in pairs] for x in states])
+    return overlaps, seen
 
 
 @pytest.mark.parametrize("walker_type", [_TableWalker, _BatchWalker])
 @pytest.mark.parametrize("p", [2, 3])
 def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
     # blocks of 256 // R steps, so that crossings fall on first and last
-    # steps; budgets that are no multiple of a block
+    # steps; budgets that are no multiple of a block; grids of up to four
+    # levels, two of them close enough to fall in one step
     n, reps = 8, 48
     monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 256)
     monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
     inst = build_instance(n, p, seed=70 + p, beta=0.8)
     env = PSpinEnvironment(inst)
     seen = set()
-    for seed, (log_t1, log_t2, budget) in enumerate([
-            (3.0, 3.5, 203), (4.0, 6.0, 101), (5.0, 5.0, 77), (2.0, 7.0, 45)]):
+    for seed, (log_levels, pairs, budget) in enumerate([
+            ([3.0, 3.5], [(0, 1)], 203), ([4.0, 6.0], [(0, 1)], 101),
+            ([5.0], [(0, 0)], 77), ([2.0, 7.0], [(0, 1)], 45),
+            ([2.5, 3.0, 3.05, 4.5], [(0, 1), (0, 3), (1, 2), (2, 3), (1, 1)], 150),
+            ([3.0, 4.0, 6.5], [(0, 2), (1, 2), (0, 1)], 90)]):
         rng = _RecordingRng(seed)
-        got, truncated = HypercubeSRW(n).correlation_overlaps(
-            env, log_t1, log_t2, reps, rng, budget)
-        want, want_truncated, events = _per_step_overlaps(
-            inst, walker_type, rng.draws, log_t1, log_t2)
+        got = HypercubeSRW(n).correlation_overlaps(env, log_levels, pairs, reps, rng, budget)
+        want, events = _per_step_overlaps(inst, walker_type, rng.draws, log_levels, pairs)
         np.testing.assert_array_equal(got, want)
-        assert truncated == want_truncated
+        assert got.shape == (reps, len(pairs))
         blocks = rng.draws[1::2]
-        if truncated:  # the last block stops at the budget, short of its 256 // R steps
+        if np.isnan(got).any():  # the last block stops at the budget, short of its 256 // R steps
             assert sum(len(flips) for flips in blocks) == budget
             assert len(blocks[-1]) < 256 // blocks[-1].shape[1]
         seen |= events
@@ -876,15 +880,16 @@ def test_kernels_agree_across_walkers(monkeypatch, p):
         monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
         stats = model.block_statistics(env, 50, 300, np.random.default_rng(5),
                                        want_max=True, want_end=True)
-        overlaps = model.correlation_overlaps(env, 5.0, 6.5, 200, np.random.default_rng(6), 150)
+        overlaps = model.correlation_overlaps(env, [5.0, 6.5], [(0, 1)], 200,
+                                              np.random.default_rng(6), 150)
         results.append((stats, overlaps))
     (table, table_overlaps), (field, field_overlaps) = results
     np.testing.assert_allclose(table.log_sums, field.log_sums, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(table.log_maxes, field.log_maxes, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(table.end_states, field.end_states)
-    np.testing.assert_array_equal(table_overlaps[0], field_overlaps[0])
-    assert table_overlaps[1] == field_overlaps[1]
-    assert 0 < table_overlaps[1] < 200  # some replicas finished, some were truncated
+    np.testing.assert_array_equal(table_overlaps, field_overlaps)
+    # some replicas finished, some were truncated
+    assert 0 < np.isnan(table_overlaps).sum() < 200
 
 
 def test_correlation_overlaps_all_truncated(monkeypatch):
@@ -893,14 +898,14 @@ def test_correlation_overlaps_all_truncated(monkeypatch):
     inst = build_instance(n, 2, seed=72, beta=0.8)
     env = PSpinEnvironment(inst)
     rng = _RecordingRng(3)
-    got, truncated = HypercubeSRW(n).correlation_overlaps(env, 50.0, 60.0, reps, rng, budget)
-    assert got.size == 0 and truncated == reps
-    want, want_truncated, _ = _per_step_overlaps(inst, _TableWalker, rng.draws, 50.0, 60.0)
-    assert want.size == 0 and want_truncated == reps
+    got = HypercubeSRW(n).correlation_overlaps(env, [50.0, 60.0], [(0, 1)], reps, rng, budget)
+    assert got.shape == (reps, 1) and np.isnan(got).all()
+    want, _ = _per_step_overlaps(inst, _TableWalker, rng.draws, [50.0, 60.0], [(0, 1)])
+    assert np.isnan(want).all()
     assert sum(len(flips) for flips in rng.draws[1::2]) == budget
     sched = ScalingSchedule(n=n, a_n=10.0, log_c_n=50.0, theta_n=4, alpha_n=1.0, v_n=2)
     with pytest.raises(engine.StepBudgetError, match=f"{reps} truncated"):
-        engine.estimate_correlation(HypercubeSRW(n), env, sched, eps=0.5, t=1.0, s=1.0,
+        engine.estimate_correlation(HypercubeSRW(n), env, sched, eps=0.5, pairs=[(1.0, 1.0)],
                                     reps=reps, rng=np.random.default_rng(3),
                                     step_budget=budget)
 
@@ -933,12 +938,13 @@ def test_engine_runs_reference_loops_where_the_model_does_not_vectorise(monkeypa
     np.testing.assert_array_equal(np.asarray(got.end_states), np.asarray(ref.end_states))
 
     sched = ScalingSchedule(n=4, a_n=10.0, log_c_n=0.0, theta_n=4, alpha_n=1.0, v_n=2)
-    est = engine.estimate_correlation(model, env, sched, eps=0.5, t=1.0, s=1.0, reps=40,
-                                      rng=np.random.default_rng(41), step_budget=10_000)
-    overlaps, truncated = engine.generic_correlation_overlaps(
-        model, env, sched.log_threshold(1.0), sched.log_threshold(2.0), 40,
+    (est,) = engine.estimate_correlation(model, env, sched, eps=0.5, pairs=[(1.0, 1.0)],
+                                         reps=40, rng=np.random.default_rng(41),
+                                         step_budget=10_000)
+    overlaps = engine.generic_correlation_overlaps(
+        model, env, [sched.log_threshold(1.0), sched.log_threshold(2.0)], [(0, 1)], 40,
         np.random.default_rng(41), 10_000)
-    assert est.truncated == truncated == 0
+    assert est.truncated == np.isnan(overlaps).sum() == 0
     assert est.value == float(np.mean(overlaps >= 0.5))
 
 

@@ -11,7 +11,8 @@ CSV, and results.json without runtime_seconds, each pair of runs prints
 "identical", or how many rows differ and their largest relative
 difference.
 
-With --law N both trees run the workload configs at seeds 0..N-1.
+With --law N both trees run the workload configs and the multi-point
+grids of `matrix` at seeds 0..N-1.
 Every numeric cell that differs between the trees gets two z of the
 difference of its means over the seeds: with the combined SE of two
 independent samples, and paired by seed.  Both trees walk the same
@@ -58,14 +59,24 @@ def _workload_runs(seeds) -> list:
             for command, fields in w.steps]
 
 
+# runs whose rows share one walk per n, so a stream change moves them together
+_GRIDS = [("ageing-2x2", "ageing", {"n_grid": [8, 12], "t_grid": [0.5, 1.0],
+                                    "s_grid": [0.5, 1.0], "replicas": 400}),
+          ("sk-run-3t", "sk-run", {"n_grid": [8, 12], "t_grid": [0.5, 1.0, 2.0]})]
+
+
 def matrix() -> list:
     return ([(f"{command}-default", command, {}) for command in COMMANDS]
-            + _workload_runs((0, 1))
-            + [("ageing-2x2", "ageing", {"n_grid": [8, 12], "t_grid": [0.5, 1.0],
-                                         "s_grid": [0.5, 1.0], "replicas": 400}),
-               ("sk-run-3t", "sk-run", {"n_grid": [8, 12], "t_grid": [0.5, 1.0, 2.0]}),
-               # p = 3 above n = 20 takes the field walker, not the energy table
-               ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
+            + _workload_runs((0, 1)) + _GRIDS
+            # p = 3 above n = 20 takes the field walker, not the energy table
+            + [("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
+
+
+def law_runs(seeds: int) -> list:
+    """The workload configs and the grids of `matrix` at seeds 0..seeds-1."""
+    return _workload_runs(range(seeds)) + [
+        (f"{name}-s{seed}", command, dict(cfg, seed=seed))
+        for seed in range(seeds) for name, command, cfg in _GRIDS]
 
 
 def run_tree(tree: pathlib.Path, runs, out: pathlib.Path, threads: int) -> pathlib.Path:
@@ -136,9 +147,11 @@ def parity(base: pathlib.Path, runs, scratch: pathlib.Path) -> list:
     return compare("parity", runs, old, new) + compare("threads", runs, new, two)
 
 
-def law(base: pathlib.Path, seeds: int, scratch: pathlib.Path) -> list:
-    """Per table column: both means and the z of each cell that differs between trees."""
-    runs = _workload_runs(range(seeds))
+def law(base: pathlib.Path, runs, scratch: pathlib.Path) -> list:
+    """Per table column: both means and the z of each cell that differs between trees.
+
+    Runs named <step>-s<seed> pool their cells over the seeds of a step.
+    """
     old = run_tree(base, runs, scratch / "base", 1)
     new = run_tree(ROOT, runs, scratch / "work", 1)
     cells = {}  # (step, file, column, row) -> [(base, work) value at each seed]
@@ -195,7 +208,7 @@ def main(argv=None) -> int:
             base = scratch / "tree"
             base.mkdir()
             subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        lines = (law(base, args.law, scratch) if args.law is not None
+        lines = (law(base, law_runs(args.law), scratch) if args.law is not None
                  else parity(base, matrix(), scratch))
     print("\n".join(lines))
     return 0
