@@ -132,6 +132,10 @@ _SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 _KS_COMMANDS = ("ppp", "sk-run")
 # subcommands whose replicas walk theta_n k_n(t) steps, and the t of t_grid they walk to
 _WALK_T = {"sk-run": max, "verify": lambda t_grid: t_grid[0]}
+# subcommands whose clock reads a_n t at one time that no step_budget bounds:
+# variance's first t, and ageing's latest level t + s
+_CLOCK_T = {"variance": lambda grids: grids["t_grid"][0],
+            "ageing": lambda grids: max(grids["t_grid"]) + max(grids["s_grid"])}
 # subcommands that build an n^p coupling tensor for every n in n_grid,
 # and a schedule for every n with beta > 0
 _TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
@@ -238,6 +242,14 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
                         flag("t_grid", f"{command} walks theta_n k_n(t) = {steps:.4g} steps "
                                        f"per replica at n={n}, t={t}, more than "
                                        f"step_budget = {budget}")
+                        break
+            if command in _CLOCK_T and {"t_grid", "s_grid"} <= valid_grids:
+                t = _CLOCK_T[command](merged)
+                for n, _ in scheduled:
+                    a_n = pspin.make_schedule(n, merged["p"], merged["c"], 1.0).a_n
+                    if not math.isfinite(a_n * t):
+                        flag("t_grid", f"{command} reads its clock at a_n t, which "
+                                       f"overflows at n={n}, t={t}")
                         break
     if not (_is_number(merged["epsilon"]) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
@@ -606,18 +618,13 @@ def _cmd_compare(cfg: ExperimentConfig):
     def job(rng, pair):
         dim = int(rng.integers(2, 7))
         delta0, delta1, chi = _random_comparison_pair(dim, rng)
-        # one set of draws per matrix serves every s
-        mcs0 = pspin.max_cdf_mc(delta0, cfg.s_grid, cfg.replicas, rng)
-        mcs1 = pspin.max_cdf_mc(delta1, cfg.s_grid, cfg.replicas, rng)
+        # one set of draws serves both matrices and every s; se is the paired SE
+        gaps = pspin.max_cdf_mc(delta0, cfg.s_grid, cfg.replicas, rng, minus=delta1)
         rhss = pspin.gaussian_comparison_rhs(delta0, delta1, cfg.s_grid)
-        rows = []
-        for s, mc0, mc1, rhs in zip(cfg.s_grid, mcs0, mcs1, rhss.tolist()):
-            lhs = mc0.mean - mc1.mean
-            se = math.sqrt(mc0.sem ** 2 + mc1.sem ** 2)
-            rows.append((table, _prov(cfg), dict(pair=pair, dim=dim, chi=chi, s=s, lhs=lhs,
-                                                 se=se, rhs=rhs,
-                                                 within_bound=lhs <= rhs + 3.0 * se)))
-        return rows
+        return [(table, _prov(cfg), dict(pair=pair, dim=dim, chi=chi, s=s, lhs=gap.mean,
+                                         se=gap.sem, rhs=rhs,
+                                         within_bound=gap.mean <= rhs + 3.0 * gap.sem))
+                for s, gap, rhs in zip(cfg.s_grid, gaps, rhss.tolist())]
 
     filed = _file_rows([functools.partial(job, pair=i) for i in range(cfg.pairs)], cfg)
     violations = sum(not row["within_bound"] for _, _, row in filed)

@@ -13,7 +13,9 @@ module provides:
   alpha = gamma/beta, a_n, log c_n = gamma beta n, theta_n = 3 n^2 and
   the sub-block length v_n = round(n^omega);
 * ``gaussian_comparison_rhs`` / ``max_cdf_mc`` -- the normal-comparison
-  upper bound and the Monte Carlo max-CDF it dominates;
+  upper bound and the Monte Carlo max-CDF it dominates; with ``minus=``
+  one draw per replica serves both matrices, so the max-CDF difference
+  comes with a paired SE;
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
   environment oracle consumed by the generic engine, with vectorised
   kernels for p in {2, 3} that advance thousands of replicas per numpy
@@ -370,9 +372,10 @@ def _check_comparison_matrix(delta: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be square")
     if not np.all(np.isfinite(delta)):
         raise ValueError(f"{name} must have finite entries")
-    if not np.allclose(delta, delta.T, atol=1e-12):
+    # np.allclose's rule (rtol 1e-5) with atol 1e-12, without its overhead
+    if not np.all(np.abs(delta - delta.T) <= 1e-12 + 1e-5 * np.abs(delta.T)):
         raise ValueError(f"{name} must be symmetric")
-    if not np.allclose(np.diag(delta), 1.0, atol=1e-12):
+    if not np.all(np.abs(np.diag(delta) - 1.0) <= 1e-12 + 1e-5):
         raise ValueError(f"{name} must have unit diagonal")
     if np.min(np.linalg.eigvalsh(delta)) < -1e-10:
         raise ValueError(f"{name} must be positive semi-definite")
@@ -420,29 +423,50 @@ def gaussian_comparison_rhs(delta0, delta1, s):
     return bounds if levels.ndim else float(bounds[0])
 
 
-def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator):
+def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
     """Monte Carlo estimate of P(max_i H_i <= s) for H ~ N(0, delta).
 
     A float ``s`` returns one MCAccumulator.  A 1-d sequence ``s``
     shares one set of ``reps`` draws across its levels and returns one
     accumulator per entry, each equal to a scalar call on those draws.
+
+    With ``minus`` (a covariance of the same shape), the estimate is of
+    P(max H <= s) - P(max H' <= s) with common random numbers: each
+    standard-normal vector z gives H = delta^{1/2} z and
+    H' = minus^{1/2} z through symmetric square roots, and every
+    accumulator holds the per-replica differences
+    1{max H <= s} - 1{max H' <= s}, so its ``sem`` is the paired SE.
     """
     d = _check_comparison_matrix(delta, "delta")
     levels = np.asarray(s, dtype=float)
     if levels.ndim > 1 or levels.size == 0:
         raise ValueError("s must be a float or a non-empty 1-d sequence")
-    w, v = np.linalg.eigh(d)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    if minus is None:
+        w, v = np.linalg.eigh(d)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+    else:
+        d1 = _check_comparison_matrix(minus, "minus")
+        if d1.shape != d.shape:
+            raise ValueError("covariance matrices must share a shape")
+        roots = []
+        for mat in (d, d1):
+            # symmetric roots: eigh's column signs are arbitrary, so two
+            # plain eigen-factors would not couple H and H'
+            w, v = np.linalg.eigh(mat)
+            roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+        factor = np.vstack(roots)
     accs = [MCAccumulator() for _ in range(levels.size)]
     chunk = 65536
     remaining = reps
     while remaining > 0:
         m = min(chunk, remaining)
         z = rng.standard_normal((m, d.shape[0]))
-        # (dim, m) layout: the max over coordinates is an elementwise max of rows
-        maxima = (factor @ z.T).max(axis=0)
+        # (dim, m) layout per matrix: the max over coordinates is an
+        # elementwise max of rows; one row of maxima per matrix
+        maxima = (factor @ z.T).reshape(-1, d.shape[0], m).max(axis=1)
         for acc, level in zip(accs, levels.ravel()):
-            acc.update_many((maxima <= level).astype(float))
+            below = (maxima <= level).astype(float)
+            acc.update_many(below[0] - below[1] if minus is not None else below[0])
         remaining -= m
     return accs if levels.ndim else accs[0]
 

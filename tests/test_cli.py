@@ -372,6 +372,25 @@ def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
         validate_config({"n_grid": [2000], "p": 2, "c": 0.01}, other)
 
 
+@pytest.mark.parametrize("command", ["variance", "ageing"])
+def test_cli_overflowing_clock_is_a_config_error(tmp_path, capsys, command):
+    # a_n t = inf at n = 8, t = 1e308: k_n(t) has no integer value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8], "t_grid": [1e308], "env_replicas": 2}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_grid (" in err and "a_n t, which overflows at n=8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    if command == "ageing":  # ageing reads the clock at t + s
+        with pytest.raises(ConfigError, match=r"t_grid .*t=1e\+308"):
+            validate_config({"n_grid": [8], "t_grid": [1.0], "s_grid": [1e308]}, command)
+    else:  # variance reads the clock at t_grid[0] only
+        validate_config({"n_grid": [8], "t_grid": [1.0, 1e308]}, command)
+    # variance builds no schedule where beta = 0
+    validate_config({"n_grid": [8], "t_grid": [1e308], "beta": 0.0}, "variance")
+
+
 @pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
 def test_cli_alpha_above_one_is_a_config_error(tmp_path, capsys, command):
     # alpha_n = n^{-c} / beta = 8^{-0.05} / 0.1 = 9.01 > 1

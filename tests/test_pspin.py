@@ -386,6 +386,22 @@ def test_comparison_matrix_validation():
         gaussian_comparison_rhs(not_psd, np.eye(3), 1.0)
     with pytest.raises(ValueError):
         max_cdf_mc(bad_sym, 1.0, 10, rng)
+    with pytest.raises(ValueError, match="minus must be symmetric"):
+        max_cdf_mc(good, 1.0, 10, rng, minus=bad_sym)
+    # the tolerances are np.allclose's (rtol 1e-5) with atol 1e-12
+    for entry, value, accepted in (((1, 0), 0.5 * (1.0 + 1e-6), True),
+                                   ((1, 0), 0.5 * (1.0 + 1e-3), False),
+                                   ((0, 0), 1.0 + 1e-6, True),
+                                   ((0, 0), 1.0 + 1e-3, False)):
+        d = np.array([[1.0, 0.5], [0.5, 1.0]])
+        d[entry] = value
+        assert (np.allclose(d, d.T, atol=1e-12)
+                and np.allclose(np.diag(d), 1.0, atol=1e-12)) == accepted
+        if accepted:
+            gaussian_comparison_rhs(d, good, 1.0)
+        else:
+            with pytest.raises(ValueError, match="symmetric|unit diagonal"):
+                gaussian_comparison_rhs(d, good, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -456,20 +472,56 @@ def test_max_cdf_mc_matches_bivariate_oracle():
 
 
 def test_max_cdf_mc_sequence_shares_draws():
-    # one call over a level sequence equals scalar calls on the same draws;
-    # 70,000 reps span two draw chunks
+    # one call over a level sequence equals scalar calls on the same draws,
+    # alone and paired; 70,000 reps span two draw chunks
     d = _random_correlation(4, np.random.default_rng(5))
     levels = [0.5, 2.0, 1.0]
+    for minus in (None, _random_correlation(4, np.random.default_rng(6))):
+        accs = max_cdf_mc(d, levels, 70_000, np.random.default_rng(17), minus=minus)
+        assert len(accs) == len(levels)
+        for s, acc in zip(levels, accs):
+            single = max_cdf_mc(d, s, 70_000, np.random.default_rng(17), minus=minus)
+            assert (acc.count, acc.mean, acc.m2) == (single.count, single.mean, single.m2)
     accs = max_cdf_mc(d, levels, 70_000, np.random.default_rng(17))
-    assert len(accs) == len(levels)
-    for s, acc in zip(levels, accs):
-        single = max_cdf_mc(d, s, 70_000, np.random.default_rng(17))
-        assert (acc.count, acc.mean, acc.m2) == (single.count, single.mean, single.m2)
     assert accs[0].mean < accs[2].mean < accs[1].mean
     with pytest.raises(ValueError):
         max_cdf_mc(d, [], 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         max_cdf_mc(d, [[1.0]], 10, np.random.default_rng(0))
+
+
+def test_max_cdf_mc_paired_matches_bivariate_oracle():
+    rho0, rho1, s, reps = 0.6, 0.2, 1.0, 200_000
+    d0 = np.array([[1.0, rho0], [rho0, 1.0]])
+    d1 = np.array([[1.0, rho1], [rho1, 1.0]])
+    gap = max_cdf_mc(d0, s, reps, np.random.default_rng(23), minus=d1)
+    target = oracles.bivariate_max_cdf(s, rho0) - oracles.bivariate_max_cdf(s, rho1)
+    assert abs(gap.mean - target) <= 4.0 * gap.sem
+    # common random numbers: the paired SE is below the independent one
+    rng = np.random.default_rng(29)
+    alone = [max_cdf_mc(d, s, reps, rng) for d in (d0, d1)]
+    assert gap.sem < math.hypot(alone[0].sem, alone[1].sem)
+
+
+class _CountingNormals:
+    """A generator that counts the standard normals it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += int(np.prod(size))
+        return self._rng.standard_normal(size)
+
+
+def test_max_cdf_mc_paired_draws_one_vector_per_replica():
+    d0, d1 = (_random_correlation(5, np.random.default_rng(k)) for k in (7, 8))
+    rng = _CountingNormals(0)
+    max_cdf_mc(d0, [0.5, 1.0, 2.0], 70_000, rng, minus=d1)
+    assert rng.normals == 70_000 * 5
+    with pytest.raises(ValueError, match="share a shape"):
+        max_cdf_mc(d0, 1.0, 10, rng, minus=np.eye(4))
 
 
 def test_gaussian_comparison_rhs_sequence_matches_scalar():
