@@ -19,7 +19,7 @@ inst = pspin.build_instance(n, p, seed=33, beta=1.0, c=0.25)
 
 x = np.ones(n)
 h = pspin.hamiltonian(inst, x)
-print(f"H(all-ones) = {h:+.4f}, trap depth tau = exp(beta H) = {pspin.tau(inst, x):.4f}")
+print(f"H(all-ones) = {h:+.4f}, log trap depth log tau = beta H = {pspin.tau(inst, x):.4f}")
 
 # Single-spin flips update H in O(n^{p-1}) work instead of O(n^p); the
 # incremental value agrees with recomputation to machine precision.
@@ -28,7 +28,9 @@ h_y = h
 for coord in (0, 3, 7):
     h_y = pspin.delta_flip(inst, y, coord, h_y)
     y[coord] = -y[coord]
-print(f"after 3 flips: incremental {h_y:+.10f} vs fresh {pspin.hamiltonian(inst, y):+.10f}")
+h_fresh = pspin.hamiltonian(inst, y)
+print(f"after 3 flips: incremental {h_y:+.10f} vs fresh {h_fresh:+.10f} "
+      f"(difference {abs(h_y - h_fresh):.1e})")
 print(f"overlap R(x, y) = {pspin.overlap(x, y):.3f}")
 
 # Covariance across environments, at a fixed pair of states.

@@ -42,9 +42,7 @@ import dataclasses
 import datetime
 import functools
 import hashlib
-import importlib.metadata
 import json
-import math
 import os
 import pathlib
 import platform
@@ -126,19 +124,20 @@ _GRID_FIELDS = ("n_grid", "u_grid", "t_grid", "s_grid", "delta_grid")
 _POSITIVE_INT_FIELDS = ("replicas", "inner_replicas", "step_budget", "threads",
                         "occupation_d", "distance_steps", "pairs", "env_replicas")
 _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
-# subcommands that build a p-spin schedule, whose alpha_n = gamma/beta needs beta > 0
-_SCHEDULE_COMMANDS = ("sk-run", "verify", "ageing")
 # subcommands that KS-test `replicas` samples against a limit law
 _KS_COMMANDS = ("ppp", "sk-run")
-# subcommands whose replicas walk theta_n k_n(t) steps, and the t of t_grid they walk to
-_WALK_T = {"sk-run": max, "verify": lambda t_grid: t_grid[0]}
-# subcommands whose clock reads a_n t at one time that no step_budget bounds:
-# variance's first t, and ageing's latest level t + s
-_CLOCK_T = {"variance": lambda grids: grids["t_grid"][0],
-            "ageing": lambda grids: max(grids["t_grid"]) + max(grids["s_grid"])}
-# subcommands that build an n^p coupling tensor for every n in n_grid,
-# and a schedule for every n with beta > 0
-_TENSOR_COMMANDS = ("sk-run", "verify", "ageing", "variance")
+# subcommands that build an n^p coupling tensor for every n in n_grid and a
+# schedule for every n with beta > 0, and the latest time at which each reads
+# its clock a_n t (verify reads k_n(t) at every t of t_grid)
+_CLOCK_T = {"sk-run": lambda grids: max(grids["t_grid"]),
+            "verify": lambda grids: max(grids["t_grid"]),
+            "ageing": lambda grids: max(grids["t_grid"]) + max(grids["s_grid"]),
+            "variance": lambda grids: grids["t_grid"][0]}
+# subcommands whose replicas walk exactly theta_n k_n(t) steps to a t (verify's
+# DR path), which step_budget bounds.  ageing walks to a random first passage
+# that no such count bounds either way; step_budget truncates it at run time
+_WALK_T = {"sk-run": lambda grids: max(grids["t_grid"]),
+           "verify": lambda grids: grids["t_grid"][0]}
 # ppp draws a Poisson count per query interval, with mean at most
 # t_max * K / u_min; numpy's Poisson sampler raises above about 9.2e18
 _PPP_MAX_MEAN = 2 ** 62
@@ -189,7 +188,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     tensors_fit = False
     if not (_is_int(merged["p"]) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
-    elif command in _TENSOR_COMMANDS and "n_grid" in valid_grids:
+    elif command in _CLOCK_T and "n_grid" in valid_grids:
         try:
             for n in merged["n_grid"]:
                 pspin.check_tensor_budget(n, merged["p"])
@@ -211,7 +210,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     elif not (_is_number(beta) and beta >= 0):
         flag("beta", "must be a nonnegative number or sequence")
     beta_valid = len(problems) == problems_before_beta
-    if command in _SCHEDULE_COMMANDS and beta_valid \
+    if command in _CLOCK_T and command != "variance" and beta_valid \
             and np.any(np.asarray(merged["beta"]) == 0):
         flag("beta", f"must be positive for {command}; only variance accepts beta = 0")
     if tensors_fit and c_valid and beta_valid:
@@ -227,30 +226,27 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 flag(name, str(exc))
                 break
-        else:  # every schedule fits: bound the walks they set
+        else:  # every schedule fits: read its clock, and bound the walk to it
             budget = merged["step_budget"]
-            if command in _WALK_T and "t_grid" in valid_grids and _is_int(budget) \
-                    and budget >= 1:
-                t = _WALK_T[command](merged["t_grid"])
+            if {"t_grid", "s_grid"} <= valid_grids:
+                t = _CLOCK_T[command](merged)
                 for n, _ in scheduled:
                     # a_n and theta_n do not depend on beta
                     sched = pspin.make_schedule(n, merged["p"], merged["c"], 1.0)
-                    jumps = sched.a_n * t
-                    steps = sched.theta_n * (math.floor(jumps) // sched.theta_n) \
-                        if math.isfinite(jumps) else math.inf
-                    if steps > budget:
-                        flag("t_grid", f"{command} walks theta_n k_n(t) = {steps:.4g} steps "
-                                       f"per replica at n={n}, t={t}, more than "
-                                       f"step_budget = {budget}")
-                        break
-            if command in _CLOCK_T and {"t_grid", "s_grid"} <= valid_grids:
-                t = _CLOCK_T[command](merged)
-                for n, _ in scheduled:
-                    a_n = pspin.make_schedule(n, merged["p"], merged["c"], 1.0).a_n
-                    if not math.isfinite(a_n * t):
+                    try:
+                        sched.blocks_in(t)
+                    except ValueError:
                         flag("t_grid", f"{command} reads its clock at a_n t, which "
                                        f"overflows at n={n}, t={t}")
                         break
+                    if command in _WALK_T and _is_int(budget) and budget >= 1:
+                        walk_t = _WALK_T[command](merged)  # at most t
+                        steps = sched.theta_n * sched.blocks_in(walk_t)
+                        if steps > budget:
+                            flag("t_grid", f"{command} walks theta_n k_n(t) = {steps:.4g} "
+                                           f"steps per replica at n={n}, t={walk_t}, "
+                                           f"more than step_budget = {budget}")
+                            break
     if not (_is_number(merged["epsilon"]) and 0.0 < merged["epsilon"] < 1.0):
         flag("epsilon", "must lie in (0, 1)")
     if not (_is_number(merged["significance"])
@@ -588,7 +584,8 @@ def _cmd_ageing(cfg: ExperimentConfig):
                                                 cfg.replicas, rng, cfg.step_budget)
         return [(table, prov, dict(
             t=t, s=s, epsilon=cfg.epsilon, estimate=est.value, se=est.se,
-            completed=est.completed, truncated=est.truncated, limit=t / (t + s)))
+            completed=est.completed, truncated=est.truncated,
+            limit=measures.range_avoidance_prob(2.0 * cfg.p, t, s)))
             for (t, s), est in zip(pairs, estimates)]
 
     filed = _landscape_rows(job, cfg)
@@ -674,7 +671,10 @@ def _scipy_version() -> str | None:
 
     Read from package metadata, since the package never imports scipy;
     cached because the lookup scans sys.path, about 4 ms a call.
+    Imported here, its only use, since the import costs about 20 ms.
     """
+    import importlib.metadata
+
     try:
         return importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:

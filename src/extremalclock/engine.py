@@ -225,9 +225,9 @@ class ScalingSchedule:
         return self.log_c_n + math.log(u) / self.alpha_n
 
     def jumps_in(self, t: float) -> int:
-        """floor(a_n * t), the number of clock summands up to time t."""
-        if not t >= 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        """floor(a_n * t), the number of clock summands up to time t; a ValueError if infinite."""
+        if not (t >= 0.0 and math.isfinite(self.a_n * t)):
+            raise ValueError(f"need t >= 0 and a finite a_n t, got t={t} (a_n = {self.a_n:.4g})")
         return int(math.floor(self.a_n * t))
 
     def blocks_in(self, t: float) -> int:

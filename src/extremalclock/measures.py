@@ -284,11 +284,11 @@ def record_interval_mass(a: float, b: float) -> float:
 def range_avoidance_prob(K: float, t: float, s: float) -> float:
     """Probability that the record set avoids (t, t+s]: t / (t + s).
 
-    This is exp(-record_interval_mass(t, t+s)).  K is the tail constant
-    of the driving measure; the value does not depend on it (it cancels
-    in the interval mass), but it is kept in the signature because the
-    avoidance event is only meaningful for a record process driven by
-    some measure.  s = 0 returns 1.
+    This is exp(-record_interval_mass(t, t+s)), returned in closed form.
+    K is the tail constant of the driving measure; the value does not
+    depend on it (it cancels in the interval mass), but it is kept in the
+    signature because the avoidance event is only meaningful for a record
+    process driven by some measure.  s = 0 returns 1.
     """
     if not K > 0.0:
         raise ValueError(f"need K > 0, got {K}")
@@ -296,7 +296,7 @@ def range_avoidance_prob(K: float, t: float, s: float) -> float:
         raise ValueError(f"need t > 0, got {t}")
     if not s >= 0.0:
         raise ValueError(f"need s >= 0, got {s}")
-    return math.exp(-record_interval_mass(t, t + s))
+    return t / (t + s)
 
 
 def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,

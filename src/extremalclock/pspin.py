@@ -279,11 +279,7 @@ def delta_flip(inst: PSpinInstance, x, coordinate: int, h_old: float) -> float:
             for _ in range(inst.p - r):
                 sub = sub @ arr
             delta += weight * float(sub)
-    h_new = h_old + inst.scale * delta
-    flipped = arr.copy()
-    flipped[k] = -flipped[k]
-    inst.cache_put(flipped.tobytes(), h_new)
-    return h_new
+    return h_old + inst.scale * delta
 
 
 def tau(inst: PSpinInstance, x) -> float:

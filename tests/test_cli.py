@@ -372,19 +372,22 @@ def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
         validate_config({"n_grid": [2000], "p": 2, "c": 0.01}, other)
 
 
-@pytest.mark.parametrize("command", ["variance", "ageing"])
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
 def test_cli_overflowing_clock_is_a_config_error(tmp_path, capsys, command):
     # a_n t = inf at n = 8, t = 1e308: k_n(t) has no integer value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [8], "t_grid": [1e308], "env_replicas": 2}))
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "t_grid (" in err and "a_n t, which overflows at n=8" in err
+    assert f"t_grid ({command} reads its clock at a_n t, which overflows at n=8" in err
     assert "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
     if command == "ageing":  # ageing reads the clock at t + s
         with pytest.raises(ConfigError, match=r"t_grid .*t=1e\+308"):
             validate_config({"n_grid": [8], "t_grid": [1.0], "s_grid": [1e308]}, command)
+    elif command in ("sk-run", "verify"):  # both read the clock at their largest t
+        with pytest.raises(ConfigError, match=r"t_grid .*overflows at n=8, t=1e\+308"):
+            validate_config({"n_grid": [8], "t_grid": [1.0, 1e308]}, command)
     else:  # variance reads the clock at t_grid[0] only
         validate_config({"n_grid": [8], "t_grid": [1.0, 1e308]}, command)
     # variance builds no schedule where beta = 0
@@ -604,7 +607,8 @@ def test_walks_longer_than_the_step_budget_are_config_errors(tmp_path, capsys):
     assert "t_grid (sk-run walks theta_n k_n(t) = 2.027e+302 steps" in err
     assert "step_budget = 10000000" in err and "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    with pytest.raises(ConfigError, match=r"t_grid \(verify walks .* = inf steps"):
+    with pytest.raises(ConfigError, match=r"t_grid \(verify reads its clock at a_n t, "
+                                          r"which overflows"):
         validate_config({"n_grid": [8], "t_grid": [1e308]}, "verify")
     # n = 40 at t = 1 takes 3 * 40^2 * 4029 = 19.3M steps, over the default budget
     with pytest.raises(ConfigError, match="1.934e\\+07 steps per replica at n=40"):
@@ -614,7 +618,10 @@ def test_walks_longer_than_the_step_budget_are_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="at n=8, t=1000000.0, more than"):
         validate_config(wide, "sk-run")
     validate_config(wide, "verify")  # verify walks to t_grid[0] only
-    validate_config({"n_grid": [8], "t_grid": [1e6, 0.5]}, "ageing")  # truncates instead
+    # ageing walks to a random first passage past t + s, which theta_n k_n(t + s)
+    # does not bound either way: its replicas truncate at run time instead
+    validate_config({"n_grid": [8], "t_grid": [1e6, 0.5]}, "ageing")
+    validate_config({"n_grid": [40]}, "ageing")
 
 
 _NO_SCIPY_CHILD = """

@@ -79,6 +79,10 @@ def test_schedule_validation_and_queries():
         sched.log_threshold(0.0)
     with pytest.raises(ValueError):
         sched.jumps_in(-1.0)
+    # a_n t = inf has no integer part: a ValueError naming t, not an OverflowError
+    for query in (sched.jumps_in, sched.blocks_in):
+        with pytest.raises(ValueError, match="t=1e\\+308"):
+            query(1e308)
     with pytest.raises(ValueError):
         toy_schedule(a_n=0.5)
     with pytest.raises(ValueError):

@@ -161,8 +161,8 @@ def test_delta_flip_matches_fresh_instance(p):
         y = x.copy()
         y[k] = -y[k]
         assert h_new == pytest.approx(hamiltonian(fresh, y), rel=1e-10, abs=1e-12)
-        # the flipped value is cached on the original instance
-        assert hamiltonian(inst, y) == h_new
+        # the incremental value never stands in for the contraction
+        assert hamiltonian(inst, y) == hamiltonian(fresh, y)
     with pytest.raises(ValueError):
         delta_flip(inst, x, 5, h)
 
