@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stats import prefix_scan
+
 __all__ = [
     "TailMeasure",
     "tail_mass",
@@ -336,7 +338,7 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
         cell = np.full(g.shape, float(u_min))
         filled = counts > 0
         cell[filled] = [tail_inverse(measure, gi * base) for gi in g[filled].tolist()]
-    levels = np.maximum.accumulate(cell, axis=1)
+    levels = prefix_scan(np.maximum, cell, axis=1)
     out = np.empty_like(levels)
     out[:, order] = levels
     return out

@@ -22,11 +22,12 @@ module provides:
   pass.  For n <= 20, in a walk long enough to pay for building it, a
   replica is an integer state index, a flip is one XOR and H is one
   lookup in the exact 8 * 2^n-byte energy table
-  (``PSpinInstance.energy_table``, no incremental drift); otherwise the
-  walker carries a contraction field with O(n^{p-1}) incremental
-  Hamiltonian updates.  Kernels draw and walkers walk: a kernel draws
-  each block's flips and then its marks, and either walker takes the
-  same flips.
+  (``PSpinInstance.energy_table``, no incremental drift), and block
+  sums gather the weights exp(beta H - max beta H) of ``weight_table``;
+  otherwise the walker carries a contraction field with O(n^{p-1})
+  incremental Hamiltonian updates.  Kernels draw and walkers walk: a
+  kernel draws each block's flips and then its marks, and either
+  walker takes the same flips.
 
 States are length-n numpy vectors with entries +-1 (float for BLAS).
 """
@@ -45,7 +46,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .engine import EnvironmentOracle, JumpChainModel, ScalingSchedule, BlockStats
-from .stats import MCAccumulator
+from .stats import MCAccumulator, prefix_scan
 
 __all__ = [
     "TensorBudgetError",
@@ -102,8 +103,10 @@ class PSpinInstance:
     diagonals it reads as views of it), the table walker, for n <= 20
     walks long enough to pay for it, from the exact table of H at all
     2^n states (``energy_table``, 8 * 2^n bytes, built from the raw
-    couplings at any p).  Each is published in one assignment once
-    complete.
+    couplings at any p); its block sums, from that table's weights
+    exp(beta H - max beta H) (``weight_table``, another 8 * 2^n bytes,
+    not built where beta (max H - min H) exceeds ``_WEIGHT_SPAN``).
+    Each is published in one assignment once complete.
     """
 
     def __init__(self, n: int, p: int, seed: int, tensor: np.ndarray,
@@ -122,6 +125,7 @@ class PSpinInstance:
         self._tls = threading.local()
         self._sym = None
         self._table = None
+        self._weights = None
 
     def _cache(self) -> OrderedDict:
         cache = getattr(self._tls, "cache", None)
@@ -191,6 +195,31 @@ class PSpinInstance:
             coef *= self.scale
             self._table = coef
         return self._table
+
+    def weight_table(self):
+        """(top, w) with top = max beta H and w = exp(beta H - top) at all 2^n states.
+
+        Built lazily from ``energy_table``, in place in one 8 * 2^n-byte
+        array: w is 1 at the top state, and every entry is at least
+        exp(-_WEIGHT_SPAN), far inside the normal range of a double, so
+        a linear sum of weights times marks neither underflows nor, at
+        most steps times the largest mark, overflows.  Where
+        beta * (max H - min H) exceeds ``_WEIGHT_SPAN``, an entry could
+        leave the normal range: there w is None and no array is built.
+        Published in one assignment once decided, as ``energy_table``
+        is; two threads racing here both build, and their results are
+        equal.
+        """
+        if self._weights is None:
+            w = np.multiply(self.energy_table(), self.beta)
+            top = w.max()
+            if top - w.min() <= _WEIGHT_SPAN:
+                w -= top
+                np.exp(w, out=w)
+            else:
+                w = None
+            self._weights = (top, w)
+        return self._weights
 
     def head_hash(self) -> bytes:
         return hashlib.sha256(self.tensor.ravel()[:64].tobytes()).digest()
@@ -656,11 +685,12 @@ class _TableWalker:
 
     The walker at n <= 20 for walks long enough to pay for the table,
     with ``_BatchWalker``'s interface.  A replica is an int64 state
-    index (bit i set iff x_i = -1).  ``walk`` takes a whole block of
-    flips at once: the state indices after every step are one prefix
-    XOR of the flipped bits along the steps, and their H one gather, so
-    H is exact at every step, with no incremental drift.  ``X`` is
-    decoded on demand.
+    index (bit i set iff x_i = -1).  ``path`` takes a whole block of
+    flips at once and returns the state indices after every step, the
+    prefix XOR of the flipped bits (seeded with the start indices) down
+    the steps; ``walk`` gathers their H, so H is exact at every step,
+    with no incremental drift.  ``X`` and ``H`` are read off the
+    current indices on demand.
     """
 
     def __init__(self, inst: PSpinInstance, x0: np.ndarray):
@@ -671,31 +701,36 @@ class _TableWalker:
         self.table = inst.energy_table()
         self.bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
         self.idx = (X < 0.0).astype(np.int64) @ self.bits
-        self.H = self.table[self.idx]
 
     @property
     def R(self) -> int:
         return self.idx.shape[0]
 
     @property
+    def H(self) -> np.ndarray:
+        return self.table[self.idx]
+
+    @property
     def X(self) -> np.ndarray:
         return 1.0 - 2.0 * ((self.idx[:, None] >> np.arange(self.n)) & 1)
 
+    def path(self, flips: np.ndarray) -> np.ndarray:
+        """Flip coordinate flips[i, r] of row r at step i; return the indices after every step."""
+        idx = self.bits[flips]
+        idx[0] ^= self.idx
+        prefix_scan(np.bitwise_xor, idx)
+        self.idx = idx[-1].copy()
+        return idx
+
     def walk(self, flips: np.ndarray, out: np.ndarray) -> None:
         """Flip coordinate flips[i, r] of row r at step i; out[i] = H after step i."""
-        idx = self.bits[flips]
-        np.bitwise_xor.accumulate(idx, axis=0, out=idx)
-        idx ^= self.idx
         # every index is below 2^n; "raise" would copy into a fresh array before out
-        np.take(self.table, idx, out=out, mode="clip")
-        self.idx = idx[-1].copy()
-        self.H = out[-1].copy()
+        np.take(self.table, self.path(flips), out=out, mode="clip")
 
     def restrict(self, keep: np.ndarray) -> "_TableWalker":
         w = object.__new__(_TableWalker)
         w.n, w.table, w.bits = self.n, self.table, self.bits
         w.idx = self.idx[keep]
-        w.H = self.H[keep]
         return w
 
 
@@ -733,11 +768,16 @@ _TABLE_SAVED_NS = {2: 45.0, 3: 400.0}
 # n = 88.
 _SLAB_ELEMS = 2_000_000
 
-# block_statistics buffers a block of steps' beta H and marks, at most
-# this many doubles each, and reduces each block once.  2^17 added
-# 7.5 MB to the peak memory of a 45 MB p=3 landscape benchmark run,
-# 2^14 about 0.5 MB.
+# The kernels draw and walk a block of steps at a time, and buffer its
+# (steps, R) values (beta H or weights, and marks), at most this many
+# doubles each.  2^17 added 7.5 MB to the peak memory of a 45 MB p=3
+# landscape benchmark run, 2^14 about 0.5 MB.
 _BLOCK_ELEMS = 2 ** 14
+
+# weight_table is built only where beta * (max H - min H) is at most
+# this: its smallest entry, exp(-600) ~ 3e-261, times a mark (rarely
+# below 1e-20) stays some 27 decades above the smallest normal double.
+_WEIGHT_SPAN = 600.0
 
 
 def _walker(inst: PSpinInstance, x0: np.ndarray, work: int):
@@ -820,26 +860,51 @@ class HypercubeSRW(JumpChainModel):
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
                          want_end: bool = False) -> BlockStats:
+        """Block sums (and maxima) of beta H + log(mark), a block of steps at a time.
+
+        Same contract as ``engine.generic_block_statistics``.  Each block
+        draws its flips, then its marks.  On the table walker, when the
+        instance has a ``weight_table`` (top, w), each block adds
+        w * mark at the walked indices to a linear running sum, and the
+        log-sum is top + log(sum) at the end.  Otherwise each block
+        joins the running log-sum as shift + log(sum(exp(a - shift) *
+        mark)), with a its beta H and shift their largest per replica.
+        The maxima are read off beta H either way.
+        """
         inst = env.inst
         x0 = self.sample_stationary(reps, rng) if starts is None \
             else np.asarray(starts, dtype=float)
         walker = _walker(inst, x0, reps * theta)
-        ls = np.full(reps, -math.inf)
+        top, w = inst.weight_table() if isinstance(walker, _TableWalker) else (None, None)
+        # the running log-sum, or on the weights the running linear sum
+        ls = np.full(reps, -math.inf) if w is None else np.zeros(reps)
         lm = np.full(reps, -math.inf) if want_max else None
         rows = min(theta, max(1, _BLOCK_ELEMS // reps))
-        a = np.empty((rows, reps))  # beta H after each step in the block
+        a = np.empty((rows, reps))  # beta H (or weight) after each step in the block
         e = np.empty((rows, reps))  # and its mark
         for j in range(0, theta, rows):
             r = min(rows, theta - j)
             ar, er = a[:r], e[:r]
-            walker.walk(rng.integers(0, self.n, (r, reps)), ar)
+            flips = rng.integers(0, self.n, (r, reps))
             rng.standard_exponential(out=er)
-            ar *= inst.beta
-            top = ar.max(0)
-            s = (np.exp(ar - top) * er).sum(0)
-            np.logaddexp(ls, top + np.log(s), out=ls)
+            if w is None:
+                walker.walk(flips, ar)
+                ar *= inst.beta
+                shift = ar.max(0)
+                s = (np.exp(ar - shift) * er).sum(0)
+                np.logaddexp(ls, shift + np.log(s), out=ls)
+            else:
+                idx = walker.path(flips)
+                np.take(w, idx, out=ar, mode="clip")
+                ar *= er
+                ls += ar.sum(0)
+                if want_max:
+                    np.take(walker.table, idx, out=ar, mode="clip")
+                    ar *= inst.beta
             if want_max:
                 np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
+        if w is not None:
+            ls = top + np.log(ls)
         return BlockStats(log_sums=ls, log_maxes=lm,
                           end_states=walker.X if want_end else None)
 
@@ -849,11 +914,12 @@ class HypercubeSRW(JumpChainModel):
 
         Same contract as ``engine.generic_correlation_overlaps``; step i
         owns the state before flip i.  The running log-sum of a block is
-        one ``logaddexp.accumulate`` along its steps, seeded with the sum
-        before it.  Each level passed in a block gives its rows' first
-        steps past it as an ``argmax`` of the level mask.  Rows past the
-        largest level leave the walk at the end of their block; no block
-        runs past ``step_budget``.
+        the ``logaddexp`` prefix scan of its terms down the steps
+        (``stats.prefix_scan``), seeded with the sum before it.  Each
+        level passed in a block gives its rows' first steps past it as
+        an ``argmax`` of the level mask.  Rows past the largest level
+        leave the walk at the end of their block; no block runs past
+        ``step_budget``.
         """
         inst, n = env.inst, self.n
         levels = np.asarray(log_levels, dtype=float)
@@ -879,7 +945,7 @@ class HypercubeSRW(JumpChainModel):
             S *= inst.beta
             S += np.log(E, out=E)
             np.logaddexp(cum, S[0], out=S[0])
-            np.logaddexp.accumulate(S, axis=0, out=S)
+            prefix_scan(np.logaddexp, S)
             cum = S[-1].copy()
             done += r
             now = np.searchsorted(levels, cum)  # levels below the running sum

@@ -15,6 +15,8 @@ verification code:
 * ``empirical_vs_extremal`` -- compares simulated supremum samples with
   the one-dimensional marginal of an extremal process and returns a
   serializable report.
+* ``prefix_scan`` -- ``ufunc.accumulate`` along one axis, bit for bit,
+  by rows where the rows are wide enough to pay for it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,16 @@ __all__ = [
     "ks_threshold",
     "KSReport",
     "empirical_vs_extremal",
+    "prefix_scan",
 ]
+
+# From this many entries per row on, prefix_scan loops over the rows.
+# Along the strided axis, ufunc.accumulate takes 3.5-10 ns per entry
+# for bitwise_xor and maximum and 34-48 ns for logaddexp at any width
+# from 128 up; one row operation per step takes 0.5-1.1 and 15-23 ns per
+# entry at widths 2500-4000, but 120-165 ns at width 10 (numpy 2.4, one
+# core, 4 to 20 rows).  The two cross between widths 64 and 256.
+_SCAN_ROW_WIDTH = 128
 
 
 @dataclass
@@ -239,3 +250,21 @@ def empirical_vs_extremal(samples, measure, t: float, significance: float = 0.01
         passed=stat < thr,
         quantile_table=table,
     )
+
+
+def prefix_scan(ufunc, a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``ufunc.accumulate(a, axis=axis)``, written into ``a``, which it returns.
+
+    Step i along the axis becomes ufunc(step i - 1 as scanned, step i),
+    in step order, as accumulate computes it, so the result is the same
+    bit for bit.  Rows of at least ``_SCAN_ROW_WIDTH`` entries go
+    through one ufunc call per step; narrower ones through one
+    accumulate.
+    """
+    v = np.moveaxis(a, axis, 0)
+    if v.size < _SCAN_ROW_WIDTH * len(v):
+        ufunc.accumulate(v, axis=0, out=v)
+    else:
+        for prev, row in zip(v[:-1], v[1:]):
+            ufunc(prev, row, out=row)
+    return a

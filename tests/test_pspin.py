@@ -214,6 +214,21 @@ def test_energy_table_matches_brute_force(p, n):
         assert table[index] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_weight_table_is_normal_with_one_at_the_top(p):
+    inst = build_instance(10, p, seed=44, beta=2.5)
+    H = inst.energy_table()
+    top, w = inst.weight_table()
+    assert inst.weight_table()[1] is w  # built once
+    assert top == (inst.beta * H).max()
+    assert w.max() == 1.0 and w[np.argmax(H)] == 1.0
+    assert w.min() >= np.finfo(float).tiny
+    np.testing.assert_allclose(np.log(w), inst.beta * H - top, rtol=0, atol=1e-12)
+    # beyond the span an entry could leave the normal range: no array
+    hot = build_instance(10, p, seed=44, beta=1.01 * pspin._WEIGHT_SPAN / np.ptp(H))
+    assert hot.weight_table() == ((hot.beta * H).max(), None)
+
+
 def _assert_walkers_agree(table, field):
     np.testing.assert_array_equal(table.X, field.X)
     # relative to the largest |H|: a single H may sit near 0
@@ -759,16 +774,24 @@ def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
     return ls, lm, walker.X
 
 
-@pytest.mark.parametrize("n, p, reps, theta, walker_type", [
-    (8, 2, 300, 121, _TableWalker),   # blocks of 54 steps: 54, 54, 13
-    (20, 2, 2000, 21, _BatchWalker),  # a walk too short for the table; 8, 8, 5
-    (6, 3, 9000, 3, _TableWalker),    # 9000 replicas: one step per block
-    (21, 3, 3000, 11, _BatchWalker),  # n > 20; 5, 5, 1
+def _block_sum_case(n, p, reps, theta, walker_type, beta=0.7, sums="weights"):
+    tag = "" if beta == 0.7 else f"-beta{beta:g}"
+    return pytest.param(n, p, reps, theta, walker_type, beta, sums,
+                        id=f"{n}-{p}-{reps}-{theta}-{walker_type.__name__}{tag}")
+
+
+@pytest.mark.parametrize("n, p, reps, theta, walker_type, beta, sums", [
+    _block_sum_case(8, 2, 300, 121, _TableWalker),   # blocks of 54 steps: 54, 54, 13
+    _block_sum_case(20, 2, 2000, 21, _BatchWalker, sums="shifted"),  # a walk too short
+    _block_sum_case(6, 3, 9000, 3, _TableWalker),    # 9000 replicas: one step per block
+    _block_sum_case(21, 3, 3000, 11, _BatchWalker, sums="shifted"),  # n > 20; 5, 5, 1
+    # beta (max H - min H) about 1040, past the weight table's span of 600
+    _block_sum_case(8, 2, 300, 121, _TableWalker, beta=100.0, sums="shifted"),
 ])
 @pytest.mark.parametrize("given_starts", [False, True])
-def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_type,
-                                                     given_starts):
-    inst = build_instance(n, p, seed=60 + n, beta=0.7)
+def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_type, beta,
+                                                     sums, given_starts):
+    inst = build_instance(n, p, seed=60 + n, beta=beta)
     env = PSpinEnvironment(inst)
     model = HypercubeSRW(n)
     assert isinstance(_walker(inst, -np.ones((1, n)), reps * theta), walker_type)
@@ -784,6 +807,11 @@ def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_t
     bare = model.block_statistics(env, theta, reps, np.random.default_rng(61), starts=starts)
     np.testing.assert_array_equal(bare.log_sums, got.log_sums)
     assert bare.log_maxes is None and bare.end_states is None
+    # which block sums ran: the field walker never asks for weights
+    if walker_type is _BatchWalker:
+        assert inst._weights is None
+    else:
+        assert (inst._weights[1] is not None) == (sums == "weights")
 
 
 def test_trajectory_matches_next_state_loop():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from extremalclock import stats
 from extremalclock.stats import (
     EmpiricalDistribution,
     KSReport,
@@ -16,6 +17,7 @@ from extremalclock.stats import (
     ks_statistic,
     ks_threshold,
     merge,
+    prefix_scan,
 )
 
 
@@ -215,3 +217,25 @@ def test_ks_report_shape():
     report = KSReport(statistic=0.01, threshold=0.02, significance=0.05,
                       count=100, passed=True)
     assert report.to_json_dict()["quantiles"] == []
+
+
+@pytest.mark.parametrize("steps", [1, 2, 6])
+@pytest.mark.parametrize("width", [1, 10, stats._SCAN_ROW_WIDTH - 1, stats._SCAN_ROW_WIDTH,
+                                   2500])
+def test_prefix_scan_equals_accumulate_bit_for_bit(steps, width):
+    # both sides of the switch to row operations, for the scans the kernels run
+    rng = np.random.default_rng(steps * width)
+    bits = rng.integers(0, 2 ** 40, (steps, width))
+    terms = rng.standard_normal((steps, width)) * 30.0
+    terms[rng.random(terms.shape) < 0.2] = -math.inf  # log of an empty sum
+    terms[0, 0] = -math.inf
+    for ufunc, a in ((np.bitwise_xor, bits), (np.logaddexp, terms), (np.maximum, terms)):
+        want = ufunc.accumulate(a, axis=0)
+        got = a.copy()
+        assert prefix_scan(ufunc, got) is got
+        np.testing.assert_array_equal(got, want, strict=True)
+        # down the columns, as sample_sup_levels scans its (reps, T) cells
+        want = ufunc.accumulate(a.T, axis=1)
+        got = a.T.copy()
+        assert prefix_scan(ufunc, got, axis=1) is got
+        np.testing.assert_array_equal(got, want, strict=True)
