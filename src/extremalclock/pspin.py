@@ -19,9 +19,8 @@ module provides:
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
   environment oracle consumed by the generic engine, with vectorised
   kernels for p in {2, 3} that advance thousands of replicas per numpy
-  pass.  For n <= 20, in a walk long enough to pay for building it, a
-  replica is an integer state index, a flip is one XOR and H is one
-  lookup in the exact 8 * 2^n-byte energy table
+  pass.  For n <= 20 a replica is an integer state index, a flip is one
+  XOR and H is one lookup in the exact 8 * 2^n-byte energy table
   (``PSpinInstance.energy_table``, no incremental drift), and block
   sums gather the weights exp(beta H - max beta H) of ``weight_table``;
   otherwise the walker carries a contraction field with O(n^{p-1})
@@ -100,12 +99,12 @@ class PSpinInstance:
     thread-local storage (the instance itself is shareable).  The
     vectorised walkers read H from lazily built derived arrays: the
     field walker from the symmetrised tensor (a p=3 walker takes the
-    diagonals it reads as views of it), the table walker, for n <= 20
-    walks long enough to pay for it, from the exact table of H at all
-    2^n states (``energy_table``, 8 * 2^n bytes, built from the raw
-    couplings at any p); its block sums, from that table's weights
-    exp(beta H - max beta H) (``weight_table``, another 8 * 2^n bytes,
-    not built where beta (max H - min H) exceeds ``_WEIGHT_SPAN``).
+    diagonals it reads as views of it), the table walker, at n <= 20,
+    from the exact table of H at all 2^n states (``energy_table``,
+    8 * 2^n bytes, built from the raw couplings at any p); its block
+    sums, from that table's weights exp(beta H - max beta H)
+    (``weight_table``, another 8 * 2^n bytes, not built where
+    beta (max H - min H) exceeds ``_WEIGHT_SPAN``).
     Each is published in one assignment once complete.
     """
 
@@ -178,20 +177,29 @@ class PSpinInstance:
         H(x) = scale * sum_A h(A) prod_{i in A} x_i: since x_i^2 = 1,
         J_{i_1..i_p} multiplies the monomial of the indices it holds an
         odd number of times, so h is one bincount of J over the masks
-        bit[i_1] ^ ... ^ bit[i_p], at any p.  One in-place fast
-        Walsh-Hadamard transform follows.  Takes 8 * 2^n bytes.  The table is
+        bit[i_1] ^ ... ^ bit[i_p], at any p.  An in-place fast
+        Walsh-Hadamard transform follows; its passes over the low n // 2
+        bits run only on the rows of 2^(n // 2) entries that hold a mask.
+        Every other row is +0.0, which 0 + 0 and 0 - 0 keep, so the table
+        is the full transform's bit for bit.  Takes 8 * 2^n bytes.  It is
         published in one assignment once complete, so a thread that
         sees it set sees all of it; two threads racing here both build,
         and their tables are equal.
         """
         if self._table is None:
-            bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
+            n, low = self.n, self.n // 2
+            bit = np.int64(1) << np.arange(n, dtype=np.int64)
             mask = bit
             for _ in range(self.p - 1):
                 mask = np.bitwise_xor.outer(mask, bit)  # C order, as tensor.ravel()
-            coef = np.bincount(mask.ravel(), weights=self.tensor.ravel(),
-                               minlength=2 ** self.n)
-            _walsh_hadamard(coef)
+            coef = np.bincount(mask.ravel(), weights=self.tensor.ravel(), minlength=2 ** n)
+            rows = coef.reshape(-1, 1 << low)
+            # bincount, not np.unique, whose first call imports numpy.ma
+            held = np.bincount(mask.ravel() >> low, minlength=len(rows)) > 0
+            block = rows[held]
+            _walsh_hadamard(block, range(low))
+            rows[held] = block
+            _walsh_hadamard(coef, range(low, n))
             coef *= self.scale
             self._table = coef
         return self._table
@@ -225,13 +233,14 @@ class PSpinInstance:
         return hashlib.sha256(self.tensor.ravel()[:64].tobytes()).digest()
 
 
-def _walsh_hadamard(a: np.ndarray) -> None:
-    """Unnormalised fast Walsh-Hadamard transform of a length-2^n array, in place.
+def _walsh_hadamard(a: np.ndarray, bits) -> None:
+    """Butterfly passes (lo + hi, lo - hi) of a fast Walsh-Hadamard transform, in place.
 
-    Afterwards a[x] = sum_A a_old[A] (-1)^{popcount(x & A)}: one
-    butterfly pass (lo + hi, lo - hi) per bit.
+    One pass per index bit in ``bits``.  Over all n bits of a length-2^n
+    array, a[x] becomes sum_A a_old[A] (-1)^{popcount(x & A)}; over the
+    bits below k, each row of 2^k entries is transformed on its own.
     """
-    for i in range(a.size.bit_length() - 1):
+    for i in bits:
         v = a.reshape(-1, 2, 1 << i)
         lo = v[:, 0, :].copy()
         v[:, 0, :] += v[:, 1, :]
@@ -586,18 +595,18 @@ class PSpinEnvironment(EnvironmentOracle):
 class _BatchWalker:
     """Synchronous SRW replicas with incremental Hamiltonian tracking.
 
-    The walker for n > 20, where the energy table would exceed 8 MB,
-    and for walks too short to pay for building the table.  Holds R
-    spin rows plus the contraction field F that makes each flip an
-    O(n) (p=2) or O(n^2) (p=3) update; ``H`` is current after every
-    walk.  ``walk`` applies a block of flips a row at a time, with its
-    per-step (R, n) temporaries in scratch arrays the walker keeps.
-    Any R may be handed over: p=3's (rows, n, n) temporaries, in
-    building F and at every step, go through ``slab`` rows at a time,
-    and each row's arithmetic is the same whatever R is.
-    Drift from incremental updates is bounded by steps * machine
-    epsilon relative to the contraction magnitude, negligible for
-    block lengths 3n^2 at desk scale.
+    The walker for n > 20, where the energy and weight tables would
+    exceed 16 MB, and for rates at given states.  Holds R spin rows
+    plus the contraction field F that makes each flip an O(n) (p=2) or
+    O(n^2) (p=3) update; ``H`` is current after every walk.  ``walk``
+    applies a block of flips a row at a time, with its per-step (R, n)
+    temporaries in scratch arrays the walker keeps.  Any R may be
+    handed over: p=3's (rows, n, n) temporaries, in building F and at
+    every step, go through ``slab`` rows at a time, and each row's
+    arithmetic is the same whatever R is.  Drift from incremental
+    updates is bounded by steps * machine epsilon relative to the
+    contraction magnitude, negligible for block lengths 3n^2 at desk
+    scale.
     """
 
     def __init__(self, inst: PSpinInstance, x0: np.ndarray):
@@ -683,14 +692,13 @@ class _BatchWalker:
 class _TableWalker:
     """Synchronous SRW replicas that read H off the instance's energy table.
 
-    The walker at n <= 20 for walks long enough to pay for the table,
-    with ``_BatchWalker``'s interface.  A replica is an int64 state
-    index (bit i set iff x_i = -1).  ``path`` takes a whole block of
-    flips at once and returns the state indices after every step, the
-    prefix XOR of the flipped bits (seeded with the start indices) down
-    the steps; ``walk`` gathers their H, so H is exact at every step,
-    with no incremental drift.  ``X`` and ``H`` are read off the
-    current indices on demand.
+    The walker at n <= 20, with ``_BatchWalker``'s interface.  A
+    replica is an int64 state index (bit i set iff x_i = -1).  ``path``
+    takes a whole block of flips at once and returns the state indices
+    after every step, the prefix XOR of the flipped bits (seeded with
+    the start indices) down the steps; ``walk`` gathers their H, so H
+    is exact at every step, with no incremental drift.  ``X`` and ``H``
+    are read off the current indices on demand.
     """
 
     def __init__(self, inst: PSpinInstance, x0: np.ndarray):
@@ -753,15 +761,9 @@ def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) ->
     return _negate_odd(X, later[undone])
 
 
-# The table walker serves n <= 20 (8 * 2^n bytes of energies, at most
-# 8 MB), and only a walk that pays for the table.  Measured on one core
-# (n 12..20, R 200..2000): the build costs about 2 ns per entry and
-# butterfly pass (n passes over 2^n entries), and each replica-step on
-# the table saves at least 45 ns (p=2) or 400 ns (p=3) over the field
-# walker.
+# The table walker serves n <= 20: 16 MB per instance at n = 20, the
+# 8 * 2^n bytes of energies and as many of weights.
 _TABLE_MAX_N = 20
-_TABLE_BUILD_NS = 2.0
-_TABLE_SAVED_NS = {2: 45.0, 3: 400.0}
 
 # A p=3 field walker holds its (rows, n, n) temporaries for at most
 # max(256, _SLAB_ELEMS // n^2) rows at a time: 16 MB of doubles up to
@@ -780,17 +782,14 @@ _BLOCK_ELEMS = 2 ** 14
 _WEIGHT_SPAN = 600.0
 
 
-def _walker(inst: PSpinInstance, x0: np.ndarray, work: int):
-    """A walker for the rows of x0, in a call that walks ``work`` replica-steps in all.
+def _walker(inst: PSpinInstance, x0: np.ndarray):
+    """A walker for the rows of x0: the table walker at n <= 20, the field walker above.
 
-    The table walker when n <= 20 and the steps it saves outweigh
-    building the table, the field walker otherwise.  The choice depends
-    on (n, p, work) alone, never on whether the table already exists,
-    so a shared instance gives the same results at any thread count.
+    The choice depends on n alone, never on whether the table already
+    exists, so a shared instance gives the same results at any thread
+    count.
     """
-    n = inst.n
-    if n <= _TABLE_MAX_N and \
-            work * _TABLE_SAVED_NS[inst.p] >= _TABLE_BUILD_NS * n * 2 ** n:
+    if inst.n <= _TABLE_MAX_N:
         return _TableWalker(inst, x0)
     return _BatchWalker(inst, x0)
 
@@ -854,8 +853,8 @@ class HypercubeSRW(JumpChainModel):
 
     def batch_log_inv_rates(self, env, states) -> np.ndarray:
         """log lambda^{-1} = beta H at each given state."""
-        # no steps are walked, so no table is built for these rates
-        return env.inst.beta * _walker(env.inst, np.asarray(states, dtype=float), 0).H
+        # contracted at the given states: no steps are walked, so no table is built
+        return env.inst.beta * _BatchWalker(env.inst, np.asarray(states, dtype=float)).H
 
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
@@ -874,7 +873,7 @@ class HypercubeSRW(JumpChainModel):
         inst = env.inst
         x0 = self.sample_stationary(reps, rng) if starts is None \
             else np.asarray(starts, dtype=float)
-        walker = _walker(inst, x0, reps * theta)
+        walker = _walker(inst, x0)
         top, w = inst.weight_table() if isinstance(walker, _TableWalker) else (None, None)
         # the running log-sum, or on the weights the running linear sum
         ls = np.full(reps, -math.inf) if w is None else np.zeros(reps)
@@ -923,7 +922,7 @@ class HypercubeSRW(JumpChainModel):
         """
         inst, n = env.inst, self.n
         levels = np.asarray(log_levels, dtype=float)
-        walker = _walker(inst, self.sample_stationary(reps, rng), reps * step_budget)
+        walker = _walker(inst, self.sample_stationary(reps, rng))
         states = np.full((reps, len(levels), n), np.nan)  # the state at each level
         passed = np.zeros(reps, dtype=np.intp)  # levels each walker row has passed
         cum = np.full(reps, -math.inf)

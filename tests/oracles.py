@@ -2,7 +2,8 @@
 
 Nothing here reuses the library's own formulas: hitting times come from
 a first-step linear system, bivariate normal orthant values from a
-correlation-derivative quadrature, Hamiltonians from a naive full loop.
+correlation-derivative quadrature, Hamiltonians from a naive full loop,
+energy tables from a Walsh-Hadamard transform that runs every pass.
 These are the oracles the implementation is judged against.
 """
 
@@ -106,6 +107,27 @@ def brute_force_hamiltonian(tensor: np.ndarray, x: np.ndarray, scale: float) -> 
             value *= x[i]
         terms.append(value)
     return scale * math.fsum(terms)
+
+
+def full_walsh_energy_table(tensor: np.ndarray, scale: float) -> np.ndarray:
+    """H at all 2^n states (bit i set iff x_i = -1), skipping no butterfly.
+
+    One bincount of the couplings over their Walsh masks
+    bit[i_1] ^ ... ^ bit[i_p], then a butterfly pass (lo + hi, lo - hi)
+    over the whole array for every bit.
+    """
+    n, p = tensor.shape[0], tensor.ndim
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    mask = bit
+    for _ in range(p - 1):
+        mask = np.bitwise_xor.outer(mask, bit)
+    a = np.bincount(mask.ravel(), weights=tensor.ravel(), minlength=2 ** n)
+    for i in range(n):
+        v = a.reshape(-1, 2, 1 << i)
+        lo = v[:, 0, :].copy()
+        v[:, 0, :] += v[:, 1, :]
+        np.subtract(lo, v[:, 1, :], out=v[:, 1, :])
+    return a * scale
 
 
 def toy_block_tail(lam_inv: float, threshold: float) -> float:

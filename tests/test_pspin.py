@@ -202,6 +202,14 @@ def _state(index, n):
     return spins([-1.0 if (index >> i) & 1 else 1.0 for i in range(n)])
 
 
+@pytest.mark.parametrize("p, n", [(2, 12), (2, 16), (3, 16), (4, 10), (5, 5)])
+def test_energy_table_is_the_full_transform_byte_for_byte(p, n):
+    # rows holding a mask: 22 of 64, 37 of 256, 93 of 256, 31 of 32 and all 8 of 8
+    inst = build_instance(n, p, seed=30 + n)
+    full = oracles.full_walsh_energy_table(inst.tensor, inst.scale)
+    assert inst.energy_table().tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("p, n", [(2, 2), (2, 5), (2, 10), (3, 2), (3, 3), (3, 5), (3, 8),
                                   (4, 3), (4, 6), (5, 2), (5, 5)])
 def test_energy_table_matches_brute_force(p, n):
@@ -280,21 +288,14 @@ def test_table_walker_block_equals_one_row_walks(p):
     np.testing.assert_array_equal(block.X, single.X)
 
 
-def test_walker_chooses_table_up_to_n20_for_walks_that_pay_for_it():
-    long_walk = 10 ** 7
-    assert isinstance(_walker(build_instance(20, 2, seed=1), -np.ones((2, 20)), long_walk),
-                      _TableWalker)
-    assert isinstance(_walker(build_instance(21, 2, seed=1), -np.ones((2, 21)), long_walk),
-                      _BatchWalker)
-    # 40 environments of 200 replicas x 3n^2 steps at n = 20 (variance):
-    # a table per environment would cost more than it saves for p=2
-    short_walk = 200 * 3 * 20 ** 2
-    assert isinstance(_walker(build_instance(20, 2, seed=1), -np.ones((2, 20)), short_walk),
-                      _BatchWalker)
-    assert isinstance(_walker(build_instance(20, 3, seed=1), -np.ones((2, 20)), short_walk),
-                      _TableWalker)
+def test_walker_is_the_table_up_to_n20_and_the_field_above_whatever_the_walk():
+    for p in (2, 3):
+        assert isinstance(_walker(build_instance(20, p, seed=1), -np.ones((2, 20))),
+                          _TableWalker)
+    assert isinstance(_walker(build_instance(21, 2, seed=1), -np.ones((2, 21))), _BatchWalker)
+    # rates at given states are contracted there: no table is built for them
     inst = build_instance(8, 3, seed=1)
-    assert isinstance(_walker(inst, -np.ones((2, 8)), 0), _BatchWalker)
+    HypercubeSRW(8).batch_log_inv_rates(PSpinEnvironment(inst), -np.ones((2, 8)))
     assert inst._table is None
     with pytest.raises(ValueError):
         _TableWalker(build_instance(5, 2, seed=1), np.ones((3, 4)))
@@ -757,7 +758,7 @@ def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
     """
     inst = env.inst
     x0 = model.sample_stationary(reps, rng) if starts is None else starts
-    walker = _walker(inst, x0, reps * theta)
+    walker = _walker(inst, x0)
     offset = -env.log_C - model.log_pi(x0[0])
     ls = np.full(reps, -math.inf)
     lm = np.full(reps, -math.inf)
@@ -782,7 +783,7 @@ def _block_sum_case(n, p, reps, theta, walker_type, beta=0.7, sums="weights"):
 
 @pytest.mark.parametrize("n, p, reps, theta, walker_type, beta, sums", [
     _block_sum_case(8, 2, 300, 121, _TableWalker),   # blocks of 54 steps: 54, 54, 13
-    _block_sum_case(20, 2, 2000, 21, _BatchWalker, sums="shifted"),  # a walk too short
+    _block_sum_case(21, 2, 2000, 21, _BatchWalker, sums="shifted"),  # n > 20
     _block_sum_case(6, 3, 9000, 3, _TableWalker),    # 9000 replicas: one step per block
     _block_sum_case(21, 3, 3000, 11, _BatchWalker, sums="shifted"),  # n > 20; 5, 5, 1
     # beta (max H - min H) about 1040, past the weight table's span of 600
@@ -794,7 +795,7 @@ def test_block_statistics_matches_per_step_reference(n, p, reps, theta, walker_t
     inst = build_instance(n, p, seed=60 + n, beta=beta)
     env = PSpinEnvironment(inst)
     model = HypercubeSRW(n)
-    assert isinstance(_walker(inst, -np.ones((1, n)), reps * theta), walker_type)
+    assert isinstance(_walker(inst, -np.ones((1, n))), walker_type)
     starts = model.sample_stationary(reps, np.random.default_rng(n)) if given_starts else None
     rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
     got = model.block_statistics(env, theta, reps, rng, starts=starts,
@@ -926,7 +927,7 @@ def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
     # levels, two of them close enough to fall in one step
     n, reps = 8, 48
     monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 256)
-    monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
+    monkeypatch.setattr(pspin, "_walker", lambda inst, x0: walker_type(inst, x0))
     inst = build_instance(n, p, seed=70 + p, beta=0.8)
     env = PSpinEnvironment(inst)
     seen = set()
@@ -957,7 +958,7 @@ def test_kernels_agree_across_walkers(monkeypatch, p):
     model = HypercubeSRW(n)
     results = []
     for walker_type in (_TableWalker, _BatchWalker):
-        monkeypatch.setattr(pspin, "_walker", lambda inst, x0, work: walker_type(inst, x0))
+        monkeypatch.setattr(pspin, "_walker", lambda inst, x0: walker_type(inst, x0))
         stats = model.block_statistics(env, 50, 300, np.random.default_rng(5),
                                        want_max=True, want_end=True)
         overlaps = model.correlation_overlaps(env, [5.0, 6.5], [(0, 1)], 200,

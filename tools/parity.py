@@ -68,8 +68,12 @@ _GRIDS = [("ageing-2x2", "ageing", {"n_grid": [8, 12], "t_grid": [0.5, 1.0],
 def matrix() -> list:
     return ([(f"{command}-default", command, {}) for command in COMMANDS]
             + _workload_runs((0, 1)) + _GRIDS
-            # p = 3 above n = 20 takes the field walker, not the energy table
-            + [("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
+            # walks on the energy table at n = 18 and 20
+            + [("sk-run-n20", "sk-run", {"n_grid": [20], "replicas": 35}),
+               ("variance-n18", "variance", {"n_grid": [18]}),
+               # above n = 20 every walk takes the field walker
+               ("sk-run-p2-n22", "sk-run", {"p": 2, "n_grid": [22], "replicas": 40}),
+               ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
 
 
 def law_runs(seeds: int) -> list:
