@@ -22,11 +22,11 @@ module provides:
   pass.  For n <= 20 a replica is an integer state index, a flip is one
   XOR and H is one lookup in the exact 8 * 2^n-byte energy table
   (``PSpinInstance.energy_table``, no incremental drift), and block
-  sums gather the weights exp(beta H - max beta H) of ``weight_table``;
-  otherwise the walker carries a contraction field with O(n^{p-1})
-  incremental Hamiltonian updates.  Kernels draw and walkers walk: a
-  kernel draws each block's flips and then its marks, and either
-  walker takes the same flips.
+  sums and running clock sums gather the weights
+  exp(beta H - max beta H) of ``weight_table``; otherwise the walker
+  carries a contraction field with O(n^{p-1}) incremental Hamiltonian
+  updates.  Kernels draw and walkers walk: a kernel draws each block's
+  flips and then its marks, and either walker takes the same flips.
 
 States are length-n numpy vectors with entries +-1 (float for BLAS).
 """
@@ -102,7 +102,7 @@ class PSpinInstance:
     diagonals it reads as views of it), the table walker, at n <= 20,
     from the exact table of H at all 2^n states (``energy_table``,
     8 * 2^n bytes, built from the raw couplings at any p); its block
-    sums, from that table's weights exp(beta H - max beta H)
+    and clock sums, from that table's weights exp(beta H - max beta H)
     (``weight_table``, another 8 * 2^n bytes, not built where
     beta (max H - min H) exceeds ``_WEIGHT_SPAN``).
     Each is published in one assignment once complete.
@@ -239,10 +239,13 @@ def _walsh_hadamard(a: np.ndarray, bits) -> None:
     One pass per index bit in ``bits``.  Over all n bits of a length-2^n
     array, a[x] becomes sum_A a_old[A] (-1)^{popcount(x & A)}; over the
     bits below k, each row of 2^k entries is transformed on its own.
+    Every pass keeps its lo halves in one scratch array of half a's size.
     """
+    scratch = np.empty(a.size // 2, dtype=a.dtype)
     for i in bits:
         v = a.reshape(-1, 2, 1 << i)
-        lo = v[:, 0, :].copy()
+        lo = scratch.reshape(-1, 1 << i)
+        np.copyto(lo, v[:, 0, :])
         v[:, 0, :] += v[:, 1, :]
         np.subtract(lo, v[:, 1, :], out=v[:, 1, :])
 
@@ -720,7 +723,11 @@ class _TableWalker:
 
     @property
     def X(self) -> np.ndarray:
-        return 1.0 - 2.0 * ((self.idx[:, None] >> np.arange(self.n)) & 1)
+        return self.spins(self.idx)
+
+    def spins(self, idx: np.ndarray) -> np.ndarray:
+        """The (len(idx), n) +-1 states of the state indices idx."""
+        return 1.0 - 2.0 * ((idx[:, None] >> np.arange(self.n)) & 1)
 
     def path(self, flips: np.ndarray) -> np.ndarray:
         """Flip coordinate flips[i, r] of row r at step i; return the indices after every step."""
@@ -753,6 +760,8 @@ def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) ->
 
     Row c's state is its state after the block with the coordinates
     flipped an odd number of times in its flips[j[c]:] toggled back.
+    For the field walker, which keeps no state path; the table walker
+    decodes these states from the indices of its ``path``.
     """
     X = walker.restrict(sel).X
     m, n = X.shape
@@ -912,25 +921,37 @@ class HypercubeSRW(JumpChainModel):
         """Two-time overlaps of ``reps`` stationary walks, a block of steps at a time.
 
         Same contract as ``engine.generic_correlation_overlaps``; step i
-        owns the state before flip i.  The running log-sum of a block is
-        the ``logaddexp`` prefix scan of its terms down the steps
-        (``stats.prefix_scan``), seeded with the sum before it.  Each
+        owns the state before flip i.  On the table walker, when the
+        instance has a ``weight_table`` (top, w), the running clock sum
+        is linear: each block gathers w * mark at the indices that own
+        its steps, adds the sum before it to its first row and takes
+        the prefix sum down the steps (``stats.prefix_scan``), and a
+        level L is passed where log(sum) > L - top.  Otherwise the
+        running log-sum of a block is the ``logaddexp`` prefix scan of
+        beta H + log(mark), seeded with the log-sum before it.  Each
         level passed in a block gives its rows' first steps past it as
-        an ``argmax`` of the level mask.  Rows past the largest level
-        leave the walk at the end of their block; no block runs past
+        an ``argmax`` of the level mask; their states are decoded from
+        the owning indices on the table walker and rebuilt from the
+        flips on the field walker.  Rows past the largest level leave
+        the walk at the end of their block; no block runs past
         ``step_budget``.
         """
         inst, n = env.inst, self.n
         levels = np.asarray(log_levels, dtype=float)
         walker = _walker(inst, self.sample_stationary(reps, rng))
+        on_table = isinstance(walker, _TableWalker)
+        top, w = inst.weight_table() if on_table else (None, None)
+        # the running log-sum, or on the weights the running sum of w * mark: the clock / exp(top)
+        cum = np.full(reps, -math.inf) if w is None else np.zeros(reps)
+        bounds = levels if w is None else levels - top
         states = np.full((reps, len(levels), n), np.nan)  # the state at each level
         passed = np.zeros(reps, dtype=np.intp)  # levels each walker row has passed
-        cum = np.full(reps, -math.inf)
         alive = np.arange(reps)  # output row of each walker row
         # flat buffers: an (r, R) view of a prefix stays contiguous as R shrinks
         size = max(_BLOCK_ELEMS, reps)
         terms = np.empty(size + reps)
         marks = np.empty(size)
+        owners = np.empty(size + reps, dtype=np.int64) if on_table else None
         done = 0
         while done < step_budget:
             R = walker.R
@@ -938,23 +959,39 @@ class HypercubeSRW(JumpChainModel):
             K = rng.integers(0, n, (r, R))
             E = rng.standard_exponential(out=marks[:r * R].reshape(r, R))
             h = terms[:(r + 1) * R].reshape(r + 1, R)
-            h[0] = walker.H
-            walker.walk(K, h[1:])
-            S = h[:r]  # H before each flip, then the running log-sum
-            S *= inst.beta
-            S += np.log(E, out=E)
-            np.logaddexp(cum, S[0], out=S[0])
-            prefix_scan(np.logaddexp, S)
+            S = h[:r]  # H (or weight) before each flip, then the running sum
+            if on_table:
+                before = owners[:(r + 1) * R].reshape(r + 1, R)
+                before[0] = walker.idx
+                before[1:] = walker.path(K)
+                before = before[:r]  # the index that owns each step
+                np.take(walker.table if w is None else w, before, out=S, mode="clip")
+            else:
+                h[0] = walker.H
+                walker.walk(K, h[1:])
+            if w is None:
+                S *= inst.beta
+                S += np.log(E, out=E)
+                np.logaddexp(cum, S[0], out=S[0])
+                prefix_scan(np.logaddexp, S)
+            else:
+                S *= E
+                S[0] += cum
+                prefix_scan(np.add, S)
             cum = S[-1].copy()
             done += r
-            now = np.searchsorted(levels, cum)  # levels below the running sum
+            # levels below the running sum
+            now = np.searchsorted(bounds, cum if w is None else np.log(cum))
             if not np.any(now > passed):
                 continue
             for level in range(passed.min(), now.max()):
                 cross = (passed <= level) & (now > level)
                 if np.any(cross):
-                    j = np.argmax(S[:, cross] > levels[level], axis=0)
-                    states[alive[cross], level] = _states_before(walker, K, cross, j)
+                    sums = S[:, cross] if w is None else np.log(S[:, cross])
+                    j = np.argmax(sums > bounds[level], axis=0)
+                    states[alive[cross], level] = (
+                        walker.spins(before[j, np.flatnonzero(cross)]) if on_table
+                        else _states_before(walker, K, cross, j))
             passed, keep = now, now < len(levels)
             if np.all(keep):
                 continue

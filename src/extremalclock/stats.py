@@ -38,12 +38,15 @@ __all__ = [
 ]
 
 # From this many entries per row on, prefix_scan loops over the rows.
-# Along the strided axis, ufunc.accumulate takes 3.5-10 ns per entry
-# for bitwise_xor and maximum and 34-48 ns for logaddexp at any width
-# from 128 up; one row operation per step takes 0.5-1.1 and 15-23 ns per
-# entry at widths 2500-4000, but 120-165 ns at width 10 (numpy 2.4, one
-# core, 4 to 20 rows).  The two cross between widths 64 and 256.
-_SCAN_ROW_WIDTH = 128
+# Measured on blocks of about 2^14 entries, the kernels' shape (numpy
+# 2.4, 2 CPUs, idle and with both busy), ns per entry, row loop against
+# accumulate: bitwise_xor and add 7-15 against 2-4 at width 64, 2.5
+# against 2.3-3.1 at 200, 2.0-3.6 against 3.3-4.0 at 256, 1.1-1.2
+# against 2.6-3.3 at 500 and 0.4-0.7 against 3.8-5.0 at 2500;
+# logaddexp 12-30 against 34-41 at every width from 64.  So the cheap
+# scans cross between widths 200 and 256, and logaddexp's row loop is
+# the cheaper one at every width measured.
+_SCAN_ROW_WIDTH = 256
 
 
 @dataclass

@@ -947,6 +947,36 @@ def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
             assert len(blocks[-1]) < 256 // blocks[-1].shape[1]
         seen |= events
     assert seen >= {"first step", "last step", "same step", "retired"}
+    # which running sum ran: the linear one on the table walker's weights,
+    # the logaddexp one on the field walker, which never asks for weights
+    if walker_type is _BatchWalker:
+        assert inst._weights is None
+    else:
+        assert inst._weights[1] is not None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_correlation_overlaps_past_the_weight_span_match_per_step_loop(monkeypatch, p):
+    # beta (max H - min H) twice _WEIGHT_SPAN: no weight table, so the
+    # table walker keeps the logaddexp running sum; levels at quantiles
+    # of beta H, two of them close enough to fall in one step
+    n, reps = 8, 48
+    monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 256)
+    H = build_instance(n, p, seed=70 + p).energy_table()
+    inst = build_instance(n, p, seed=70 + p, beta=2.0 * pspin._WEIGHT_SPAN / np.ptp(H))
+    env = PSpinEnvironment(inst)
+    q = np.quantile(inst.beta * H, [0.5, 0.8, 0.95, 0.99])
+    seen = set()
+    for seed, (log_levels, pairs, budget) in enumerate([
+            (q[[1, 3]], [(0, 1)], 203), (q[[0, 2]], [(0, 1)], 101),
+            (q, [(0, 1), (0, 3), (1, 2)], 150), ([q[1], q[1] + 0.05], [(0, 1)], 90)]):
+        rng = _RecordingRng(seed)
+        got = HypercubeSRW(n).correlation_overlaps(env, log_levels, pairs, reps, rng, budget)
+        want, events = _per_step_overlaps(inst, _TableWalker, rng.draws, log_levels, pairs)
+        np.testing.assert_array_equal(got, want)
+        seen |= events
+    assert seen >= {"first step", "last step", "same step", "retired"}
+    assert inst._weights == ((inst.beta * H).max(), None)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -220,16 +220,19 @@ def test_ks_report_shape():
 
 
 @pytest.mark.parametrize("steps", [1, 2, 6])
-@pytest.mark.parametrize("width", [1, 10, stats._SCAN_ROW_WIDTH - 1, stats._SCAN_ROW_WIDTH,
-                                   2500])
+@pytest.mark.parametrize("width", [1, 10, 127, 128, stats._SCAN_ROW_WIDTH - 1,
+                                   stats._SCAN_ROW_WIDTH, 511, 512, 2500])
 def test_prefix_scan_equals_accumulate_bit_for_bit(steps, width):
-    # both sides of the switch to row operations, for the scans the kernels run
+    # both sides of the switch to row operations, and of the widths where
+    # it has been measured to belong, for the scans the kernels run
     rng = np.random.default_rng(steps * width)
     bits = rng.integers(0, 2 ** 40, (steps, width))
     terms = rng.standard_normal((steps, width)) * 30.0
     terms[rng.random(terms.shape) < 0.2] = -math.inf  # log of an empty sum
     terms[0, 0] = -math.inf
-    for ufunc, a in ((np.bitwise_xor, bits), (np.logaddexp, terms), (np.maximum, terms)):
+    weights = np.exp(terms)  # a linear running sum of weights times marks
+    for ufunc, a in ((np.bitwise_xor, bits), (np.logaddexp, terms), (np.maximum, terms),
+                     (np.add, weights)):
         want = ufunc.accumulate(a, axis=0)
         got = a.copy()
         assert prefix_scan(ufunc, got) is got

@@ -71,9 +71,11 @@ def matrix() -> list:
             # walks on the energy table at n = 18 and 20
             + [("sk-run-n20", "sk-run", {"n_grid": [20], "replicas": 35}),
                ("variance-n18", "variance", {"n_grid": [18]}),
+               ("ageing-n20", "ageing", {"n_grid": [20], "replicas": 500}),
                # above n = 20 every walk takes the field walker
                ("sk-run-p2-n22", "sk-run", {"p": 2, "n_grid": [22], "replicas": 40}),
-               ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40})])
+               ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40}),
+               ("ageing-p2-n22", "ageing", {"p": 2, "n_grid": [22], "replicas": 100})])
 
 
 def law_runs(seeds: int) -> list:
