@@ -234,10 +234,17 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
                     # a_n and theta_n do not depend on beta
                     sched = pspin.make_schedule(n, merged["p"], merged["c"], 1.0)
                     try:
-                        sched.blocks_in(t)
+                        k = sched.blocks_in(t)
                     except ValueError:
                         flag("t_grid", f"{command} reads its clock at a_n t, which "
                                        f"overflows at n={n}, t={t}")
+                        break
+                    # variance's SE sums fourth powers of deviations of values in [0, max(1, k)]
+                    envs = merged["env_replicas"]
+                    if command == "variance" and _is_int(envs) \
+                            and envs * max(1, k) ** 4 > sys.float_info.max:
+                        flag("t_grid", f"variance sums {envs} fourth powers of values up to "
+                                       f"k_n(t) = {k:.4g}, which overflow at n={n}, t={t}")
                         break
                     if command in _WALK_T and _is_int(budget) and budget >= 1:
                         walk_t = _WALK_T[command](merged)  # at most t

@@ -599,7 +599,7 @@ class _BatchWalker:
     """Synchronous SRW replicas with incremental Hamiltonian tracking.
 
     The walker for n > 20, where the energy and weight tables would
-    exceed 16 MB, and for rates at given states.  Holds R spin rows
+    exceed 16 MB; only ``_walker`` builds one.  Holds R spin rows
     plus the contraction field F that makes each flip an O(n) (p=2) or
     O(n^2) (p=3) update; ``H`` is current after every walk.  ``walk``
     applies a block of flips a row at a time, with its per-step (R, n)
@@ -760,8 +760,7 @@ def _states_before(walker, flips: np.ndarray, sel: np.ndarray, j: np.ndarray) ->
 
     Row c's state is its state after the block with the coordinates
     flipped an odd number of times in its flips[j[c]:] toggled back.
-    For the field walker, which keeps no state path; the table walker
-    decodes these states from the indices of its ``path``.
+    It serves ``correlation_overlaps``' log-sum path, which keeps no indices.
     """
     X = walker.restrict(sel).X
     m, n = X.shape
@@ -794,9 +793,9 @@ _WEIGHT_SPAN = 600.0
 def _walker(inst: PSpinInstance, x0: np.ndarray):
     """A walker for the rows of x0: the table walker at n <= 20, the field walker above.
 
+    Every walk and every rate at given states takes its H from here.
     The choice depends on n alone, never on whether the table already
-    exists, so a shared instance gives the same results at any thread
-    count.
+    exists, so a shared instance gives the same results at any thread count.
     """
     if inst.n <= _TABLE_MAX_N:
         return _TableWalker(inst, x0)
@@ -861,9 +860,8 @@ class HypercubeSRW(JumpChainModel):
             and env.inst.n == self.n
 
     def batch_log_inv_rates(self, env, states) -> np.ndarray:
-        """log lambda^{-1} = beta H at each given state."""
-        # contracted at the given states: no steps are walked, so no table is built
-        return env.inst.beta * _BatchWalker(env.inst, np.asarray(states, dtype=float)).H
+        """log lambda^{-1} = beta H at each given state, read off ``_walker``'s H."""
+        return env.inst.beta * _walker(env.inst, np.asarray(states, dtype=float)).H
 
     def block_statistics(self, env, theta: int, reps: int, rng: np.random.Generator,
                          starts=None, want_max: bool = False,
@@ -920,27 +918,25 @@ class HypercubeSRW(JumpChainModel):
                              rng: np.random.Generator, step_budget: int) -> np.ndarray:
         """Two-time overlaps of ``reps`` stationary walks, a block of steps at a time.
 
-        Same contract as ``engine.generic_correlation_overlaps``; step i
-        owns the state before flip i.  On the table walker, when the
-        instance has a ``weight_table`` (top, w), the running clock sum
-        is linear: each block gathers w * mark at the indices that own
-        its steps, adds the sum before it to its first row and takes
-        the prefix sum down the steps (``stats.prefix_scan``), and a
-        level L is passed where log(sum) > L - top.  Otherwise the
-        running log-sum of a block is the ``logaddexp`` prefix scan of
-        beta H + log(mark), seeded with the log-sum before it.  Each
-        level passed in a block gives its rows' first steps past it as
-        an ``argmax`` of the level mask; their states are decoded from
-        the owning indices on the table walker and rebuilt from the
-        flips on the field walker.  Rows past the largest level leave
-        the walk at the end of their block; no block runs past
-        ``step_budget``.
+        Same contract as ``engine.generic_correlation_overlaps``; step i owns
+        the state before flip i.  Each choice turns on the weight table
+        (top, w) alone, which the table walker has within ``_WEIGHT_SPAN``
+        and the field walker never asks for.  With w, a block gathers
+        w * mark at the indices that own its steps, adds the sum before it
+        to its first row and takes the prefix sum down the steps
+        (``stats.prefix_scan``); a level L is passed where
+        log(sum) > L - top.  Without w, it walks and takes the ``logaddexp``
+        prefix scan of beta H + log(mark), seeded with the log-sum before
+        it.  A level passed in a block gives its rows' first steps past it
+        as an ``argmax`` of the level mask, whose states are decoded from
+        the owning indices with w and rebuilt from the flips
+        (``_states_before``) without.  Rows past the largest level leave the
+        walk at the end of their block; no block runs past ``step_budget``.
         """
         inst, n = env.inst, self.n
         levels = np.asarray(log_levels, dtype=float)
         walker = _walker(inst, self.sample_stationary(reps, rng))
-        on_table = isinstance(walker, _TableWalker)
-        top, w = inst.weight_table() if on_table else (None, None)
+        top, w = inst.weight_table() if isinstance(walker, _TableWalker) else (None, None)
         # the running log-sum, or on the weights the running sum of w * mark: the clock / exp(top)
         cum = np.full(reps, -math.inf) if w is None else np.zeros(reps)
         bounds = levels if w is None else levels - top
@@ -949,32 +945,28 @@ class HypercubeSRW(JumpChainModel):
         alive = np.arange(reps)  # output row of each walker row
         # flat buffers: an (r, R) view of a prefix stays contiguous as R shrinks
         size = max(_BLOCK_ELEMS, reps)
-        terms = np.empty(size + reps)
+        terms = np.empty(size + reps)  # H (or weight) before each flip, then the running sum
         marks = np.empty(size)
-        owners = np.empty(size + reps, dtype=np.int64) if on_table else None
+        owners = None if w is None else np.empty(size + reps, dtype=np.int64)
         done = 0
         while done < step_budget:
             R = walker.R
             r = min(step_budget - done, max(1, _BLOCK_ELEMS // R))
             K = rng.integers(0, n, (r, R))
             E = rng.standard_exponential(out=marks[:r * R].reshape(r, R))
-            h = terms[:(r + 1) * R].reshape(r + 1, R)
-            S = h[:r]  # H (or weight) before each flip, then the running sum
-            if on_table:
-                before = owners[:(r + 1) * R].reshape(r + 1, R)
-                before[0] = walker.idx
-                before[1:] = walker.path(K)
-                before = before[:r]  # the index that owns each step
-                np.take(walker.table if w is None else w, before, out=S, mode="clip")
-            else:
+            if w is None:
+                h = terms[:(r + 1) * R].reshape(r + 1, R)
                 h[0] = walker.H
                 walker.walk(K, h[1:])
-            if w is None:
-                S *= inst.beta
+                S = np.multiply(h[:r], inst.beta, out=h[:r])  # beta H before each flip
                 S += np.log(E, out=E)
                 np.logaddexp(cum, S[0], out=S[0])
                 prefix_scan(np.logaddexp, S)
             else:
+                before = owners[:(r + 1) * R].reshape(r + 1, R)  # row i owns step i
+                before[0] = walker.idx
+                before[1:] = walker.path(K)
+                S = np.take(w, before[:r], out=terms[:r * R].reshape(r, R), mode="clip")
                 S *= E
                 S[0] += cum
                 prefix_scan(np.add, S)
@@ -990,8 +982,8 @@ class HypercubeSRW(JumpChainModel):
                     sums = S[:, cross] if w is None else np.log(S[:, cross])
                     j = np.argmax(sums > bounds[level], axis=0)
                     states[alive[cross], level] = (
-                        walker.spins(before[j, np.flatnonzero(cross)]) if on_table
-                        else _states_before(walker, K, cross, j))
+                        _states_before(walker, K, cross, j) if w is None
+                        else walker.spins(before[j, np.flatnonzero(cross)]))
             passed, keep = now, now < len(levels)
             if np.all(keep):
                 continue

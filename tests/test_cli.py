@@ -346,8 +346,10 @@ def test_cli_oversized_tensor_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "n_grid (tensor for n=1000, p=3" in err and "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    # with a step budget that covers sk-run's and verify's 1.7e92 steps per replica
-    validate_config({"p": 3, "n_grid": [8, 812], "step_budget": 10 ** 93}, command)
+    # with a step budget that covers sk-run's and verify's 1.7e92 steps per replica,
+    # and for variance a t at which 40 k_n(t)^4 stays finite (k_n(1) = 8.6e85)
+    extra = {"t_grid": [1e-10]} if command == "variance" else {}
+    validate_config({"p": 3, "n_grid": [8, 812], "step_budget": 10 ** 93, **extra}, command)
     # subcommands without a p-spin tensor keep any n
     for other in ("ppp", "ehrenfest", "compare"):
         validate_config({"p": 3, "n_grid": [1000]}, other)
@@ -363,8 +365,11 @@ def test_cli_overflowing_schedule_is_a_config_error(tmp_path, capsys, command):
     assert "n_grid (a_n overflows for n=2000" in err and "max n for c=0.01 is 1623" in err
     assert "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
-    # with a step budget that covers sk-run's and verify's 1.1e306 steps per replica
-    validate_config({"n_grid": [1623], "p": 2, "c": 0.01, "step_budget": 10 ** 307}, command)
+    # with a step budget that covers sk-run's and verify's 1.1e306 steps per replica,
+    # and for variance a t at which 40 k_n(t)^4 stays finite (k_n(1) = 1.4e299)
+    extra = {"t_grid": [1e-223]} if command == "variance" else {}
+    validate_config({"n_grid": [1623], "p": 2, "c": 0.01, "step_budget": 10 ** 307, **extra},
+                    command)
     # variance builds no schedule where beta = 0; other subcommands none at all
     validate_config({"n_grid": [8, 2000], "p": 2, "c": 0.01, "beta": [1.0, 0.0]},
                     "variance")
@@ -392,6 +397,44 @@ def test_cli_overflowing_clock_is_a_config_error(tmp_path, capsys, command):
         validate_config({"n_grid": [8], "t_grid": [1.0, 1e308]}, command)
     # variance builds no schedule where beta = 0
     validate_config({"n_grid": [8], "t_grid": [1e308], "beta": 0.0}, "variance")
+
+
+def test_cli_variance_fourth_moment_overflow_is_a_config_error(tmp_path, capsys):
+    # variance's SE sums env_replicas fourth powers of deviations of values
+    # in [0, k_n(t)]: at n = 8, t = 1e300, k_n(t) = 1.06e300 and they overflow
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [8], "t_grid": [1e300], "env_replicas": 2}))
+    assert main(["variance", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_grid (variance sums 2 fourth powers of values up to k_n(t) = 1.056e+300" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    # the largest t accepted at n = 8 with 2 environments, where 2 k_n(t)^4
+    # is the largest double, runs to a finite report
+    largest = 9.223723128878971e+76
+    with pytest.raises(ConfigError, match=r"t_grid \(variance sums 2 fourth powers"):
+        validate_config({"n_grid": [8], "t_grid": [math.nextafter(largest, math.inf)],
+                         "env_replicas": 2}, "variance")
+    cfg_path.write_text(json.dumps({"n_grid": [8], "t_grid": [largest], "env_replicas": 2}))
+    assert main(["variance", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "results.json").read_text())["reports"][0]
+    assert math.isfinite(report["estimate"]) and math.isfinite(report["se"])
+    assert report["estimate"] > 0.0
+    # more environments, a smaller largest k_n(t); only variance sums them
+    with pytest.raises(ConfigError, match=r"t_grid \(variance sums 40 fourth powers"):
+        validate_config({"n_grid": [8], "t_grid": [largest], "env_replicas": 40}, "variance")
+    validate_config({"n_grid": [8], "t_grid": [largest], "env_replicas": 40}, "ageing")
+
+
+def test_cli_ageing_above_62_spins_runs_on_the_field_walker(tmp_path):
+    # n = 64 is past any int64 state index: the field walker's log-sum path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [64], "c": 0.45, "replicas": 40}))
+    assert main(["ageing", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "ageing.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["truncated"] == "0" for row in rows)
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("estimate", "se"))
 
 
 @pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])

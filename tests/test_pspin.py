@@ -293,10 +293,17 @@ def test_walker_is_the_table_up_to_n20_and_the_field_above_whatever_the_walk():
         assert isinstance(_walker(build_instance(20, p, seed=1), -np.ones((2, 20))),
                           _TableWalker)
     assert isinstance(_walker(build_instance(21, 2, seed=1), -np.ones((2, 21))), _BatchWalker)
-    # rates at given states are contracted there: no table is built for them
-    inst = build_instance(8, 3, seed=1)
-    HypercubeSRW(8).batch_log_inv_rates(PSpinEnvironment(inst), -np.ones((2, 8)))
-    assert inst._table is None
+    # rates at given states take the same walker: exact energy-table reads
+    # at n <= 20, the field walker's contraction above
+    for n, p in ((8, 2), (8, 3), (20, 3), (21, 2)):
+        inst = build_instance(n, p, seed=1, beta=0.7)
+        X = HypercubeSRW(n).sample_stationary(50, np.random.default_rng(n + p))
+        rates = HypercubeSRW(n).batch_log_inv_rates(PSpinEnvironment(inst), X)
+        if n <= 20:
+            idx = (X < 0.0) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+            np.testing.assert_array_equal(rates, inst.beta * inst.energy_table()[idx])
+        else:
+            np.testing.assert_array_equal(rates, inst.beta * _BatchWalker(inst, X).H)
     with pytest.raises(ValueError):
         _TableWalker(build_instance(5, 2, seed=1), np.ones((3, 4)))
 

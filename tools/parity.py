@@ -72,10 +72,16 @@ def matrix() -> list:
             + [("sk-run-n20", "sk-run", {"n_grid": [20], "replicas": 35}),
                ("variance-n18", "variance", {"n_grid": [18]}),
                ("ageing-n20", "ageing", {"n_grid": [20], "replicas": 500}),
-               # above n = 20 every walk takes the field walker
+               # beta (max H - min H) past the weight span: the table walker's log-sum path
+               ("ageing-hot", "ageing", {"n_grid": [8, 12], "c": 0.45, "beta": 100.0,
+                                         "replicas": 400, "t_grid": [0.5, 1.0],
+                                         "step_budget": 100000}),
+               # above n = 20 every walk takes the field walker, above 62 past any int64 index
                ("sk-run-p2-n22", "sk-run", {"p": 2, "n_grid": [22], "replicas": 40}),
                ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40}),
-               ("ageing-p2-n22", "ageing", {"p": 2, "n_grid": [22], "replicas": 100})])
+               ("ageing-p2-n22", "ageing", {"p": 2, "n_grid": [22], "replicas": 100}),
+               ("ageing-p2-n64", "ageing", {"p": 2, "n_grid": [64], "c": 0.45,
+                                            "replicas": 40})])
 
 
 def law_runs(seeds: int) -> list:
