@@ -120,24 +120,50 @@ def hitting_bound(chain: EhrenfestChain, d: int) -> float:
     return d / (1.0 - 2.0 * d / n)
 
 
+_BLOCK = 64  # steps of the chain per block of ``_laws_at``
+
+
+def _laws_at(chain: EhrenfestChain, d: int, starts, horizon: int, *,
+             killed: bool) -> np.ndarray:
+    """Mass at d after each step j = 1..horizon, for each row of ``starts``.
+
+    The laws move ``_BLOCK`` steps at a time.  With S = P, column d
+    zeroed when ``killed`` (mass reaching d is removed after each step)
+    and P itself otherwise, column b of C is S^b P[:, d], so a law v
+    gives the masses at d of the next block as v @ C and moves on as
+    v @ S^_BLOCK.  Every entry of P, C and S^_BLOCK is nonnegative, so
+    no sum cancels.  Column 0 of the result is 0.
+    """
+    P = transition_matrix(chain)
+    step = P.copy()
+    if killed:
+        step[:, d] = 0.0
+    cols = np.empty((chain.n + 1, _BLOCK))
+    cols[:, 0] = P[:, d]
+    for b in range(1, _BLOCK):
+        cols[:, b] = step @ cols[:, b - 1]
+    jump = np.linalg.matrix_power(step, _BLOCK)
+    v = starts
+    out = np.zeros((v.shape[0], horizon + 1))
+    for j in range(1, horizon + 1, _BLOCK):
+        out[:, j:j + _BLOCK] = (v @ cols)[:, :horizon + 1 - j]
+        if j + _BLOCK <= horizon:
+            v = v @ jump
+    return out
+
+
 def _passage_laws(chain: EhrenfestChain, d: int, horizon: int) -> np.ndarray:
     """Rows P_0(T_d = j) and P_d(T_d^+ = j) for j = 0..horizon.
 
     Both start vectors, e_0 and e_d, go through the chain killed at d
-    together, one (2, n+1) vector-matrix product per step; entry j of a
-    row is the mass that reaches d at step j, which is then removed.
-    Column 0 is 0: d >= 1 is not hit at step 0, and a return takes at
-    least 2 steps.
+    together, ``_BLOCK`` steps per pair of matrix products
+    (``_laws_at``); entry j of a row is the mass that reaches d at step
+    j, which is then removed.  Column 0 is 0: d >= 1 is not hit at step
+    0, and a return takes at least 2 steps.
     """
-    P = transition_matrix(chain)
-    v = np.zeros((2, chain.n + 1))
-    v[0, 0] = v[1, d] = 1.0
-    out = np.zeros((2, horizon + 1))
-    for j in range(1, horizon + 1):
-        v = v @ P
-        out[:, j] = v[:, d]
-        v[:, d] = 0.0
-    return out
+    starts = np.zeros((2, chain.n + 1))
+    starts[0, 0] = starts[1, d] = 1.0
+    return _laws_at(chain, d, starts, horizon, killed=True)
 
 
 def hitting_time_distribution(chain: EhrenfestChain, d: int, horizon: int) -> np.ndarray:
@@ -216,7 +242,8 @@ def occupation_statistic(chain: EhrenfestChain, d: int, v_n: int, reps: int,
 
     An exact renewal sampler.  By the strong Markov property the visits
     of Q to d are a first passage T_d from 0 followed by i.i.d. first
-    returns to d, whose laws up to v_n come from ``_passage_laws``.
+    returns to d, whose laws up to v_n come from ``_passage_laws``, 64
+    steps of the chain per pair of matrix products.
     Each replica draws its first visit by inverting the first-passage
     CDF with one uniform (an index past v_n means no visit), then, while
     its visit time j is at most v_n, adds j - d and draws the next
@@ -243,14 +270,21 @@ def occupation_statistic(chain: EhrenfestChain, d: int, v_n: int, reps: int,
 
 
 def occupation_exact(chain: EhrenfestChain, d: int, v_n: int) -> float:
-    """E_0 Z by summing (j - d) P_0(Q(j) = d) over j = d..v_n."""
+    """E_0 Z as the dot product of (j - d) with P_0(Q(j) = d), j = 0..v_n.
+
+    The laws P_0(Q(j) = d) come from the unkilled chain by blocks
+    (``_laws_at``); terms with j < d have probability 0, since the
+    chain moves one unit per step.
+    """
+    n = chain.n
     if not 1 <= d <= v_n:
         raise ValueError(f"need 1 <= d <= v_n, got d={d}, v_n={v_n}")
-    total = 0.0
-    for j, v in zip(range(v_n + 1), distance_laws(chain)):
-        if j >= d:
-            total += (j - d) * v[d]
-    return total
+    if d > n:
+        raise ValueError(f"d={d} exceeds n={n}: the chain never reaches it")
+    start = np.zeros((1, n + 1))
+    start[0, 0] = 1.0
+    at_d = _laws_at(chain, d, start, v_n, killed=False)[0]
+    return float((np.arange(v_n + 1) - d) @ at_d)
 
 
 def distance_process_check(n: int, steps: int, reps: int,
@@ -261,17 +295,20 @@ def distance_process_check(n: int, steps: int, reps: int,
     coordinate per step) so the projection onto Hamming distance is
     tested, not assumed; compares the empirical law of dist(J(0), J(k))
     with the exact law after k steps (``distance_laws``) for each k <= steps.
+    The bitmaps are one flat bool array, replica r's coordinate i at
+    r * n + i, so each step is one 1-d gather and one 1-d scatter.
     """
     if n < 1 or steps < 1 or reps < 1:
         raise ValueError("n, steps and reps must all be >= 1")
-    bits = np.zeros((reps, n), dtype=bool)
+    bits = np.zeros(reps * n, dtype=bool)
     dist = np.zeros(reps, dtype=np.int64)
-    rows = np.arange(reps)
+    offsets = np.arange(0, reps * n, n)
     worst = 0.0
     for law in itertools.islice(distance_laws(EhrenfestChain(n)), 1, steps + 1):
-        flip = rng.integers(0, n, reps)
-        dist += np.where(bits[rows, flip], -1, 1)
-        bits[rows, flip] ^= True
+        cells = offsets + rng.integers(0, n, reps)
+        was = bits[cells]
+        dist += 1 - 2 * was
+        bits[cells] = ~was
         counts = np.bincount(dist, minlength=n + 1)
         empirical = counts / reps
         tv = 0.5 * np.abs(empirical - law).sum()

@@ -473,6 +473,11 @@ def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
     H' = minus^{1/2} z through symmetric square roots, and every
     accumulator holds the per-replica differences
     1{max H <= s} - 1{max H' <= s}, so its ``sem`` is the paired SE.
+
+    Each level counts the replicas whose value is +1 and those whose
+    value is -1, summed over the draw chunks; every accumulator is then
+    built once from the counts in closed form, so its mean is the exact
+    ratio (up - down) / reps.  ``reps = 0`` gives empty accumulators.
     """
     d = _check_comparison_matrix(delta, "delta")
     levels = np.asarray(s, dtype=float)
@@ -492,19 +497,29 @@ def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
             w, v = np.linalg.eigh(mat)
             roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
         factor = np.vstack(roots)
-    accs = [MCAccumulator() for _ in range(levels.size)]
-    chunk = 65536
-    remaining = reps
-    while remaining > 0:
-        m = min(chunk, remaining)
+    # replicas whose difference is +1 and -1 at each level, over all chunks
+    up = np.zeros(levels.size, dtype=np.int64)
+    down = np.zeros(levels.size, dtype=np.int64)
+    count, chunk, col = 0, 65536, levels.reshape(-1, 1)
+    while count < reps:
+        m = min(chunk, reps - count)
         z = rng.standard_normal((m, d.shape[0]))
         # (dim, m) layout per matrix: the max over coordinates is an
         # elementwise max of rows; one row of maxima per matrix
         maxima = (factor @ z.T).reshape(-1, d.shape[0], m).max(axis=1)
-        for acc, level in zip(accs, levels.ravel()):
-            below = (maxima <= level).astype(float)
-            acc.update_many(below[0] - below[1] if minus is not None else below[0])
-        remaining -= m
+        below = maxima[0] <= col
+        if minus is None:
+            up += np.count_nonzero(below, axis=1)
+        else:
+            other = maxima[1] <= col
+            up += np.count_nonzero(below & ~other, axis=1)
+            down += np.count_nonzero(other & ~below, axis=1)
+        count += m
+    # the values are +1, -1 and 0, so mean and M2 have closed forms;
+    # count 0 (reps <= 0) leaves every accumulator empty
+    mean = (up - down) / max(count, 1)
+    m2 = up * (1.0 - mean) ** 2 + down * (1.0 + mean) ** 2 + (count - up - down) * mean ** 2
+    accs = [MCAccumulator(count, float(a), float(b)) for a, b in zip(mean, m2)]
     return accs if levels.ndim else accs[0]
 
 

@@ -202,3 +202,98 @@ def hitting_window_dist_sum(n: int, d: int, lo: int, hi: int) -> float:
         if j > lo:
             total += absorbed
     return total
+
+
+def _distance_chain_matrix(n: int) -> np.ndarray:
+    """Transition matrix of the distance chain, down k/n and up 1 - k/n."""
+    k = np.arange(n + 1)
+    P = np.zeros((n + 1, n + 1))
+    P[k[1:], k[1:] - 1] = k[1:] / n
+    P[k[:-1], k[:-1] + 1] = 1.0 - k[:-1] / n
+    return P
+
+
+def passage_laws_loop(n: int, d: int, horizon: int) -> np.ndarray:
+    """P_0(T_d = j) and P_d(T_d^+ = j) for j = 0..horizon, one step at a time.
+
+    Both start vectors go through the chain killed at d together, one
+    (2, n+1) vector-matrix product per step; entry j is the mass that
+    reaches d at step j, which is then removed.
+    """
+    P = _distance_chain_matrix(n)
+    v = np.zeros((2, n + 1))
+    v[0, 0] = v[1, d] = 1.0
+    out = np.zeros((2, horizon + 1))
+    for j in range(1, horizon + 1):
+        v = v @ P
+        out[:, j] = v[:, d]
+        v[:, d] = 0.0
+    return out
+
+
+def occupation_exact_loop(n: int, d: int, v_n: int) -> float:
+    """E_0 sum_{j=d}^{v_n} 1{Q(j)=d} (j - d), one law per step."""
+    P = _distance_chain_matrix(n)
+    v = np.zeros(n + 1)
+    v[0] = 1.0
+    total = 0.0
+    for j in range(1, v_n + 1):
+        v = v @ P
+        if j >= d:
+            total += (j - d) * v[d]
+    return total
+
+
+def distance_process_check_2d(n: int, steps: int, reps: int, rng) -> float:
+    """Max TV of hypercube-walk distance laws, on a (reps, n) bitmap.
+
+    Draws one flip per replica and step, as the library does, and
+    toggles bits[r, flip[r]] by 2-d fancy indexing.
+    """
+    P = _distance_chain_matrix(n)
+    law = np.zeros(n + 1)
+    law[0] = 1.0
+    bits = np.zeros((reps, n), dtype=bool)
+    dist = np.zeros(reps, dtype=np.int64)
+    rows = np.arange(reps)
+    worst = 0.0
+    for _ in range(steps):
+        law = law @ P
+        flip = rng.integers(0, n, reps)
+        dist += np.where(bits[rows, flip], -1, 1)
+        bits[rows, flip] ^= True
+        empirical = np.bincount(dist, minlength=n + 1) / reps
+        worst = max(worst, float(0.5 * np.abs(empirical - law).sum()))
+    return worst
+
+
+def max_cdf_indicators(delta, levels, reps: int, rng, minus=None) -> list:
+    """(count, mean, M2) per level from the float indicators of every replica.
+
+    Draws in chunks of 65536 standard-normal vectors, as the library
+    does, through symmetric square roots when paired (an eigen-factor
+    alone); each level keeps 1{max H <= s} (minus 1{max H' <= s}) as
+    floats for all replicas, then takes their mean and summed squared
+    deviations.
+    """
+    mats = [np.asarray(delta, dtype=float)] + ([] if minus is None
+                                               else [np.asarray(minus, dtype=float)])
+    roots = []
+    for mat in mats:
+        w, v = np.linalg.eigh(mat)
+        root = v * np.sqrt(np.clip(w, 0.0, None))
+        roots.append(root if minus is None else root @ v.T)
+    factor, dim = np.vstack(roots), mats[0].shape[0]
+    values = [[] for _ in levels]
+    for start in range(0, reps, 65536):
+        z = rng.standard_normal((min(65536, reps - start), dim))
+        maxima = (factor @ z.T).reshape(len(mats), dim, -1).max(axis=1)
+        for out, level in zip(values, levels):
+            below = (maxima <= level).astype(float)
+            out.append(below[0] - below[1] if minus is not None else below[0])
+    result = []
+    for chunks in values:
+        arr = np.concatenate(chunks) if chunks else np.zeros(0)
+        mean = float(arr.mean()) if arr.size else 0.0
+        result.append((int(arr.size), mean, float(((arr - mean) ** 2).sum())))
+    return result

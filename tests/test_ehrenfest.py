@@ -281,6 +281,19 @@ def test_passage_laws_match_brute_force():
         np.testing.assert_array_equal(hitting_time_distribution(EhrenfestChain(n), d, hi), first)
 
 
+@pytest.mark.parametrize("n", [4, 8, 32, 64])
+def test_laws_by_blocks_match_per_step_loop(n):
+    # horizons inside one block, at its edge, one past it and 3 n^2
+    for d in sorted({1, 2, n // 2, n}):
+        for horizon in (1, 63, 64, 65, 3 * n * n):
+            np.testing.assert_allclose(_passage_laws(EhrenfestChain(n), d, horizon),
+                                       oracles.passage_laws_loop(n, d, horizon),
+                                       rtol=1e-12, atol=0.0)
+            if horizon >= d:
+                assert occupation_exact(EhrenfestChain(n), d, horizon) == pytest.approx(
+                    oracles.occupation_exact_loop(n, d, horizon), rel=1e-12, abs=0.0)
+
+
 def test_occupation_statistic_draws_per_visit():
     # the limit-laws ehrenfest config, 28.8M uniforms at one per step:
     # one uniform per replica and per visit to d instead
@@ -297,6 +310,8 @@ def test_occupation_statistic_draws_per_visit():
 def test_occupation_statistic_rejects_unreachable_distance():
     with pytest.raises(ValueError, match=r"d=5 exceeds n=4"):
         occupation_statistic(EhrenfestChain(4), 5, 10, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"d=5 exceeds n=4"):
+        occupation_exact(EhrenfestChain(4), 5, 10)
 
 
 def test_occupation_exact_tiny_case_by_hand():
@@ -312,3 +327,11 @@ def test_distance_process_check_small():
     assert worst <= 0.02
     with pytest.raises(ValueError):
         distance_process_check(0, 5, 10, rng)
+
+
+@pytest.mark.parametrize("n, steps, reps, seed", [(1, 3, 10, 0), (5, 12, 1000, 1),
+                                                  (8, 40, 5000, 2), (32, 30, 777, 3)])
+def test_distance_process_check_equals_2d_indexing(n, steps, reps, seed):
+    # the flat bitmap draws and toggles as the (reps, n) one does
+    assert distance_process_check(n, steps, reps, np.random.default_rng(seed)) == \
+        oracles.distance_process_check_2d(n, steps, reps, np.random.default_rng(seed))

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,29 @@ def test_max_cdf_mc_sequence_shares_draws():
         max_cdf_mc(d, [], 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         max_cdf_mc(d, [[1.0]], 10, np.random.default_rng(0))
+
+
+def test_max_cdf_mc_counts_match_indicator_path():
+    # 70,000 reps span two draw chunks; the mean is an exact count ratio
+    d0, d1 = (_random_correlation(6, np.random.default_rng(k)) for k in (31, 32))
+    levels = [0.0, 0.5, 1.0, 2.0, 8.0]
+    for minus in (None, d1):
+        accs = max_cdf_mc(d0, levels, 70_000, np.random.default_rng(41), minus=minus)
+        want = oracles.max_cdf_indicators(d0, levels, 70_000, np.random.default_rng(41),
+                                          minus=minus)
+        for acc, (count, mean, m2) in zip(accs, want):
+            assert (acc.count, acc.mean) == (count, mean)
+            assert acc.m2 == pytest.approx(m2, rel=1e-12, abs=0.0)
+
+
+def test_max_cdf_mc_no_replicas_gives_empty_accumulators():
+    d0, d1 = (_random_correlation(3, np.random.default_rng(k)) for k in (33, 34))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for minus in (None, d1):
+            accs = max_cdf_mc(d0, [0.5, 1.0], 0, np.random.default_rng(0), minus=minus)
+            assert [(a.count, a.mean, a.m2) for a in accs] == [(0, 0.0, 0.0)] * 2
+            assert max_cdf_mc(d0, 1.0, 0, np.random.default_rng(0), minus=minus).sem == 0.0
 
 
 def test_max_cdf_mc_paired_matches_bivariate_oracle():

@@ -81,7 +81,11 @@ def matrix() -> list:
                ("sk-run-p3-n22", "sk-run", {"p": 3, "n_grid": [22], "replicas": 40}),
                ("ageing-p2-n22", "ageing", {"p": 2, "n_grid": [22], "replicas": 100}),
                ("ageing-p2-n64", "ageing", {"p": 2, "n_grid": [64], "c": 0.45,
-                                            "replicas": 40})])
+                                            "replicas": 40}),
+               # theta = 3 n^2 runs 75 and 108 blocks of the Ehrenfest law propagator
+               ("ehrenfest-n48", "ehrenfest", {"n_grid": [40, 48], "replicas": 2000}),
+               # 70,000 replicas are two draw chunks of max_cdf_mc
+               ("compare-2chunks", "compare", {"pairs": 3, "replicas": 70000})])
 
 
 def law_runs(seeds: int) -> list:
