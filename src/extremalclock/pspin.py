@@ -13,9 +13,9 @@ module provides:
   alpha = gamma/beta, a_n, log c_n = gamma beta n, theta_n = 3 n^2 and
   the sub-block length v_n = round(n^omega);
 * ``gaussian_comparison_rhs`` / ``max_cdf_mc`` -- the normal-comparison
-  upper bound and the Monte Carlo max-CDF it dominates; with ``minus=``
-  one draw per replica serves both matrices, so the max-CDF difference
-  comes with a paired SE;
+  upper bound and the Monte Carlo max-CDF it dominates, whose inputs
+  one checker owns (one ``eigh`` per matrix); with ``minus=`` one draw
+  per replica serves both matrices, so the difference has a paired SE;
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
   environment oracle consumed by the generic engine, with vectorised
   kernels for p in {2, 3} that advance thousands of replicas per numpy
@@ -109,8 +109,7 @@ class PSpinInstance:
     """
 
     def __init__(self, n: int, p: int, seed: int, tensor: np.ndarray,
-                 beta: float = 1.0, c: float = 0.25,
-                 cache_size: int = DEFAULT_CACHE_SIZE):
+                 beta: float = 1.0, c: float = 0.25):
         self.n = n
         self.p = p
         self.seed = seed
@@ -120,7 +119,6 @@ class PSpinInstance:
         self.c = float(c)
         self.gamma = float(n) ** (-c)
         self.scale = float(n) ** ((1 - p) / 2.0)
-        self.cache_size = cache_size
         self._tls = threading.local()
         self._sym = None
         self._table = None
@@ -137,7 +135,7 @@ class PSpinInstance:
         cache = self._cache()
         cache[key] = value
         cache.move_to_end(key)
-        if len(cache) > self.cache_size:
+        if len(cache) > DEFAULT_CACHE_SIZE:
             cache.popitem(last=False)
 
     def cache_get(self, key: bytes):
@@ -403,20 +401,36 @@ def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
 # Gaussian comparison (normal comparison inequality, upper bound form)
 
 
-def _check_comparison_matrix(delta: np.ndarray, name: str) -> np.ndarray:
-    delta = np.asarray(delta, dtype=float)
-    if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.all(np.isfinite(delta)):
-        raise ValueError(f"{name} must have finite entries")
-    # np.allclose's rule (rtol 1e-5) with atol 1e-12, without its overhead
-    if not np.all(np.abs(delta - delta.T) <= 1e-12 + 1e-5 * np.abs(delta.T)):
-        raise ValueError(f"{name} must be symmetric")
-    if not np.all(np.abs(np.diag(delta) - 1.0) <= 1e-12 + 1e-5):
-        raise ValueError(f"{name} must have unit diagonal")
-    if np.min(np.linalg.eigvalsh(delta)) < -1e-10:
-        raise ValueError(f"{name} must be positive semi-definite")
-    return delta
+def _comparison_inputs(named, s):
+    """The checked (matrices, their (w, v) eigenpairs, levels) of a comparison.
+
+    ``named`` lists (matrix, name) pairs, and each error names its
+    matrix.  One ``eigh`` per matrix tests positive semi-definiteness
+    and is the decomposition a square root is built from.
+    """
+    mats, eigs = [], []
+    for delta, name in named:
+        delta = np.asarray(delta, dtype=float)
+        if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
+            raise ValueError(f"{name} must be square")
+        if not np.all(np.isfinite(delta)):
+            raise ValueError(f"{name} must have finite entries")
+        # np.allclose's rule (rtol 1e-5) with atol 1e-12, without its overhead
+        if not np.all(np.abs(delta - delta.T) <= 1e-12 + 1e-5 * np.abs(delta.T)):
+            raise ValueError(f"{name} must be symmetric")
+        if not np.all(np.abs(np.diag(delta) - 1.0) <= 1e-12 + 1e-5):
+            raise ValueError(f"{name} must have unit diagonal")
+        w, v = np.linalg.eigh(delta)
+        if w.min() < -1e-10:  # ascending; a 0 x 0 matrix has no minimum and raises
+            raise ValueError(f"{name} must be positive semi-definite")
+        mats.append(delta)
+        eigs.append((w, v))
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValueError("covariance matrices must share a shape")
+    levels = np.asarray(s, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise ValueError("s must be a float or a non-empty 1-d sequence")
+    return mats, eigs, levels
 
 
 def gaussian_comparison_rhs(delta0, delta1, s):
@@ -434,13 +448,7 @@ def gaussian_comparison_rhs(delta0, delta1, s):
     where a > b.  Entries with |Dh| reaching 1 on the path make the
     integral singular and are rejected.
     """
-    d0 = _check_comparison_matrix(delta0, "delta0")
-    d1 = _check_comparison_matrix(delta1, "delta1")
-    if d0.shape != d1.shape:
-        raise ValueError("covariance matrices must share a shape")
-    levels = np.asarray(s, dtype=float)
-    if levels.ndim > 1 or levels.size == 0:
-        raise ValueError("s must be a float or a non-empty 1-d sequence")
+    (d0, d1), _, levels = _comparison_inputs([(delta0, "delta0"), (delta1, "delta1")], s)
     rows, cols = np.triu_indices(d0.shape[0], k=1)
     a, b = d0[rows, cols], d1[rows, cols]
     live = a > b  # pairs with a positive part (D0 - D1)^+
@@ -463,50 +471,39 @@ def gaussian_comparison_rhs(delta0, delta1, s):
 def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
     """Monte Carlo estimate of P(max_i H_i <= s) for H ~ N(0, delta).
 
+    Each standard-normal vector z gives H = delta^{1/2} z through the
+    symmetric square root v diag(sqrt w) v^T of delta's one ``eigh``.
     A float ``s`` returns one MCAccumulator.  A 1-d sequence ``s``
     shares one set of ``reps`` draws across its levels and returns one
     accumulator per entry, each equal to a scalar call on those draws.
 
     With ``minus`` (a covariance of the same shape), the estimate is of
-    P(max H <= s) - P(max H' <= s) with common random numbers: each
-    standard-normal vector z gives H = delta^{1/2} z and
-    H' = minus^{1/2} z through symmetric square roots, and every
-    accumulator holds the per-replica differences
-    1{max H <= s} - 1{max H' <= s}, so its ``sem`` is the paired SE.
+    P(max H <= s) - P(max H' <= s) with common random numbers: the same
+    z also gives H' = minus^{1/2} z, and every accumulator holds the
+    per-replica differences 1{max H <= s} - 1{max H' <= s}, so its
+    ``sem`` is the paired SE.
 
     Each level counts the replicas whose value is +1 and those whose
     value is -1, summed over the draw chunks; every accumulator is then
     built once from the counts in closed form, so its mean is the exact
     ratio (up - down) / reps.  ``reps = 0`` gives empty accumulators.
     """
-    d = _check_comparison_matrix(delta, "delta")
-    levels = np.asarray(s, dtype=float)
-    if levels.ndim > 1 or levels.size == 0:
-        raise ValueError("s must be a float or a non-empty 1-d sequence")
-    if minus is None:
-        w, v = np.linalg.eigh(d)
-        factor = v * np.sqrt(np.clip(w, 0.0, None))
-    else:
-        d1 = _check_comparison_matrix(minus, "minus")
-        if d1.shape != d.shape:
-            raise ValueError("covariance matrices must share a shape")
-        roots = []
-        for mat in (d, d1):
-            # symmetric roots: eigh's column signs are arbitrary, so two
-            # plain eigen-factors would not couple H and H'
-            w, v = np.linalg.eigh(mat)
-            roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
-        factor = np.vstack(roots)
+    named = [(delta, "delta")] + ([] if minus is None else [(minus, "minus")])
+    mats, eigs, levels = _comparison_inputs(named, s)
+    # one factor form, paired or not: symmetric roots, since eigh's column
+    # signs are arbitrary and two plain eigen-factors would not couple H and H'
+    factor = np.vstack([(v * np.sqrt(np.clip(w, 0.0, None))) @ v.T for w, v in eigs])
+    dim = mats[0].shape[0]
     # replicas whose difference is +1 and -1 at each level, over all chunks
     up = np.zeros(levels.size, dtype=np.int64)
     down = np.zeros(levels.size, dtype=np.int64)
     count, chunk, col = 0, 65536, levels.reshape(-1, 1)
     while count < reps:
         m = min(chunk, reps - count)
-        z = rng.standard_normal((m, d.shape[0]))
+        z = rng.standard_normal((m, dim))
         # (dim, m) layout per matrix: the max over coordinates is an
         # elementwise max of rows; one row of maxima per matrix
-        maxima = (factor @ z.T).reshape(-1, d.shape[0], m).max(axis=1)
+        maxima = (factor @ z.T).reshape(-1, dim, m).max(axis=1)
         below = maxima[0] <= col
         if minus is None:
             up += np.count_nonzero(below, axis=1)

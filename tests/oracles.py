@@ -271,18 +271,16 @@ def max_cdf_indicators(delta, levels, reps: int, rng, minus=None) -> list:
     """(count, mean, M2) per level from the float indicators of every replica.
 
     Draws in chunks of 65536 standard-normal vectors, as the library
-    does, through symmetric square roots when paired (an eigen-factor
-    alone); each level keeps 1{max H <= s} (minus 1{max H' <= s}) as
-    floats for all replicas, then takes their mean and summed squared
-    deviations.
+    does, through symmetric square roots, paired or not; each level
+    keeps 1{max H <= s} (minus 1{max H' <= s}) as floats for all
+    replicas, then takes their mean and summed squared deviations.
     """
     mats = [np.asarray(delta, dtype=float)] + ([] if minus is None
                                                else [np.asarray(minus, dtype=float)])
     roots = []
     for mat in mats:
         w, v = np.linalg.eigh(mat)
-        root = v * np.sqrt(np.clip(w, 0.0, None))
-        roots.append(root if minus is None else root @ v.T)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
     factor, dim = np.vstack(roots), mats[0].shape[0]
     values = [[] for _ in levels]
     for start in range(0, reps, 65536):

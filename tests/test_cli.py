@@ -109,6 +109,23 @@ def test_beta_sequence_rules():
         validate_config({"beta": -1.0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta", [1.0, -0.5, 1.0]), ("significance", 0.0), ("significance", 1.0),
+    ("v", 0), ("K", 0.0), ("t_max", 0), ("u_min", 0.0), ("out", 5)])
+def test_validate_per_field_rules(field, value):
+    with pytest.raises(ConfigError) as err:
+        validate_config({field: value})
+    assert [f.split(" ")[0] for f in err.value.fields] == [field]
+
+
+def test_cli_non_string_out_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out": 5}))
+    assert main(["ppp", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "out (must be a string)" in err and "Traceback" not in err
+
+
 def test_load_config_and_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"replicas": 500, "seed": 3}))

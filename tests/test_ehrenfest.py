@@ -38,6 +38,17 @@ def test_transition_matrix_structure():
         EhrenfestChain(0)
 
 
+def test_hitting_inputs_out_of_range():
+    chain = EhrenfestChain(6)
+    for d in (0, 7):
+        with pytest.raises(ValueError, match=f"d must lie in 1..6, got {d}"):
+            expected_hitting_from_zero(chain, d)
+        with pytest.raises(ValueError, match=f"d must lie in 1..6, got {d}"):
+            simulate_hitting_time(chain, d, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lo must be >= 0, got -1"):
+        hitting_window_probability(chain, 3, -1, 5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_distance_laws_are_matrix_power_rows(n):
     chain = EhrenfestChain(n)

@@ -12,6 +12,8 @@ import oracles
 from extremalclock.engine import (
     CompleteGraphChain,
     ConstantEnvironment,
+    EnvironmentOracle,
+    EnvironmentValueError,
     HorizonError,
     ScalingSchedule,
     StepBudgetError,
@@ -33,6 +35,23 @@ from extremalclock.engine import (
 def toy_schedule(a_n=10.0, log_c_n=0.0, theta=1, alpha=1.0, v=1):
     return ScalingSchedule(n=2, a_n=a_n, log_c_n=log_c_n, theta_n=theta,
                            alpha_n=alpha, v_n=v)
+
+
+class _InfiniteTau(EnvironmentOracle):
+    log_C = 0.0
+
+    def log_tau(self, x) -> float:
+        return math.inf
+
+
+def test_environment_and_rate_input_checks():
+    for C in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"C must be positive, got {C}"):
+            ConstantEnvironment(1.0, C=C)
+        with pytest.raises(ValueError, match=f"C must be positive, got {C}"):
+            TabularEnvironment([1.0, 2.0], C=C)
+    with pytest.raises(EnvironmentValueError, match="log tau must be finite, got inf"):
+        log_inverse_rate(_InfiniteTau(), CompleteGraphChain(3), 0)
 
 
 def test_complete_graph_chain_basics():

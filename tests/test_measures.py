@@ -40,6 +40,17 @@ def test_pareto_tail_values():
         TailMeasure.pareto(math.inf)
 
 
+def test_sample_poisson_points_input_checks():
+    m = TailMeasure.pareto(4.0)
+    rng = np.random.default_rng(0)
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"t_max must be positive, got {t_max}"):
+            sample_poisson_points(m, t_max, 1.0, rng)
+    # t_max * tail(u_min) = 1e308 * 400 overflows to inf
+    with pytest.raises(ValueError, match="infinite point intensity at u_min=0.01"):
+        sample_poisson_points(m, 1e308, 0.01, rng)
+
+
 def test_tail_inverse_round_trip():
     m = TailMeasure.pareto(4.0)
     assert tail_inverse(m, 2.0) == pytest.approx(2.0)

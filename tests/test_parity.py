@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -35,3 +36,31 @@ def test_law_of_a_tree_with_itself_has_no_differing_cells(tmp_path):
     names = [name for name, _, _ in parity.law_runs(2)]
     for grid in ("ageing-2x2", "sk-run-3t"):
         assert [f"{grid}-s0", f"{grid}-s1"] == [n for n in names if n.startswith(grid)]
+
+
+def _write_runs(root, tables):
+    for run, text in tables.items():
+        (root / run).mkdir(parents=True)
+        (root / run / "t.csv").write_text(text)
+
+
+def test_law_report_gives_fixed_cells_a_relative_difference(tmp_path):
+    # column x moves with the seed in both trees; y is exact, equal across
+    # seeds within a tree but not between them, so it has no z
+    parity = _load_parity()
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_runs(old, {"grid-s0": "x,y\n1.0,0.5\n", "grid-s1": "x,y\n2.0,0.5\n",
+                      "grid-s2": "x,y\n1.5,0.5\n"})
+    _write_runs(new, {"grid-s0": "x,y\n1.1,0.4\n", "grid-s1": "x,y\n1.9,0.4\n",
+                      "grid-s2": "x,y\n1.7,0.4\n"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = parity.law_report(old, new)
+    assert len(lines) == 3, lines
+    x, y, every = lines
+    assert x.startswith("grid/t.csv/x ") and "paired z" in x and "fixed" not in x
+    assert y.startswith("grid/t.csv/y ") and "z " not in y
+    assert y.endswith("1 cells; 1 fixed, largest relative difference 0.2")
+    assert every.endswith("2 cells; z -0.18 sd 0.00 max|z| 0.18; paired z -0.76 sd 0.00 "
+                          "max|z| 0.76; 1 fixed, largest relative difference 0.2")
+    assert not any(word in line for line in lines for word in ("inf", "nan"))

@@ -571,6 +571,59 @@ def test_max_cdf_mc_paired_draws_one_vector_per_replica():
         max_cdf_mc(d0, 1.0, 10, rng, minus=np.eye(4))
 
 
+@pytest.mark.parametrize("dim, seed", [(3, 51), (6, 52)])
+def test_max_cdf_mc_paired_counts_are_differences_of_unpaired_counts(dim, seed):
+    # both paths draw through the same symmetric roots, so from one generator
+    # state the paired up - down is delta's count less minus's, exactly
+    rng = np.random.default_rng(seed)
+    d0, d1 = _random_correlation(dim, rng), _random_correlation(dim, rng)
+    levels = [0.0, 0.5, 1.0, 2.0]
+
+    def counts(accs):
+        return [round(acc.mean * acc.count) for acc in accs]
+
+    paired = counts(max_cdf_mc(d0, levels, 70_000, np.random.default_rng(9), minus=d1))
+    c0, c1 = (counts(max_cdf_mc(d, levels, 70_000, np.random.default_rng(9)))
+              for d in (d0, d1))
+    assert paired == [a - b for a, b in zip(c0, c1)]
+    assert any(paired)
+
+
+def test_comparison_errors_name_their_matrix():
+    rng = np.random.default_rng(0)
+    good = np.eye(3)
+    asymmetric = np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    not_psd = np.array([[1.0, 0.0, 0.99], [0.0, 1.0, -0.99], [0.99, -0.99, 1.0]])
+    for bad, why in ((asymmetric, "symmetric"), (not_psd, "positive semi-definite")):
+        with pytest.raises(ValueError, match=f"^delta0 must be {why}$"):
+            gaussian_comparison_rhs(bad, good, 1.0)
+        with pytest.raises(ValueError, match=f"^delta1 must be {why}$"):
+            gaussian_comparison_rhs(good, bad, [0.5, 1.0])
+        with pytest.raises(ValueError, match=f"^delta must be {why}$"):
+            max_cdf_mc(bad, 1.0, 10, rng)
+        with pytest.raises(ValueError, match=f"^minus must be {why}$"):
+            max_cdf_mc(good, 1.0, 10, rng, minus=bad)
+    for call in (lambda: gaussian_comparison_rhs(good, np.eye(2), 1.0),
+                 lambda: gaussian_comparison_rhs(np.eye(2), good, [0.5, 1.0]),
+                 lambda: max_cdf_mc(good, 1.0, 10, rng, minus=np.eye(2))):
+        with pytest.raises(ValueError, match="^covariance matrices must share a shape$"):
+            call()
+
+
+def test_comparison_decomposes_each_matrix_once(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    rng = np.random.default_rng(25)
+    d0, d1 = _random_correlation(4, rng), _random_correlation(4, rng)
+    gaussian_comparison_rhs(d0, d1, [0.5, 1.0])
+    assert len(shapes) == 2
+    max_cdf_mc(d0, [0.5, 1.0], 100, rng, minus=d1)
+    assert len(shapes) == 4
+    max_cdf_mc(d0, 1.0, 100, rng)
+    assert shapes == [(4, 4)] * 5
+
+
 def test_gaussian_comparison_rhs_sequence_matches_scalar():
     # one call over a level sequence equals scalar calls, bit for bit
     rng = np.random.default_rng(23)
@@ -631,6 +684,26 @@ def test_load_rejects_corruption(tmp_path):
     wrong.write_bytes(bytes(blob2))
     with pytest.raises(IntegrityError):
         load_instance(wrong)
+
+
+def test_load_rejects_an_unknown_generator(tmp_path):
+    inst = build_instance(6, 2, seed=22)
+    path = tmp_path / "other.pspn"
+    path.write_bytes(pspin._HEADER.pack(pspin._MAGIC, 1, 6, 2, 22,
+                                        b"other-gen".ljust(32, b"\0"), inst.head_hash()))
+    with pytest.raises(IntegrityError, match="unknown tensor generator 'other-gen'"):
+        load_instance(path)
+
+
+def test_state_shape_checks():
+    inst = build_instance(6, 2, seed=3)
+    with pytest.raises(ValueError, match="spin state must be a 1-d vector"):
+        hamiltonian(inst, np.ones((2, 6)))
+    with pytest.raises(ValueError, match=r"spin entries must be \+-1"):
+        hamiltonian(inst, [1.0, -1.0, 0.0, 1.0, 1.0, 1.0])
+    for x0 in (np.ones(6), np.ones((4, 5))):
+        with pytest.raises(ValueError, match=r"start states must form an \(R, n\) array"):
+            _TableWalker(inst, x0)
 
 
 # -- chain model and vectorised hooks -----------------------------------------

@@ -17,8 +17,11 @@ Every numeric cell that differs between the trees gets two z of the
 difference of its means over the seeds: with the combined SE of two
 independent samples, and paired by seed.  Both trees walk the same
 landscape at one seed, so read the paired z where the landscape moves
-a cell.  Each column prints both trees' means and the mean, sd and
-largest |z| of its cells; cells equal at every seed are left out.
+a cell.  A cell whose difference is the same at every seed (an exact
+value that moved) has no spread to scale a z by, and gets its largest
+relative difference instead.  Each column prints both trees' means,
+the mean, sd and largest |z| of its cells, and the largest relative
+difference of its fixed cells; cells equal at every seed are left out.
 Needs numpy, and git and tar for a revision.
 """
 
@@ -134,9 +137,13 @@ def diff(a: list, b: list) -> str:
         for x, y in zip(";".join(ra).split(";"), ";".join(rb).split(";")):
             fx, fy = _float(x), _float(y)
             if fx is not None and fy is not None and fx != fy:
-                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+                worst = max(worst, _relative(fx, fy))
     return (f"{differing} of {max(len(a), len(b))} rows differ, "
             f"largest relative difference {worst:.3g}")
+
+
+def _relative(x, y):
+    return np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
 
 
 def _outputs(directory: pathlib.Path) -> set:
@@ -164,48 +171,58 @@ def parity(base: pathlib.Path, runs, scratch: pathlib.Path) -> list:
 
 
 def law(base: pathlib.Path, runs, scratch: pathlib.Path) -> list:
-    """Per table column: both means and the z of each cell that differs between trees.
+    """The per-column report of `law_report` on both trees' runs."""
+    return law_report(run_tree(base, runs, scratch / "base", 1),
+                      run_tree(ROOT, runs, scratch / "work", 1))
 
-    Runs named <step>-s<seed> pool their cells over the seeds of a step.
+
+def law_report(old: pathlib.Path, new: pathlib.Path) -> list:
+    """Per table column of two output directories: both means, and each differing cell's z.
+
+    Each directory holds one subdirectory per run.  Runs named
+    <step>-s<seed> pool their cells over the seeds of a step.
     """
-    old = run_tree(base, runs, scratch / "base", 1)
-    new = run_tree(ROOT, runs, scratch / "work", 1)
-    cells = {}  # (step, file, column, row) -> [(base, work) value at each seed]
-    for name, _, _ in runs:
-        for file in sorted(f for f in _outputs(old / name) if f.endswith(".csv")):
-            a, b = read_rows(old / name / file), read_rows(new / name / file)
+    cells = {}  # (step, file, column, row) -> [(old, new) value at each seed]
+    for run in sorted(path for path in old.iterdir() if path.is_dir()):
+        for file in sorted(f for f in _outputs(run) if f.endswith(".csv")):
+            a, b = read_rows(run / file), read_rows(new / run.name / file)
             for i, (ra, rb) in enumerate(zip(a[1:], b[1:])):
                 for column, x, y in zip(a[0], ra, rb):
                     if _float(x) is not None and _float(y) is not None:
-                        key = (name.rsplit("-s", 1)[0], file, column, i)
+                        key = (run.name.rsplit("-s", 1)[0], file, column, i)
                         cells.setdefault(key, []).append((float(x), float(y)))
-    columns = {}  # (step, file, column) -> [(base mean, work mean, z, paired z)]
+    columns = {}  # (step, file, column) -> [(old mean, new mean, (z, paired z) or None, rel)]
     for (step, file, column, _), pairs in cells.items():
         va, vb = np.asarray(pairs).T
         if np.array_equal(va, vb) or not np.all(np.isfinite([va, vb])):
             continue
         d = va - vb
-        columns.setdefault((step, file, column), []).append((
-            va.mean(), vb.mean(), _z(d.mean(), (va.var(ddof=1) + vb.var(ddof=1)) / len(d)),
-            _z(d.mean(), d.var(ddof=1) / len(d))))
+        # a difference without spread over the seeds has no z; its size is its relative one
+        zs = None if np.all(d == d[0]) else (
+            d.mean() / np.sqrt((va.var(ddof=1) + vb.var(ddof=1)) / len(d)),
+            d.mean() / np.sqrt(d.var(ddof=1) / len(d)))
+        columns.setdefault((step, file, column), []).append(
+            (va.mean(), vb.mean(), zs, _relative(va, vb).max()))
     every = [e for entries in columns.values() for e in entries]
     return [f"{'/'.join(key):48} {_summary(entries)}"
             for key, entries in sorted(columns.items())] + [
         f"{'all differing cells':48} {_summary(every)}"]
 
 
-def _z(diff: float, var: float) -> float:
-    return diff / np.sqrt(var) if var > 0 else np.inf * np.sign(diff)
-
-
 def _summary(entries) -> str:
-    """Both means, then mean, sd and largest |z| of the combined-SE and paired z."""
+    """Both means; mean, sd and largest |z| of the combined-SE and paired z; fixed cells."""
     if not entries:
         return "no differing cells"
-    base, work, z, paired = (np.asarray(x) for x in zip(*entries))
-    return f"base {base.mean():<10.4g} work {work.mean():<10.4g} {len(z)} cells" + "".join(
-        f"; {label} {v.mean():+.2f} sd {v.std():.2f} max|z| {np.abs(v).max():.2f}"
-        for label, v in (("z", z), ("paired z", paired)))
+    base, work, zs, rel = zip(*entries)
+    line = f"base {np.mean(base):<10.4g} work {np.mean(work):<10.4g} {len(entries)} cells"
+    z = np.asarray([pair for pair in zs if pair is not None]).reshape(-1, 2)
+    if len(z):
+        line += "".join(f"; {label} {v.mean():+.2f} sd {v.std():.2f} max|z| {np.abs(v).max():.2f}"
+                        for label, v in (("z", z[:, 0]), ("paired z", z[:, 1])))
+    fixed = [r for pair, r in zip(zs, rel) if pair is None]
+    if fixed:
+        line += f"; {len(fixed)} fixed, largest relative difference {max(fixed):.3g}"
+    return line
 
 
 def main(argv=None) -> int:
