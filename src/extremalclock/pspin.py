@@ -26,7 +26,8 @@ module provides:
   exp(beta H - max beta H) of ``weight_table``; otherwise the walker
   carries a contraction field with O(n^{p-1}) incremental Hamiltonian
   updates.  Kernels draw and walkers walk: a kernel draws each block's
-  flips and then its marks, and either walker takes the same flips.
+  flips and then its marks (``_draw_flips``, ``_draw_marks``), and
+  either walker takes the same flips.
 
 States are length-n numpy vectors with entries +-1 (float for BLAS).
 """
@@ -413,6 +414,8 @@ def _comparison_inputs(named, s):
         delta = np.asarray(delta, dtype=float)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise ValueError(f"{name} must be square")
+        if delta.size == 0:
+            raise ValueError(f"{name} must not be empty")
         if not np.all(np.isfinite(delta)):
             raise ValueError(f"{name} must have finite entries")
         # np.allclose's rule (rtol 1e-5) with atol 1e-12, without its overhead
@@ -421,7 +424,7 @@ def _comparison_inputs(named, s):
         if not np.all(np.abs(np.diag(delta) - 1.0) <= 1e-12 + 1e-5):
             raise ValueError(f"{name} must have unit diagonal")
         w, v = np.linalg.eigh(delta)
-        if w.min() < -1e-10:  # ascending; a 0 x 0 matrix has no minimum and raises
+        if w[0] < -1e-10:  # ascending
             raise ValueError(f"{name} must be positive semi-definite")
         mats.append(delta)
         eigs.append((w, v))
@@ -722,8 +725,8 @@ class _TableWalker:
             raise ValueError("start states must form an (R, n) array")
         self.n = inst.n
         self.table = inst.energy_table()
-        self.bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
-        self.idx = (X < 0.0).astype(np.int64) @ self.bits
+        bits = np.int64(1) << np.arange(self.n, dtype=np.int64)
+        self.idx = (X < 0.0).astype(np.int64) @ bits
 
     @property
     def R(self) -> int:
@@ -743,7 +746,7 @@ class _TableWalker:
 
     def path(self, flips: np.ndarray) -> np.ndarray:
         """Flip coordinate flips[i, r] of row r at step i; return the indices after every step."""
-        idx = self.bits[flips]
+        idx = np.left_shift(np.int64(1), flips)
         idx[0] ^= self.idx
         prefix_scan(np.bitwise_xor, idx)
         self.idx = idx[-1].copy()
@@ -756,7 +759,7 @@ class _TableWalker:
 
     def restrict(self, keep: np.ndarray) -> "_TableWalker":
         w = object.__new__(_TableWalker)
-        w.n, w.table, w.bits = self.n, self.table, self.bits
+        w.n, w.table = self.n, self.table
         w.idx = self.idx[keep]
         return w
 
@@ -793,8 +796,54 @@ _SLAB_ELEMS = 2_000_000
 # The kernels draw and walk a block of steps at a time, and buffer its
 # (steps, R) values (beta H or weights, and marks), at most this many
 # doubles each.  2^17 added 7.5 MB to the peak memory of a 45 MB p=3
-# landscape benchmark run, 2^14 about 0.5 MB.
+# landscape benchmark run, 2^14 about 0.5 MB.  With the draws below,
+# 2^15 and 2^16 ran the p=2 verify benchmark no faster than 2^14
+# (0.051-0.055 and 0.052-0.059 s against 0.052-0.057 s, three runs
+# each on 2 CPUs) and peaked 0.8 and 2.2 MB higher, so 2^14 stays.
 _BLOCK_ELEMS = 2 ** 14
+
+
+def _draw_flips(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform flip coordinates in [0, n), an unsigned array of ``shape``.
+
+    Each raw 64-bit word of ``rng``'s bit generator gives four 16-bit
+    chunks, low chunk first on any host, and a chunk c gives the flip
+    (c n) >> 16.  Lemire's rule (ACM TOMACS 2019) makes the law exact:
+    every chunk whose c n mod 2^16 falls below 2^16 mod n is redrawn, in
+    order and from fresh words, until none is left.  No chunk is redrawn
+    when n is a power of two.
+    """
+    if not 1 <= n <= 1 << 16:
+        raise ValueError(f"n = {n} is outside [1, 2^16], the range of a 16-bit chunk")
+
+    def products(k):  # c n of the first k chunks of ceil(k / 4) fresh words
+        words = rng.bit_generator.random_raw(-(-k // 4))
+        chunks = words.astype("<u8", copy=False).view("<u2")[:k]
+        return np.multiply(chunks, np.uint32(n), dtype=np.uint32)
+
+    m = products(math.prod(shape))
+    zone = (1 << 16) % n
+    if zone:
+        redo = np.flatnonzero(m.astype(np.uint16) < zone)  # the low 16 bits of c n
+        while redo.size:
+            m[redo] = products(redo.size)
+            redo = redo[m[redo].astype(np.uint16) < zone]
+    m >>= 16
+    return m.reshape(shape)
+
+
+def _draw_marks(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with Exp(1) marks -log(1 - U), U from ``rng.random``; return it.
+
+    1 - U is exact for every U in [0, 1), so a mark is finite, and 0
+    only at U = 0 (probability 2^-53), where the kernels take its log
+    as -inf without a warning.
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
+
 
 # weight_table is built only where beta * (max H - min H) is at most
 # this: its smallest entry, exp(-600) ~ 3e-261, times a mark (rarely
@@ -881,13 +930,14 @@ class HypercubeSRW(JumpChainModel):
         """Block sums (and maxima) of beta H + log(mark), a block of steps at a time.
 
         Same contract as ``engine.generic_block_statistics``.  Each block
-        draws its flips, then its marks.  On the table walker, when the
-        instance has a ``weight_table`` (top, w), each block adds
-        w * mark at the walked indices to a linear running sum, and the
-        log-sum is top + log(sum) at the end.  Otherwise each block
-        joins the running log-sum as shift + log(sum(exp(a - shift) *
-        mark)), with a its beta H and shift their largest per replica.
-        The maxima are read off beta H either way.
+        draws its flips, then its marks (``_draw_flips``, ``_draw_marks``).
+        On the table walker, when the instance has a ``weight_table``
+        (top, w), each block adds w * mark at the walked indices to a
+        linear running sum, and the log-sum is top + log(sum) at the
+        end.  Otherwise each block joins the running log-sum as
+        shift + log(sum(exp(a - shift) * mark)), with a its beta H and
+        shift their largest per replica.  The maxima are read off beta H
+        either way.
         """
         inst = env.inst
         x0 = self.sample_stationary(reps, rng) if starts is None \
@@ -900,29 +950,30 @@ class HypercubeSRW(JumpChainModel):
         rows = min(theta, max(1, _BLOCK_ELEMS // reps))
         a = np.empty((rows, reps))  # beta H (or weight) after each step in the block
         e = np.empty((rows, reps))  # and its mark
-        for j in range(0, theta, rows):
-            r = min(rows, theta - j)
-            ar, er = a[:r], e[:r]
-            flips = rng.integers(0, self.n, (r, reps))
-            rng.standard_exponential(out=er)
-            if w is None:
-                walker.walk(flips, ar)
-                ar *= inst.beta
-                shift = ar.max(0)
-                s = (np.exp(ar - shift) * er).sum(0)
-                np.logaddexp(ls, shift + np.log(s), out=ls)
-            else:
-                idx = walker.path(flips)
-                np.take(w, idx, out=ar, mode="clip")
-                ar *= er
-                ls += ar.sum(0)
-                if want_max:
-                    np.take(walker.table, idx, out=ar, mode="clip")
+        with np.errstate(divide="ignore"):  # a mark of 0 has log -inf
+            for j in range(0, theta, rows):
+                r = min(rows, theta - j)
+                ar, er = a[:r], e[:r]
+                flips = _draw_flips(rng, self.n, (r, reps))
+                _draw_marks(rng, er)
+                if w is None:
+                    walker.walk(flips, ar)
                     ar *= inst.beta
-            if want_max:
-                np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
-        if w is not None:
-            ls = top + np.log(ls)
+                    shift = ar.max(0)
+                    s = (np.exp(ar - shift) * er).sum(0)
+                    np.logaddexp(ls, shift + np.log(s), out=ls)
+                else:
+                    idx = walker.path(flips)
+                    np.take(w, idx, out=ar, mode="clip")
+                    ar *= er
+                    ls += ar.sum(0)
+                    if want_max:
+                        np.take(walker.table, idx, out=ar, mode="clip")
+                        ar *= inst.beta
+                if want_max:
+                    np.maximum(lm, (ar + np.log(er)).max(0), out=lm)
+            if w is not None:
+                ls = top + np.log(ls)
         return BlockStats(log_sums=ls, log_maxes=lm,
                           end_states=walker.X if want_end else None)
 
@@ -961,47 +1012,48 @@ class HypercubeSRW(JumpChainModel):
         marks = np.empty(size)
         owners = None if w is None else np.empty(size + reps, dtype=np.int64)
         done = 0
-        while done < step_budget:
-            R = walker.R
-            r = min(step_budget - done, max(1, _BLOCK_ELEMS // R))
-            K = rng.integers(0, n, (r, R))
-            E = rng.standard_exponential(out=marks[:r * R].reshape(r, R))
-            if w is None:
-                h = terms[:(r + 1) * R].reshape(r + 1, R)
-                h[0] = walker.H
-                walker.walk(K, h[1:])
-                S = np.multiply(h[:r], inst.beta, out=h[:r])  # beta H before each flip
-                S += np.log(E, out=E)
-                np.logaddexp(cum, S[0], out=S[0])
-                prefix_scan(np.logaddexp, S)
-            else:
-                before = owners[:(r + 1) * R].reshape(r + 1, R)  # row i owns step i
-                before[0] = walker.idx
-                before[1:] = walker.path(K)
-                S = np.take(w, before[:r], out=terms[:r * R].reshape(r, R), mode="clip")
-                S *= E
-                S[0] += cum
-                prefix_scan(np.add, S)
-            cum = S[-1].copy()
-            done += r
-            # levels below the running sum
-            now = np.searchsorted(bounds, cum if w is None else np.log(cum))
-            if not np.any(now > passed):
-                continue
-            for level in range(passed.min(), now.max()):
-                cross = (passed <= level) & (now > level)
-                if np.any(cross):
-                    sums = S[:, cross] if w is None else np.log(S[:, cross])
-                    j = np.argmax(sums > bounds[level], axis=0)
-                    states[alive[cross], level] = (
-                        _states_before(walker, K, cross, j) if w is None
-                        else walker.spins(before[j, np.flatnonzero(cross)]))
-            passed, keep = now, now < len(levels)
-            if np.all(keep):
-                continue
-            if not np.any(keep):
-                break
-            walker = walker.restrict(keep)
-            alive, cum, passed = alive[keep], cum[keep], passed[keep]
+        with np.errstate(divide="ignore"):  # a mark of 0 has log -inf
+            while done < step_budget:
+                R = walker.R
+                r = min(step_budget - done, max(1, _BLOCK_ELEMS // R))
+                K = _draw_flips(rng, n, (r, R))
+                E = _draw_marks(rng, marks[:r * R].reshape(r, R))
+                if w is None:
+                    h = terms[:(r + 1) * R].reshape(r + 1, R)
+                    h[0] = walker.H
+                    walker.walk(K, h[1:])
+                    S = np.multiply(h[:r], inst.beta, out=h[:r])  # beta H before each flip
+                    S += np.log(E, out=E)
+                    np.logaddexp(cum, S[0], out=S[0])
+                    prefix_scan(np.logaddexp, S)
+                else:
+                    before = owners[:(r + 1) * R].reshape(r + 1, R)  # row i owns step i
+                    before[0] = walker.idx
+                    before[1:] = walker.path(K)
+                    S = np.take(w, before[:r], out=terms[:r * R].reshape(r, R), mode="clip")
+                    S *= E
+                    S[0] += cum
+                    prefix_scan(np.add, S)
+                cum = S[-1].copy()
+                done += r
+                # levels below the running sum
+                now = np.searchsorted(bounds, cum if w is None else np.log(cum))
+                if not np.any(now > passed):
+                    continue
+                for level in range(passed.min(), now.max()):
+                    cross = (passed <= level) & (now > level)
+                    if np.any(cross):
+                        sums = S[:, cross] if w is None else np.log(S[:, cross])
+                        j = np.argmax(sums > bounds[level], axis=0)
+                        states[alive[cross], level] = (
+                            _states_before(walker, K, cross, j) if w is None
+                            else walker.spins(before[j, np.flatnonzero(cross)]))
+                passed, keep = now, now < len(levels)
+                if np.all(keep):
+                    continue
+                if not np.any(keep):
+                    break
+                walker = walker.restrict(keep)
+                alive, cum, passed = alive[keep], cum[keep], passed[keep]
         first, last = np.asarray(pairs).T
         return np.einsum("rci,rci->rc", states[:, first], states[:, last]) / n

@@ -64,3 +64,15 @@ def test_law_report_gives_fixed_cells_a_relative_difference(tmp_path):
     assert every.endswith("2 cells; z -0.18 sd 0.00 max|z| 0.18; paired z -0.76 sd 0.00 "
                           "max|z| 0.76; 1 fixed, largest relative difference 0.2")
     assert not any(word in line for line in lines for word in ("inf", "nan"))
+
+
+def test_law_report_takes_a_cell_that_is_0_in_both_trees_at_one_seed(tmp_path):
+    parity = _load_parity()
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write_runs(old, {"grid-s0": "x\n0.0\n", "grid-s1": "x\n2.0\n", "grid-s2": "x\n1.0\n"})
+    _write_runs(new, {"grid-s0": "x\n0.0\n", "grid-s1": "x\n1.5\n", "grid-s2": "x\n1.2\n"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, every = parity.law_report(old, new)
+    assert x.startswith("grid/t.csv/x ") and "paired z" in x
+    assert not any(word in line for line in (x, every) for word in ("inf", "nan"))

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -610,6 +611,16 @@ def test_comparison_errors_name_their_matrix():
             call()
 
 
+def test_comparison_rejects_an_empty_matrix_by_name():
+    rng, good, empty = np.random.default_rng(0), np.eye(3), np.zeros((0, 0))
+    for name, call in (("delta0", lambda: gaussian_comparison_rhs(empty, good, 1.0)),
+                       ("delta1", lambda: gaussian_comparison_rhs(good, empty, [0.5, 1.0])),
+                       ("delta", lambda: max_cdf_mc(empty, 1.0, 10, rng)),
+                       ("minus", lambda: max_cdf_mc(good, 1.0, 10, rng, minus=empty))):
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            call()
+
+
 def test_comparison_decomposes_each_matrix_once(monkeypatch):
     shapes = []
     eigh = np.linalg.eigh
@@ -745,6 +756,98 @@ def test_step_batch_equals_a_per_step_loop(steps, R):
     assert batch_rng.standard_exponential() == loop_rng.standard_exponential()
 
 
+@pytest.mark.parametrize("n", [12, 16, 20, 22])
+def test_draw_flips_are_uniform(n):
+    # 2^16 mod n is 4, 0, 16 and 20: every n but 16 takes the redraw
+    flips = pspin._draw_flips(np.random.default_rng(n), n, (400, 500))
+    assert flips.shape == (400, 500) and flips.min() == 0 and flips.max() == n - 1
+    assert scipy.stats.chisquare(np.bincount(flips.ravel(), minlength=n)).pvalue > 1e-3
+
+
+class _RawWords:
+    """A Generator stand-in whose bit generator hands out fixed 64-bit words in order."""
+
+    def __init__(self, chunks):
+        # four 16-bit chunks per word, the low chunk first
+        self.words = [sum(c << (16 * i) for i, c in enumerate(chunks[k:k + 4]))
+                      for k in range(0, len(chunks), 4)]
+        self.taken = []
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.taken.append(size)
+        start = sum(self.taken[:-1])
+        return np.array(self.words[start:start + size], dtype=np.uint64)
+
+
+def test_draw_flips_redraw_rejected_chunks_in_order_from_fresh_words():
+    # at n = 20 a chunk c is redrawn when c * 20 mod 2^16 < 16: so are
+    # 0, 3277, 6554 and 9831 (remainders 0, 4, 8 and 12)
+    chunks = [0, 3277, 5000, 20000, 30000, 6554, 65535, 65535,  # 6 chunks; 0, 1, 5 rejected
+              9831, 50000, 60000, 1,  # redraws of 0 (rejected again), 1 and 5
+              40000, 2, 3, 4,  # redraw of 0
+              7, 7, 7, 7]  # never taken
+    drawn = []
+    for _ in range(2):
+        rng = _RawWords(chunks)
+        drawn.append(pspin._draw_flips(rng, 20, (2, 3)))
+        assert rng.taken == [2, 1, 1]  # words per draw
+    # (c * 20) >> 16 of 40000, 50000, 5000, 20000, 30000 and 60000
+    np.testing.assert_array_equal(drawn[0], [[12, 15, 1], [6, 9, 18]])
+    np.testing.assert_array_equal(drawn[1], drawn[0])
+
+
+def test_draw_flips_range():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n = 65537"):
+        pspin._draw_flips(rng, 2 ** 16 + 1, (3,))
+    # at n = 2^16 a flip is its chunk
+    words = rng.bit_generator.random_raw(2)
+    chunks = [(int(w) >> (16 * i)) & 0xFFFF for w in words for i in range(4)]
+    np.testing.assert_array_equal(pspin._draw_flips(_RawWords(chunks), 2 ** 16, (7,)),
+                                  chunks[:7])
+
+
+def test_draw_marks_are_exp1():
+    out = np.empty(200_000)
+    marks = pspin._draw_marks(np.random.default_rng(4), out)
+    assert marks is out and np.all(np.isfinite(marks)) and marks.min() >= 0.0
+    assert scipy.stats.kstest(marks, "expon").pvalue > 1e-3
+
+
+class _FirstMarkZero:
+    """A Generator stand-in whose first ``random`` draw starts with U = 0: a mark of 0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.zeroed = False
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, out):
+        self._rng.random(out=out)
+        if not self.zeroed:
+            out.flat[0], self.zeroed = 0.0, True
+        return out
+
+
+@pytest.mark.parametrize("beta", [0.7, 100.0])  # weights, and the shifted sums past their span
+def test_block_statistics_take_a_zero_mark(beta):
+    n, reps, theta = 8, 300, 121
+    inst = build_instance(n, 2, seed=60 + n, beta=beta)
+    env, model = PSpinEnvironment(inst), HypercubeSRW(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.block_statistics(env, theta, reps, _FirstMarkZero(61), want_max=True)
+    assert np.all(np.isfinite(got.log_sums)) and np.all(np.isfinite(got.log_maxes))
+    # the zero mark's term is -inf: the same sums as the per-step loop on the same draws
+    ls, lm, _ = _per_step_block_statistics(model, env, theta, reps, _FirstMarkZero(61))
+    np.testing.assert_allclose(got.log_sums, ls, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(got.log_maxes, lm)
+
+
 def test_environment_wrapper():
     inst = build_instance(5, 2, seed=30, beta=0.7)
     env = PSpinEnvironment(inst)
@@ -857,8 +960,8 @@ def test_block_statistics_hook_respects_starts_and_ends():
 def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
     """block_statistics with one logaddexp per step, on one walker of all reps.
 
-    Draws each block's flips and then its marks, as the kernel does, and
-    walks the flips one row at a time.
+    Draws each block's flips and then its marks through the kernel's
+    samplers, and walks the flips one row at a time.
     """
     inst = env.inst
     x0 = model.sample_stationary(reps, rng) if starts is None else starts
@@ -869,11 +972,12 @@ def _per_step_block_statistics(model, env, theta, reps, rng, starts=None):
     rows = min(theta, max(1, pspin._BLOCK_ELEMS // reps))
     for j in range(0, theta, rows):
         r = min(rows, theta - j)
-        flips = rng.integers(0, model.n, (r, reps))
-        marks = rng.standard_exponential((r, reps))
+        flips = pspin._draw_flips(rng, model.n, (r, reps))
+        marks = pspin._draw_marks(rng, np.empty((r, reps)))
         for i in range(r):
             walker.walk(flips[i:i + 1], np.empty((1, reps)))
-            term = inst.beta * walker.H + offset + np.log(marks[i])
+            with np.errstate(divide="ignore"):  # a mark of 0 has log -inf
+                term = inst.beta * walker.H + offset + np.log(marks[i])
             ls = np.logaddexp(ls, term)
             lm = np.maximum(lm, term)
     return ls, lm, walker.X
@@ -967,7 +1071,12 @@ def test_correlation_hook_same_hold_gives_full_overlap():
 
 
 class _RecordingRng:
-    """A Generator stand-in that keeps a copy of every array it draws."""
+    """A Generator stand-in that keeps a copy of every array it draws.
+
+    Its stationary starts come from ``integers``; a kernel's flips and
+    marks come from ``pspin._draw_flips`` and ``pspin._draw_marks``,
+    which the ``recording`` fixture routes through ``record``.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -977,10 +1086,20 @@ class _RecordingRng:
         self.draws.append(self._rng.integers(*args, **kwargs))
         return self.draws[-1].copy()
 
-    def standard_exponential(self, size=None, out=None):
-        drawn = self._rng.standard_exponential(size=size, out=out)
+    def record(self, draw, *args):
+        drawn = draw(self._rng, *args)
         self.draws.append(drawn.copy())
         return drawn
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Route the kernels' flip and mark samplers through a ``_RecordingRng``'s ``record``."""
+    for name in ("_draw_flips", "_draw_marks"):
+        draw = getattr(pspin, name)
+        monkeypatch.setattr(pspin, name, lambda rng, *args, draw=draw: (
+            rng.record(draw, *args) if isinstance(rng, _RecordingRng) else draw(rng, *args)))
+    return _RecordingRng
 
 
 def _per_step_overlaps(inst, walker_type, draws, log_levels, pairs):
@@ -1003,7 +1122,8 @@ def _per_step_overlaps(inst, walker_type, draws, log_levels, pairs):
         r = len(flips)
         assert flips.shape == marks.shape == (r, walker.R)
         for i in range(r):
-            nxt = np.logaddexp(cum, inst.beta * walker.H + np.log(marks[i]))
+            with np.errstate(divide="ignore"):  # a mark of 0 has log -inf
+                nxt = np.logaddexp(cum, inst.beta * walker.H + np.log(marks[i]))
             crossed = np.array([(cum <= level) & (level < nxt) for level in log_levels])
             X = walker.X
             for level, cross in enumerate(crossed):
@@ -1025,7 +1145,7 @@ def _per_step_overlaps(inst, walker_type, draws, log_levels, pairs):
 
 @pytest.mark.parametrize("walker_type", [_TableWalker, _BatchWalker])
 @pytest.mark.parametrize("p", [2, 3])
-def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
+def test_correlation_overlaps_match_per_step_loop(monkeypatch, recording, p, walker_type):
     # blocks of 256 // R steps, so that crossings fall on first and last
     # steps; budgets that are no multiple of a block; grids of up to four
     # levels, two of them close enough to fall in one step
@@ -1040,17 +1160,22 @@ def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
             ([5.0], [(0, 0)], 77), ([2.0, 7.0], [(0, 1)], 45),
             ([2.5, 3.0, 3.05, 4.5], [(0, 1), (0, 3), (1, 2), (2, 3), (1, 1)], 150),
             ([3.0, 4.0, 6.5], [(0, 2), (1, 2), (0, 1)], 90)]):
-        rng = _RecordingRng(seed)
+        rng = recording(seed)
         got = HypercubeSRW(n).correlation_overlaps(env, log_levels, pairs, reps, rng, budget)
         want, events = _per_step_overlaps(inst, walker_type, rng.draws, log_levels, pairs)
         np.testing.assert_array_equal(got, want)
         assert got.shape == (reps, len(pairs))
         blocks = rng.draws[1::2]
-        if np.isnan(got).any():  # the last block stops at the budget, short of its 256 // R steps
-            assert sum(len(flips) for flips in blocks) == budget
-            assert len(blocks[-1]) < 256 // blocks[-1].shape[1]
+        # every block takes 256 // R steps, or what is left of the budget
+        lengths = [len(flips) for flips in blocks]
+        assert lengths == [min(budget - sum(lengths[:b]), max(1, 256 // flips.shape[1]))
+                           for b, flips in enumerate(blocks)]
+        if np.isnan(got).any():  # a truncated walk ran to the budget
+            assert sum(lengths) == budget
+            if lengths[-1] < 256 // blocks[-1].shape[1]:
+                events.add("cut short")
         seen |= events
-    assert seen >= {"first step", "last step", "same step", "retired"}
+    assert seen >= {"first step", "last step", "same step", "retired", "cut short"}
     # which running sum ran: the linear one on the table walker's weights,
     # the logaddexp one on the field walker, which never asks for weights
     if walker_type is _BatchWalker:
@@ -1060,7 +1185,7 @@ def test_correlation_overlaps_match_per_step_loop(monkeypatch, p, walker_type):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_correlation_overlaps_past_the_weight_span_match_per_step_loop(monkeypatch, p):
+def test_correlation_overlaps_past_the_weight_span_match_per_step_loop(monkeypatch, recording, p):
     # beta (max H - min H) twice _WEIGHT_SPAN: no weight table, so the
     # table walker keeps the logaddexp running sum; levels at quantiles
     # of beta H, two of them close enough to fall in one step
@@ -1074,13 +1199,34 @@ def test_correlation_overlaps_past_the_weight_span_match_per_step_loop(monkeypat
     for seed, (log_levels, pairs, budget) in enumerate([
             (q[[1, 3]], [(0, 1)], 203), (q[[0, 2]], [(0, 1)], 101),
             (q, [(0, 1), (0, 3), (1, 2)], 150), ([q[1], q[1] + 0.05], [(0, 1)], 90)]):
-        rng = _RecordingRng(seed)
+        rng = recording(seed)
         got = HypercubeSRW(n).correlation_overlaps(env, log_levels, pairs, reps, rng, budget)
         want, events = _per_step_overlaps(inst, _TableWalker, rng.draws, log_levels, pairs)
         np.testing.assert_array_equal(got, want)
         seen |= events
     assert seen >= {"first step", "last step", "same step", "retired"}
     assert inst._weights == ((inst.beta * H).max(), None)
+
+
+@pytest.mark.parametrize("hot", [False, True])  # weights, and the log-sums past their span
+def test_correlation_overlaps_take_a_zero_mark(monkeypatch, recording, hot):
+    n, reps = 8, 48
+    monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 256)
+    H = build_instance(n, 2, seed=72).energy_table()
+    beta = 2.0 * pspin._WEIGHT_SPAN / np.ptp(H) if hot else 0.8
+    inst = build_instance(n, 2, seed=72, beta=beta)
+    levels = np.quantile(inst.beta * H, [0.5, 0.8])
+    rng = recording(5)
+    rng._rng = _FirstMarkZero(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = HypercubeSRW(n).correlation_overlaps(PSpinEnvironment(inst), levels, [(0, 1)],
+                                                   reps, rng, 200)
+    assert rng.draws[2][0, 0] == 0.0  # replica 0's first mark
+    want, _ = _per_step_overlaps(inst, _TableWalker, rng.draws, levels, [(0, 1)])
+    np.testing.assert_array_equal(got, want)
+    assert not np.isnan(got[0, 0])  # replica 0's log-sum went on to pass both levels
+    assert (inst._weights[1] is None) == hot
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1107,12 +1253,12 @@ def test_kernels_agree_across_walkers(monkeypatch, p):
     assert 0 < np.isnan(table_overlaps).sum() < 200
 
 
-def test_correlation_overlaps_all_truncated(monkeypatch):
+def test_correlation_overlaps_all_truncated(monkeypatch, recording):
     n, reps, budget = 8, 30, 50
     monkeypatch.setattr(pspin, "_BLOCK_ELEMS", 64)
     inst = build_instance(n, 2, seed=72, beta=0.8)
     env = PSpinEnvironment(inst)
-    rng = _RecordingRng(3)
+    rng = recording(3)
     got = HypercubeSRW(n).correlation_overlaps(env, [50.0, 60.0], [(0, 1)], reps, rng, budget)
     assert got.shape == (reps, 1) and np.isnan(got).all()
     want, _ = _per_step_overlaps(inst, _TableWalker, rng.draws, [50.0, 60.0], [(0, 1)])
