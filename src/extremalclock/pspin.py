@@ -746,7 +746,7 @@ class _TableWalker:
 
     def path(self, flips: np.ndarray) -> np.ndarray:
         """Flip coordinate flips[i, r] of row r at step i; return the indices after every step."""
-        idx = np.left_shift(np.int64(1), flips)
+        idx = np.left_shift(1, flips, dtype=np.int64)
         idx[0] ^= self.idx
         prefix_scan(np.bitwise_xor, idx)
         self.idx = idx[-1].copy()
@@ -804,7 +804,7 @@ _BLOCK_ELEMS = 2 ** 14
 
 
 def _draw_flips(rng: np.random.Generator, n: int, shape) -> np.ndarray:
-    """Uniform flip coordinates in [0, n), an unsigned array of ``shape``.
+    """Uniform flip coordinates in [0, n), an int64 array of ``shape``.
 
     Each raw 64-bit word of ``rng``'s bit generator gives four 16-bit
     chunks, low chunk first on any host, and a chunk c gives the flip
@@ -819,7 +819,7 @@ def _draw_flips(rng: np.random.Generator, n: int, shape) -> np.ndarray:
     def products(k):  # c n of the first k chunks of ceil(k / 4) fresh words
         words = rng.bit_generator.random_raw(-(-k // 4))
         chunks = words.astype("<u8", copy=False).view("<u2")[:k]
-        return np.multiply(chunks, np.uint32(n), dtype=np.uint32)
+        return np.multiply(chunks, np.int64(n), dtype=np.int64)
 
     m = products(math.prod(shape))
     zone = (1 << 16) % n

@@ -290,6 +290,18 @@ def test_table_walker_block_equals_one_row_walks(p):
     np.testing.assert_array_equal(block.X, single.X)
 
 
+def test_table_walker_indices_are_int64_whatever_the_flips_dtype():
+    n, R = 10, 6
+    inst = build_instance(n, 2, seed=3)
+    x0 = np.random.default_rng(0).integers(0, 2, (R, n)).astype(float) * 2 - 1
+    flips = np.random.default_rng(1).integers(0, n, (5, R))
+    wide = _TableWalker(inst, x0).path(flips)
+    for dtype in (np.uint16, np.uint32):
+        idx = _TableWalker(inst, x0).path(flips.astype(dtype))
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, wide)
+
+
 def test_walker_is_the_table_up_to_n20_and_the_field_above_whatever_the_walk():
     for p in (2, 3):
         assert isinstance(_walker(build_instance(20, p, seed=1), -np.ones((2, 20))),
@@ -761,6 +773,7 @@ def test_draw_flips_are_uniform(n):
     # 2^16 mod n is 4, 0, 16 and 20: every n but 16 takes the redraw
     flips = pspin._draw_flips(np.random.default_rng(n), n, (400, 500))
     assert flips.shape == (400, 500) and flips.min() == 0 and flips.max() == n - 1
+    assert flips.dtype == np.int64  # the table walker's indices and the field walker's takes
     assert scipy.stats.chisquare(np.bincount(flips.ravel(), minlength=n)).pvalue > 1e-3
 
 
