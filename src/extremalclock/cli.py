@@ -15,7 +15,8 @@ Coupling tensors come from Philox streams keyed by the instance seed,
 because the saved-instance format names that generator: landscapes do
 not change with the job streams.
 
-Subcommands:
+Subcommands, one `_Command` record each in `_COMMANDS`, which holds the
+rules validate_config applies to it, and which the parser and run() read:
   ppp        extremal-process marginals sampled from the Poisson construction
   sk-run     blocked clock samples and powered marginals on the p-spin landscape
   verify     condition estimators (0, 1-1, 2-1a, 2-1b, 3-1, DR) over the n-grid
@@ -23,6 +24,8 @@ Subcommands:
   ageing     two-time overlap probabilities against the t/(t+s) overlay
   compare    randomized max-CDF comparison bound checks
   variance   environment-replication variance trend
+The four that read a clock reject beta * n > 1e300 (pspin.check_schedule),
+which keeps log c_n, the block thresholds and beta H finite.
 
 CSV conventions: '.' decimal, LF line endings, floats at 17 significant
 digits, and (n, p, c, beta, seed) provenance columns on every row.
@@ -48,6 +51,7 @@ import pathlib
 import platform
 import sys
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -56,8 +60,6 @@ from . import __version__, conditions, ehrenfest, engine, measures, pspin, stats
 
 __all__ = ["ExperimentConfig", "ConfigError", "Table", "load_config", "validate_config",
            "config_hash", "run", "main"]
-
-COMMANDS = ("ppp", "sk-run", "verify", "ehrenfest", "ageing", "compare", "variance")
 
 OUT_ENV_VAR = "EXTREMAL_CLOCK_OUT"
 
@@ -124,20 +126,6 @@ _GRID_FIELDS = ("n_grid", "u_grid", "t_grid", "s_grid", "delta_grid")
 _POSITIVE_INT_FIELDS = ("replicas", "inner_replicas", "step_budget", "threads",
                         "occupation_d", "distance_steps", "pairs", "env_replicas")
 _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
-# subcommands that KS-test `replicas` samples against a limit law
-_KS_COMMANDS = ("ppp", "sk-run")
-# subcommands that build an n^p coupling tensor for every n in n_grid and a
-# schedule for every n with beta > 0, and the latest time at which each reads
-# its clock a_n t (verify reads k_n(t) at every t of t_grid)
-_CLOCK_T = {"sk-run": lambda grids: max(grids["t_grid"]),
-            "verify": lambda grids: max(grids["t_grid"]),
-            "ageing": lambda grids: max(grids["t_grid"]) + max(grids["s_grid"]),
-            "variance": lambda grids: grids["t_grid"][0]}
-# subcommands whose replicas walk exactly theta_n k_n(t) steps to a t (verify's
-# DR path), which step_budget bounds.  ageing walks to a random first passage
-# that no such count bounds either way; step_budget truncates it at run time
-_WALK_T = {"sk-run": lambda grids: max(grids["t_grid"]),
-           "verify": lambda grids: grids["t_grid"][0]}
 # ppp draws a Poisson count per query interval, with mean at most
 # t_max * K / u_min; numpy's Poisson sampler raises above about 9.2e18
 _PPP_MAX_MEAN = 2 ** 62
@@ -157,6 +145,8 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
 
     With ``command`` given, also apply that subcommand's domain checks.
     """
+    spec = _COMMANDS.get(command)
+    clock_t = spec and spec.clock_t
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     problems = [f"{k} (unknown field)" for k in sorted(set(raw) - known)]
     defaults = ExperimentConfig()
@@ -188,7 +178,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     tensors_fit = False
     if not (_is_int(merged["p"]) and merged["p"] >= 2):
         flag("p", "must be an integer >= 2")
-    elif command in _CLOCK_T and "n_grid" in valid_grids:
+    elif clock_t and "n_grid" in valid_grids:
         try:
             for n in merged["n_grid"]:
                 pspin.check_tensor_budget(n, merged["p"])
@@ -210,7 +200,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     elif not (_is_number(beta) and beta >= 0):
         flag("beta", "must be a nonnegative number or sequence")
     beta_valid = len(problems) == problems_before_beta
-    if command in _CLOCK_T and command != "variance" and beta_valid \
+    if clock_t and not spec.zero_beta and beta_valid \
             and np.any(np.asarray(merged["beta"]) == 0):
         flag("beta", f"must be positive for {command}; only variance accepts beta = 0")
     if tensors_fit and c_valid and beta_valid:
@@ -229,7 +219,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
         else:  # every schedule fits: read its clock, and bound the walk to it
             budget = merged["step_budget"]
             if {"t_grid", "s_grid"} <= valid_grids:
-                t = _CLOCK_T[command](merged)
+                t = clock_t(merged)
                 for n, _ in scheduled:
                     # a_n and theta_n do not depend on beta
                     sched = pspin.make_schedule(n, merged["p"], merged["c"], 1.0)
@@ -246,8 +236,8 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
                         flag("t_grid", f"variance sums {envs} fourth powers of values up to "
                                        f"k_n(t) = {k:.4g}, which overflow at n={n}, t={t}")
                         break
-                    if command in _WALK_T and _is_int(budget) and budget >= 1:
-                        walk_t = _WALK_T[command](merged)  # at most t
+                    if spec.walk_t and _is_int(budget) and budget >= 1:
+                        walk_t = spec.walk_t(merged)  # at most t
                         steps = sched.theta_n * sched.blocks_in(walk_t)
                         if steps > budget:
                             flag("t_grid", f"{command} walks theta_n k_n(t) = {steps:.4g} "
@@ -265,7 +255,7 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
     for name in _POSITIVE_INT_FIELDS:
         if not (_is_int(merged[name]) and merged[name] >= 1):
             flag(name, "must be an integer >= 1")
-    if command in _KS_COMMANDS and _is_int(merged["replicas"]) \
+    if spec and spec.ks and _is_int(merged["replicas"]) \
             and 1 <= merged["replicas"] < stats.KS_MIN_COUNT:
         flag("replicas", f"must be >= {stats.KS_MIN_COUNT} for {command}, "
                          "whose KS threshold is asymptotic")
@@ -299,8 +289,7 @@ def load_config(path: str, overrides: dict | None = None,
     if not isinstance(raw, dict):
         raise ConfigError(["<document> (top level must be a JSON object)"])
     if overrides:
-        raw = dict(raw)
-        raw.update(overrides)
+        raw = dict(raw, **overrides)
     return validate_config(raw, command)
 
 
@@ -652,24 +641,39 @@ def _cmd_variance(cfg: ExperimentConfig):
     return [table], [row["report"] for _, _, row in filed], {}, False
 
 
-_DISPATCH = {
-    "ppp": _cmd_ppp,
-    "sk-run": _cmd_skrun,
-    "verify": _cmd_verify,
-    "ehrenfest": _cmd_ehrenfest,
-    "ageing": _cmd_ageing,
-    "compare": _cmd_compare,
-    "variance": _cmd_variance,
+class _Command(typing.NamedTuple):
+    """One subcommand: the function that runs it, and the facts its rules read.
+
+    ``clock_t(grids)``: the latest t of its clock a_n t, or None where it
+    builds no n^p tensor and no schedule.  ``walk_t(grids)``: the t to which
+    its replicas walk exactly theta_n k_n(t) steps, which step_budget bounds
+    (ageing's random first passages have no such count).  ``ks``: it
+    KS-tests ``replicas`` samples.  ``zero_beta``: it accepts beta = 0.
+    """
+
+    run: typing.Callable
+    clock_t: typing.Callable | None = None
+    walk_t: typing.Callable | None = None
+    ks: bool = False
+    zero_beta: bool = False
+
+
+_COMMANDS = {
+    "ppp": _Command(_cmd_ppp, ks=True),
+    "sk-run": _Command(_cmd_skrun, clock_t=lambda g: max(g["t_grid"]),
+                       walk_t=lambda g: max(g["t_grid"]), ks=True),
+    "verify": _Command(_cmd_verify, clock_t=lambda g: max(g["t_grid"]),
+                       walk_t=lambda g: g["t_grid"][0]),
+    "ehrenfest": _Command(_cmd_ehrenfest),
+    "ageing": _Command(_cmd_ageing, clock_t=lambda g: max(g["t_grid"]) + max(g["s_grid"])),
+    "compare": _Command(_cmd_compare),
+    "variance": _Command(_cmd_variance, clock_t=lambda g: g["t_grid"][0], zero_beta=True),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _resolve_out(cfg: ExperimentConfig, command: str) -> str:
-    if cfg.out:
-        return cfg.out
-    env_dir = os.environ.get(OUT_ENV_VAR, "")
-    if env_dir:
-        return os.path.join(env_dir, command)
-    return os.path.join("results", command)
+    return cfg.out or os.path.join(os.environ.get(OUT_ENV_VAR) or "results", command)
 
 
 @functools.cache
@@ -712,10 +716,10 @@ def _git_revision(root: pathlib.Path) -> str | None:
 
 def run(command: str, cfg: ExperimentConfig) -> dict:
     """Execute one subcommand and write its artifacts; returns results dict."""
-    if command not in _DISPATCH:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     started = time.perf_counter()
-    tables, reports, extras, partial = _DISPATCH[command](cfg)
+    tables, reports, extras, partial = _COMMANDS[command].run(cfg)
     runtime = time.perf_counter() - started
     out_dir = _resolve_out(cfg, command)
     os.makedirs(out_dir, exist_ok=True)
@@ -762,7 +766,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="extremal-clock",
         description="Clock-process and extremal-ageing verification experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -774,13 +778,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = {key: getattr(args, key) for key in ("seed", "threads", "out")
+                 if getattr(args, key) is not None}
     try:
         cfg = load_config(args.config, overrides, args.command)
     except FileNotFoundError:

@@ -169,8 +169,6 @@ def fdd_probability(measure: TailMeasure, times, thresholds) -> float:
         raise ValueError("thresholds must be positive")
     if np.any(np.diff(xs) < 0.0):
         raise ValueError("thresholds must be non-decreasing")
-    if ts.size == 1:
-        return extremal_marginal(measure, float(ts[0]), float(xs[0]))
     increments = np.diff(ts, prepend=0.0)
     log_prob = -sum(dt * tail_mass(measure, float(x)) for dt, x in zip(increments, xs))
     return math.exp(log_prob)
@@ -338,9 +336,9 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
         cell = np.full(g.shape, float(u_min))
         filled = counts > 0
         cell[filled] = [tail_inverse(measure, gi * base) for gi in g[filled].tolist()]
-    levels = prefix_scan(np.maximum, cell, axis=1)
-    out = np.empty_like(levels)
-    out[:, order] = levels
+    prefix_scan(np.maximum, cell.T)
+    out = np.empty_like(cell)
+    out[:, order] = cell
     return out
 
 

@@ -336,6 +336,10 @@ def overlap(x, y) -> float:
     return float(a @ b) / a.size
 
 
+# the largest beta * n a schedule accepts (check_schedule)
+_MAX_BETA_N = 1e300
+
+
 def _an_exponent(n: int, c: float) -> float:
     gamma = float(n) ** (-c)
     return gamma * gamma * n / 2.0
@@ -343,11 +347,17 @@ def _an_exponent(n: int, c: float) -> float:
 
 def check_schedule(n: int, c: float, beta: float | None = None) -> None:
     """Raise ValueError when c is outside (0, 1/2) or a_n overflows at this
-    n, and, with ``beta`` given, when alpha_n = n^{-c} / beta is not in (0, 1].
+    n, and, with ``beta`` given, when alpha_n = n^{-c} / beta is not in (0, 1]
+    or beta * n exceeds 1e300.
 
     a_n carries exp(gamma^2 n / 2) = exp(n^{1-2c} / 2), which overflows a
     double past 700; the message names the largest n that works for c.
-    An alpha_n above 1 names the smallest beta that works at this n.
+    An alpha_n above 1 names the smallest beta that works at this n.  The
+    walk reads log c_n = gamma beta n, thresholds log c_n + log(x) beta /
+    gamma and beta H with |H| within about 1.2 n, each within about 710
+    beta n (|log x| < 710 for a double, beta / gamma <= beta n), so
+    beta n <= 1e300 keeps them finite with a wide margin; the message
+    names the largest beta that works at this n.
     """
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must lie in (0, 1/2), got {c}")
@@ -368,6 +378,9 @@ def check_schedule(n: int, c: float, beta: float | None = None) -> None:
     if gamma / beta > 1.0:
         raise ValueError(f"alpha_n = n^(-c) / beta = {gamma / beta:.6g} > 1 for n={n}, "
                          f"c={c}, beta={beta}; min beta for n={n} is {gamma!r}")
+    if beta > _MAX_BETA_N / n:
+        raise ValueError(f"beta * n > 1e300 for n={n}, beta={beta}: log c_n and beta H "
+                         f"near overflow; max beta for n={n} is {_MAX_BETA_N / n!r}")
 
 
 def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:

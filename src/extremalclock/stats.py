@@ -15,8 +15,8 @@ verification code:
 * ``empirical_vs_extremal`` -- compares simulated supremum samples with
   the one-dimensional marginal of an extremal process and returns a
   serializable report.
-* ``prefix_scan`` -- ``ufunc.accumulate`` along one axis, bit for bit,
-  by rows where the rows are wide enough to pay for it.
+* ``prefix_scan`` -- ``ufunc.accumulate`` along the first axis, bit for
+  bit, by rows where the rows are wide enough to pay for it.
 """
 
 from __future__ import annotations
@@ -255,19 +255,18 @@ def empirical_vs_extremal(samples, measure, t: float, significance: float = 0.01
     )
 
 
-def prefix_scan(ufunc, a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``ufunc.accumulate(a, axis=axis)``, written into ``a``, which it returns.
+def prefix_scan(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate(a, axis=0)``, written into ``a``, which it returns.
 
-    Step i along the axis becomes ufunc(step i - 1 as scanned, step i),
+    Step i along the first axis becomes ufunc(step i - 1 as scanned, step i),
     in step order, as accumulate computes it, so the result is the same
     bit for bit.  Rows of at least ``_SCAN_ROW_WIDTH`` entries go
     through one ufunc call per step; narrower ones through one
-    accumulate.
+    accumulate.  To scan along another axis, pass a transposed view.
     """
-    v = np.moveaxis(a, axis, 0)
-    if v.size < _SCAN_ROW_WIDTH * len(v):
-        ufunc.accumulate(v, axis=0, out=v)
+    if a.size < _SCAN_ROW_WIDTH * len(a):
+        ufunc.accumulate(a, axis=0, out=a)
     else:
-        for prev, row in zip(v[:-1], v[1:]):
+        for prev, row in zip(a[:-1], a[1:]):
             ufunc(prev, row, out=row)
     return a

@@ -326,6 +326,25 @@ def test_cli_zero_beta_is_a_config_error(tmp_path, capsys, command, beta):
     assert "beta (" in err and "Traceback" not in err
     # variance keeps beta = 0 as its degenerate constant-rate case
     validate_config({"n_grid": [4, 6], "beta": beta}, "variance")
+    # subcommands that read no clock keep any beta
+    for other in ("ppp", "ehrenfest", "compare"):
+        validate_config({"n_grid": [4, 6], "beta": beta}, other)
+
+
+@pytest.mark.parametrize("config", [{"beta": 1e308}, {"beta": 2e307},
+                                    {"n_grid": [8, 12], "beta": [1.0, 1e308]}])
+@pytest.mark.parametrize("command", ["sk-run", "verify", "ageing", "variance"])
+def test_cli_huge_beta_is_a_config_error(tmp_path, capsys, command, config):
+    # log c_n = gamma beta n, the block thresholds and beta H overflow at such
+    # beta; check_schedule rejects beta * n > 1e300 and names the largest beta
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "beta (beta * n > 1e300 for n=" in err and "max beta for n=" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results.json").exists()
+    validate_config({"beta": 1e6}, command)
 
 
 @pytest.mark.parametrize("field, grid", [

@@ -393,6 +393,20 @@ def test_check_schedule_names_smallest_beta():
         check_schedule(2000, 0.01, 0.1)
 
 
+def test_check_schedule_names_largest_beta():
+    # log c_n = gamma beta n, the block thresholds and beta H stay finite
+    # while beta * n <= 1e300; the largest beta named is accepted
+    largest = 1e300 / 16
+    check_schedule(16, 0.05, largest)
+    with pytest.raises(ValueError, match=r"beta \* n > 1e300 for n=16.*max beta for n=16 "
+                                         r"is 6\.25e\+298"):
+        check_schedule(16, 0.05, math.nextafter(largest, math.inf))
+    with pytest.raises(ValueError, match="max beta for n=8 is 1.25e\\+299"):
+        check_schedule(8, 0.05, 1e308)
+    check_schedule(16, 0.05, 1e6)
+    check_schedule(16, 0.05)  # no beta, no beta rule
+
+
 def test_check_schedule_names_largest_n():
     with pytest.raises(ValueError, match="max n for c=0.01 is 1623"):
         check_schedule(2000, 0.01)

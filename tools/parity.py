@@ -91,7 +91,12 @@ def matrix() -> list:
                # theta = 3 n^2 runs 75 and 108 blocks of the Ehrenfest law propagator
                ("ehrenfest-n48", "ehrenfest", {"n_grid": [40, 48], "replicas": 2000}),
                # 70,000 replicas are two draw chunks of max_cdf_mc
-               ("compare-2chunks", "compare", {"pairs": 3, "replicas": 70000})])
+               ("compare-2chunks", "compare", {"pairs": 3, "replicas": 70000}),
+               # per-n beta, and variance's beta = 0 case without a schedule
+               ("verify-beta-seq", "verify", {"n_grid": [8, 12], "beta": [1.0, 2.0],
+                                              "replicas": 400}),
+               ("variance-beta0", "variance", {"n_grid": [8, 12], "beta": [0.0, 1.0],
+                                               "env_replicas": 4})])
 
 
 def law_runs(seeds: int) -> list:
