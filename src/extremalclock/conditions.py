@@ -5,7 +5,8 @@ jump chain under stationarity, to an expectation that Monte Carlo can
 reach: block-sum tails (`q_tail`), their k_n(t)-scaled versions
 (`nu_t`), two-point products (`sigma_sq_t` over two-step pairs, and eta
 over uniform distance-2 pairs on the hypercube; `tail_functionals`
-yields all three over a (u, t) grid from one walk),
+yields all three over a (u, t) grid from one walk of one shared
+stationary start set and its partner sets),
 an exact mixing deviation (`mixing_check`), the initial-distribution
 smallness (`condition0_check`), the truncated one-jump mean
 (`condition31_estimate`), the functionals along one path that
@@ -147,27 +148,21 @@ def _kp_target(sched, t: float, u: float) -> float | None:
     return 2.0 * sched.p * t / u
 
 
-def _two_step_pairs(model, reps: int, rng):
-    """reps draws of (x, x') with x stationary and x' two chain steps on."""
-    X = model.sample_stationary(reps, rng)
-    return X, model.step_batch(X, rng, steps=2)
-
-
-def _distance2_pairs(model, reps: int, rng):
-    """reps uniform distance-2 pairs (x, x') on the hypercube, x stationary."""
-    n = model.n
-    X = model.sample_stationary(reps, rng)
-    X2 = X.copy()
+def _distance2_partners(X, rng):
+    """Each row of X with two distinct coordinates flipped: its uniform distance-2 partner."""
+    reps, n = X.shape
     rows = np.arange(reps)
     first = rng.integers(0, n, reps)
     # second coordinate distinct from the first: shift by 1..n-1
     second = (first + 1 + rng.integers(0, n - 1, reps)) % n
+    X2 = X.copy()
     X2[rows, first] = -X2[rows, first]
     X2[rows, second] = -X2[rows, second]
-    return X, X2
+    return X2
 
 
-# condition id of each tail functional, in the order its start sets are drawn
+# condition id of each tail functional, in report order; the partner sets
+# of sigma-sq and eta are drawn in this order after the shared start set
 _TAIL_IDS = {"nu": "2-1a", "sigma-sq": "2-1b", "eta": "2-1b"}
 
 
@@ -175,16 +170,19 @@ def tail_functionals(model, env, sched, u_grid, t_grid, reps: int, rng,
                      functionals=("nu", "sigma-sq", "eta")) -> dict:
     """The block-tail functionals at every (u, t) from one shared walk.
 
-    Start sets are drawn in the fixed order nu, sigma-sq, eta: reps
-    stationary starts, the x and x' halves of reps two-step pairs, the
-    x and x' halves of reps uniform distance-2 pairs.  All of them are
-    walked in a single engine.block_statistics call.  Block sums do not
-    depend on u, which only moves the log threshold, and depend on t
-    only through the factor k_n(t), so every report is a threshold and
-    a rescaling of the same sums: common random numbers make each
-    functional exactly non-increasing in u.  The two halves of a pair
-    are separate rows, so the product indicator is unbiased for
-    Q(x)Q(x'); squaring a shared estimate would bias upward.
+    One stationary start set X of reps rows serves all three
+    functionals; only partners are drawn after it: X' two chain steps
+    on from X for sigma-sq, then X'' with two distinct coordinates of
+    each row of X flipped for eta.  The sets wanted are walked in a
+    single engine.block_statistics call.  nu thresholds the sums from
+    X; sigma-sq and eta take the product indicator over a row of X and
+    the same row of its partner set.  The two halves of a pair are
+    separate rows, so the product is unbiased for Q(x)Q(x'); squaring a
+    shared estimate would bias upward.  Block sums do not depend on u,
+    which only moves the log threshold, and depend on t only through
+    the factor k_n(t), so every report is a threshold and a rescaling
+    of the same sums: common random numbers make each functional
+    exactly non-increasing in u, and sigma-sq and eta never exceed nu.
 
     Returns {(functional, u, t): ConditionReport}.  Nothing is simulated
     when k_n(t) = 0 for every t.
@@ -199,12 +197,14 @@ def tail_functionals(model, env, sched, u_grid, t_grid, reps: int, rng,
         ks[t] = k_blocks(sched, t)
     sums = {}
     if any(ks.values()):
-        draw = {"nu": lambda: (model.sample_stationary(reps, rng),),
-                "sigma-sq": lambda: _two_step_pairs(model, reps, rng),
-                "eta": lambda: _distance2_pairs(model, reps, rng)}
-        sets = [draw[f]() for f in wanted]
-        flat = iter(_stacked_log_sums(model, env, sched, [s for h in sets for s in h], rng))
-        sums = {f: [next(flat) for _ in halves] for f, halves in zip(wanted, sets)}
+        X = model.sample_stationary(reps, rng)
+        partners = {}
+        if "sigma-sq" in wanted:
+            partners["sigma-sq"] = model.step_batch(X, rng, steps=2)
+        if "eta" in wanted:
+            partners["eta"] = _distance2_partners(X, rng)
+        own, *theirs = _stacked_log_sums(model, env, sched, [X, *partners.values()], rng)
+        sums = {"nu": [own]} | {f: [own, s] for f, s in zip(partners, theirs)}
     reports = {}
     for f in wanted:
         for u in u_grid:

@@ -389,19 +389,18 @@ def make_schedule(n: int, p: int, c: float, beta: float) -> ScalingSchedule:
     gamma = n^{-c}, alpha = gamma/beta, a_n = sqrt(2 pi n) gamma^{-1}
     exp(gamma^2 n / 2), log c_n = gamma beta n, theta_n = 3 n^2, and
     v_n = round(n^omega) with omega the midpoint of (c + 1/2, 1).
-    Warns when alpha >= 1 (the asymptotic regime is not entered; the
-    schedule type itself rejects alpha > 1).  Raises ValueError where
-    ``check_schedule`` does.
+    Warns when alpha >= 1 (the asymptotic regime is not entered), and
+    then raises ValueError where ``check_schedule(n, c, beta)`` does:
+    alpha > 1, or beta * n past 1e300.
     """
     check_schedule(n, c)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     gamma = float(n) ** (-c)
-    alpha = gamma / beta
-    if alpha >= 1.0:
+    if beta > 0.0 and gamma / beta >= 1.0:
         warnings.warn(
-            f"alpha_n = {alpha:.6g} >= 1: power transform leaves the subadditive "
+            f"alpha_n = {gamma / beta:.6g} >= 1: power transform leaves the subadditive "
             "regime; asymptotic statements do not apply", stacklevel=2)
+    check_schedule(n, c, beta)
+    alpha = gamma / beta
     a_n = math.sqrt(2.0 * math.pi * n) / gamma * math.exp(_an_exponent(n, c))
     omega = (c + 1.5) / 2.0
     v_n = max(1, int(round(float(n) ** omega)))

@@ -800,8 +800,8 @@ def test_verify_walks_once_per_n(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run("verify", validate_config(dict(SHARED_WALK, out=str(tmp_path))))
-    # per n: one shared tails walk of 5 R rows (nu, two sigma halves, two
-    # eta halves) and one stacked DR boundary batch
+    # per n: one shared tails walk of 3 R rows (the stationary starts and
+    # their sigma and eta partners) and one stacked DR boundary batch
     replicas = SHARED_WALK["replicas"]
-    assert calls.count(5 * replicas) == len(SHARED_WALK["n_grid"])
+    assert calls.count(3 * replicas) == len(SHARED_WALK["n_grid"])
     assert len(calls) == 2 * len(SHARED_WALK["n_grid"])

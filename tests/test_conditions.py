@@ -257,6 +257,50 @@ def test_eta_on_small_hypercube():
     assert 0.0 <= report.estimate <= k
 
 
+def test_tail_functionals_share_one_start_set(monkeypatch):
+    # one stationary set X serves every functional: after it only the
+    # partners are drawn, X' two steps on (sigma-sq) and X'' with two
+    # distinct coordinates flipped (eta), and the wanted sets walk together
+    from extremalclock.pspin import make_schedule
+    captured = []
+    stacked = conditions._stacked_log_sums
+
+    def capture(model, env, sched, sets, rng):
+        captured.append(sets)
+        return stacked(model, env, sched, sets, rng)
+
+    monkeypatch.setattr(conditions, "_stacked_log_sums", capture)
+    model = HypercubeSRW(6)
+    env = PSpinEnvironment(build_instance(6, 2, seed=3, beta=1.0, c=0.25))
+    sched = make_schedule(6, 2, c=0.25, beta=1.0)
+    # k_n = 1 and 2; the tails fall from about 1 to about 0.05 over u
+    reps, u_grid, t_grid = 500, (3.0, 4.0, 5.0, 6.0), (4.0, 8.0)
+    sets, reports = {}, {}
+    for functionals, count in ((("nu", "sigma-sq", "eta"), 3), (("nu",), 1),
+                               (("sigma-sq",), 2)):
+        reports[functionals] = tail_functionals(model, env, sched, u_grid, t_grid, reps,
+                                                np.random.default_rng(21), functionals)
+        (sets[functionals],) = captured[-1:]
+        assert len(sets[functionals]) == count
+        assert all(s.shape == (reps, 6) for s in sets[functionals])
+    assert len(captured) == 3
+    X, X1, X2 = sets["nu", "sigma-sq", "eta"]
+    # X is drawn first and the sigma-sq partner next, whatever else is wanted
+    assert np.array_equal(sets["nu",][0], X)
+    assert all(np.array_equal(a, b) for a, b in zip(sets["sigma-sq",], (X, X1)))
+    assert set(np.unique((X1 != X).sum(axis=1))) == {0, 2}
+    assert np.all((X2 != X).sum(axis=1) == 2)
+    # the product indicators share their first half with nu's indicator,
+    # so neither pair functional exceeds nu at any (u, t)
+    every = reports["nu", "sigma-sq", "eta"]
+    for f in ("sigma-sq", "eta"):
+        assert any(0.0 < every[f, u, 4.0].estimate < every["nu", u, 4.0].estimate
+                   for u in u_grid)
+        for u in u_grid:
+            for t in t_grid:
+                assert every[f, u, t].estimate <= every["nu", u, t].estimate
+
+
 def test_env_replication_variance_zero_at_beta_zero(monkeypatch):
     # every rate is 1 at beta = 0: the spread is exactly 0 without a schedule
     # (so no k_n(t) = 0 warning), an environment, a walk or a draw

@@ -377,6 +377,10 @@ def test_schedule_validation():
             make_schedule(16, 2, c=0.25, beta=0.4)  # alpha > 1 rejected
     with pytest.raises(ValueError, match="overflow"):
         make_schedule(10 ** 6, 2, c=0.05, beta=1.0)
+    # beta * n past 1e300 would make log c_n infinite
+    with pytest.raises(ValueError, match=r"max beta for n=16 is 6.25e\+298"):
+        make_schedule(16, 2, c=0.05, beta=1e308)
+    assert math.isfinite(make_schedule(16, 2, c=0.05, beta=1e300 / 16).log_c_n)
 
 
 def test_check_schedule_names_smallest_beta():

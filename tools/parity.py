@@ -66,6 +66,9 @@ def _workload_runs(seeds) -> list:
 _GRIDS = [("ageing-2x2", "ageing", {"n_grid": [8, 12], "t_grid": [0.5, 1.0],
                                     "s_grid": [0.5, 1.0], "replicas": 400}),
           ("sk-run-3t", "sk-run", {"n_grid": [8, 12], "t_grid": [0.5, 1.0, 2.0]}),
+          # every tails row at p = 3 and at two t: nu at both, sigma and eta at the first
+          ("verify-p3-2t", "verify", {"p": 3, "n_grid": [8, 12, 16], "t_grid": [0.5, 1.0],
+                                      "replicas": 400}),
           # the field walker's flips at an n that takes the redraw (2^16 mod 22 = 20)
           ("verify-p2-n22", "verify", {"p": 2, "n_grid": [22], "replicas": 200,
                                        "inner_replicas": 50})]
