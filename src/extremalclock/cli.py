@@ -126,8 +126,9 @@ _GRID_FIELDS = ("n_grid", "u_grid", "t_grid", "s_grid", "delta_grid")
 _POSITIVE_INT_FIELDS = ("replicas", "inner_replicas", "step_budget", "threads",
                         "occupation_d", "distance_steps", "pairs", "env_replicas")
 _POSITIVE_FIELDS = ("v", "K", "t_max", "u_min")
-# ppp draws a Poisson count per query interval, with mean at most
-# t_max * K / u_min; numpy's Poisson sampler raises above about 9.2e18
+# ppp draws a Poisson count per interval between sorted query times, with
+# mean at most max(t_grid) * K / u_min; numpy's Poisson sampler raises
+# above about 9.2e18
 _PPP_MAX_MEAN = 2 ** 62
 
 
@@ -264,11 +265,11 @@ def validate_config(raw: dict, command: str | None = None) -> ExperimentConfig:
             and max(merged["t_grid"]) > merged["t_max"]:
         flag("t_grid", f"entries must not exceed t_max = {merged['t_max']} for ppp, "
                        "whose Poisson points cover [0, t_max]")
-    if command == "ppp" and all(
-            _is_number(merged[name]) and merged[name] > 0 for name in ("t_max", "K", "u_min")):
-        mean = merged["t_max"] * merged["K"] / merged["u_min"]
+    if command == "ppp" and "t_grid" in valid_grids and all(
+            _is_number(merged[name]) and merged[name] > 0 for name in ("K", "u_min")):
+        mean = max(merged["t_grid"]) * merged["K"] / merged["u_min"]
         if mean > _PPP_MAX_MEAN:
-            flag("u_min", f"ppp draws Poisson counts of mean up to t_max * K / u_min = "
+            flag("u_min", f"ppp draws Poisson counts of mean up to max(t_grid) * K / u_min = "
                           f"{mean:.4g}, more than 2^62")
     if command == "variance" and merged["env_replicas"] == 1:
         flag("env_replicas", "must be >= 2 for variance, which measures the spread "

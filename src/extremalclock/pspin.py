@@ -14,8 +14,9 @@ module provides:
   the sub-block length v_n = round(n^omega);
 * ``gaussian_comparison_rhs`` / ``max_cdf_mc`` -- the normal-comparison
   upper bound and the Monte Carlo max-CDF it dominates, whose inputs
-  one checker owns (one ``eigh`` per matrix); with ``minus=`` one draw
-  per replica serves both matrices, so the difference has a paired SE;
+  one checker owns (one ``eigh`` per matrix); each normal vector z gives
+  the antithetic replicas z and -z, and with ``minus=`` one draw serves
+  both matrices, so the difference has a paired SE;
 * ``HypercubeSRW`` / ``PSpinEnvironment`` -- the jump-chain model and
   environment oracle consumed by the generic engine, with vectorised
   kernels for p in {2, 3} that advance thousands of replicas per numpy
@@ -445,6 +446,8 @@ def _comparison_inputs(named, s):
     levels = np.asarray(s, dtype=float)
     if levels.ndim > 1 or levels.size == 0:
         raise ValueError("s must be a float or a non-empty 1-d sequence")
+    if np.any(np.isnan(levels)):
+        raise ValueError("s must not be NaN")
     return mats, eigs, levels
 
 
@@ -486,22 +489,26 @@ def gaussian_comparison_rhs(delta0, delta1, s):
 def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
     """Monte Carlo estimate of P(max_i H_i <= s) for H ~ N(0, delta).
 
-    Each standard-normal vector z gives H = delta^{1/2} z through the
-    symmetric square root v diag(sqrt w) v^T of delta's one ``eigh``.
-    A float ``s`` returns one MCAccumulator.  A 1-d sequence ``s``
-    shares one set of ``reps`` draws across its levels and returns one
-    accumulator per entry, each equal to a scalar call on those draws.
+    Antithetic draws: ceil(reps / 2) standard-normal vectors z, taken as
+    (dim, m) chunks of at most 65536, each give H = delta^{1/2} z through
+    the symmetric square root v diag(sqrt w) v^T of delta's one ``eigh``.
+    Since the law of H is symmetric, z and -z are two replicas of one
+    pair: 1{max H <= s} for z and 1{min H >= -s} for -z.  A float ``s``
+    returns one MCAccumulator.  A 1-d sequence ``s`` shares one set of
+    draws across its levels and returns one accumulator per entry, each
+    equal to a scalar call on those draws.
 
     With ``minus`` (a covariance of the same shape), the estimate is of
     P(max H <= s) - P(max H' <= s) with common random numbers: the same
-    z also gives H' = minus^{1/2} z, and every accumulator holds the
-    per-replica differences 1{max H <= s} - 1{max H' <= s}, so its
-    ``sem`` is the paired SE.
+    z also gives H' = minus^{1/2} z, and each replica's value is its
+    indicator for H less its indicator for H'.
 
-    Each level counts the replicas whose value is +1 and those whose
-    value is -1, summed over the draw chunks; every accumulator is then
-    built once from the counts in closed form, so its mean is the exact
-    ratio (up - down) / reps.  ``reps = 0`` gives empty accumulators.
+    Every accumulator is over the pair means, one per vector z, so its
+    ``count`` is the number of pairs, ceil(reps / 2), and its ``sem`` is
+    the antithetic SE.  Each level sums v and v^2 over the pairs as exact
+    integers, v the pair's sum of its two replicas; mean and M2 are then
+    built once in closed form, so the mean is the exact ratio
+    sum v / (2 count).  ``reps = 0`` gives empty accumulators.
     """
     named = [(delta, "delta")] + ([] if minus is None else [(minus, "minus")])
     mats, eigs, levels = _comparison_inputs(named, s)
@@ -509,29 +516,29 @@ def max_cdf_mc(delta, s, reps: int, rng: np.random.Generator, *, minus=None):
     # signs are arbitrary and two plain eigen-factors would not couple H and H'
     factor = np.vstack([(v * np.sqrt(np.clip(w, 0.0, None))) @ v.T for w, v in eigs])
     dim = mats[0].shape[0]
-    # replicas whose difference is +1 and -1 at each level, over all chunks
-    up = np.zeros(levels.size, dtype=np.int64)
-    down = np.zeros(levels.size, dtype=np.int64)
+    pairs = (reps + 1) // 2
+    # sums of v and v^2 at each level, over all chunks
+    sum_v = np.zeros(levels.size, dtype=np.int64)
+    sum_v2 = np.zeros(levels.size, dtype=np.int64)
     count, chunk, col = 0, 65536, levels.reshape(-1, 1)
-    while count < reps:
-        m = min(chunk, reps - count)
-        z = rng.standard_normal((m, dim))
-        # (dim, m) layout per matrix: the max over coordinates is an
-        # elementwise max of rows; one row of maxima per matrix
-        maxima = (factor @ z.T).reshape(-1, dim, m).max(axis=1)
-        below = maxima[0] <= col
-        if minus is None:
-            up += np.count_nonzero(below, axis=1)
-        else:
-            other = maxima[1] <= col
-            up += np.count_nonzero(below & ~other, axis=1)
-            down += np.count_nonzero(other & ~below, axis=1)
+    while count < pairs:
+        m = min(chunk, pairs - count)
+        # (dim, m) layout per matrix: the max and min over coordinates are
+        # elementwise over rows; one row of each per matrix
+        h = (factor @ rng.standard_normal((dim, m))).reshape(-1, dim, m)
+        hi, lo = h.max(axis=1), h.min(axis=1)
+        # v in {0, 1, 2} alone, {-2, ..., 2} paired, one int8 per pair
+        v = (hi[0] <= col).view(np.int8) + (lo[0] >= -col).view(np.int8)
+        if minus is not None:
+            v -= (hi[1] <= col).view(np.int8) + (lo[1] >= -col).view(np.int8)
+        sum_v += v.sum(axis=1, dtype=np.int64)
+        sum_v2 += (v * v).sum(axis=1, dtype=np.int64)
         count += m
-    # the values are +1, -1 and 0, so mean and M2 have closed forms;
-    # count 0 (reps <= 0) leaves every accumulator empty
-    mean = (up - down) / max(count, 1)
-    m2 = up * (1.0 - mean) ** 2 + down * (1.0 + mean) ** 2 + (count - up - down) * mean ** 2
-    accs = [MCAccumulator(count, float(a), float(b)) for a, b in zip(mean, m2)]
+    # a pair mean is v / 2: mean = sum v / (2n), M2 = (n sum v^2 - (sum v)^2) / (4n),
+    # in Python integers; count 0 (reps <= 0) leaves every accumulator empty
+    n = max(count, 1)
+    accs = [MCAccumulator(count, a / (2 * n), (n * b - a * a) / (4 * n))
+            for a, b in zip(sum_v.tolist(), sum_v2.tolist())]
     return accs if levels.ndim else accs[0]
 
 

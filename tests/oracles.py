@@ -268,12 +268,14 @@ def distance_process_check_2d(n: int, steps: int, reps: int, rng) -> float:
 
 
 def max_cdf_indicators(delta, levels, reps: int, rng, minus=None) -> list:
-    """(count, mean, M2) per level from the float indicators of every replica.
+    """(count, mean, M2) per level from the float pair means of every draw.
 
-    Draws in chunks of 65536 standard-normal vectors, as the library
-    does, through symmetric square roots, paired or not; each level
-    keeps 1{max H <= s} (minus 1{max H' <= s}) as floats for all
-    replicas, then takes their mean and summed squared deviations.
+    Draws ceil(reps / 2) standard-normal vectors z in (dim, m) chunks of
+    at most 65536, as the library does, through symmetric square roots,
+    paired or not.  Each z is an antithetic pair: it reads
+    1{max H <= s} and -z reads 1{max(-H) <= s} (minus the same two for
+    H'); each level keeps the pair's mean of the two as a float for
+    every pair, then takes their mean and summed squared deviations.
     """
     mats = [np.asarray(delta, dtype=float)] + ([] if minus is None
                                                else [np.asarray(minus, dtype=float)])
@@ -282,13 +284,16 @@ def max_cdf_indicators(delta, levels, reps: int, rng, minus=None) -> list:
         w, v = np.linalg.eigh(mat)
         roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
     factor, dim = np.vstack(roots), mats[0].shape[0]
+    pairs = (reps + 1) // 2
     values = [[] for _ in levels]
-    for start in range(0, reps, 65536):
-        z = rng.standard_normal((min(65536, reps - start), dim))
-        maxima = (factor @ z.T).reshape(len(mats), dim, -1).max(axis=1)
+    for start in range(0, pairs, 65536):
+        z = rng.standard_normal((dim, min(65536, pairs - start)))
+        h = (factor @ z).reshape(len(mats), dim, -1)
         for out, level in zip(values, levels):
-            below = (maxima <= level).astype(float)
-            out.append(below[0] - below[1] if minus is not None else below[0])
+            plus = (h.max(axis=1) <= level).astype(float)
+            neg = ((-h).max(axis=1) <= level).astype(float)
+            pair = 0.5 * (plus + neg)
+            out.append(pair[0] - pair[1] if minus is not None else pair[0])
     result = []
     for chunks in values:
         arr = np.concatenate(chunks) if chunks else np.zeros(0)

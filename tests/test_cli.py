@@ -511,12 +511,12 @@ def test_cli_ppp_t_grid_beyond_t_max_is_a_config_error(tmp_path, capsys):
 def test_cli_ppp_point_count_beyond_cap_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                           fields):
     # ppp draws one Poisson count per (replica, query interval), not the
-    # points, so 1.6e11 expected points per replica run; only a count mean
-    # t_max * K / u_min above 2^62, which numpy's Poisson sampler cannot
-    # draw, is stopped before anything is sampled
+    # points, so 8e10 expected points per replica run; only a count mean
+    # max(t_grid) * K / u_min above 2^62, which numpy's Poisson sampler
+    # cannot draw, is stopped before anything is sampled
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(fields))
-    if 2.0 * fields.get("K", 4.0) / fields.get("u_min", 0.05) <= 2.0 ** 62:
+    if 1.0 * fields.get("K", 4.0) / fields.get("u_min", 0.05) <= 2.0 ** 62:
         assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "ppp_quantiles.csv", encoding="utf-8") as fh:
             levels = [float(row["empirical"]) for row in csv.DictReader(fh)]
@@ -529,16 +529,20 @@ def test_cli_ppp_point_count_beyond_cap_is_a_config_error(tmp_path, capsys, monk
     monkeypatch.setattr(measures, "sample_sup_levels", refuse)
     assert main(["ppp", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "u_min (ppp draws Poisson counts of mean up to t_max * K / u_min" in err
+    assert "u_min (ppp draws Poisson counts of mean up to max(t_grid) * K / u_min" in err
     assert "Traceback" not in err
     assert not (tmp_path / "results.json").exists()
     with pytest.raises(ConfigError, match="u_min"):
         validate_config(fields, "ppp")
-    # the limit is a mean of 2^62: 2 * 2^61 / 1 reaches it, / 0.5 exceeds it
-    at_limit = {"t_max": 2.0, "K": 2.0 ** 61, "u_min": 1.0}
+    # the limit is a mean of 2^62: 2 * 2^61 / 1 reaches it; / 0.5, or the
+    # next K above 2^61, exceeds it
+    at_limit = {"t_grid": [1.0, 2.0], "t_max": 2.0, "K": 2.0 ** 61, "u_min": 1.0}
     validate_config(at_limit, "ppp")
-    with pytest.raises(ConfigError, match="u_min"):
-        validate_config(dict(at_limit, u_min=0.5), "ppp")
+    for past in (dict(at_limit, u_min=0.5), dict(at_limit, K=math.nextafter(2.0 ** 61, math.inf))):
+        with pytest.raises(ConfigError, match="u_min"):
+            validate_config(past, "ppp")
+    # counts are drawn up to max(t_grid) only, so t_max does not enter the mean
+    validate_config({"t_grid": [1.0], "t_max": 2.0, "K": 2.0 ** 61, "u_min": 0.5}, "ppp")
     for other in ("sk-run", "verify", "ehrenfest", "ageing", "compare", "variance"):
         validate_config(fields, other)
 

@@ -528,16 +528,16 @@ def test_max_cdf_mc_matches_bivariate_oracle():
 
 def test_max_cdf_mc_sequence_shares_draws():
     # one call over a level sequence equals scalar calls on the same draws,
-    # alone and paired; 70,000 reps span two draw chunks
+    # alone and paired; 140,001 reps are 70,001 antithetic pairs, two draw chunks
     d = _random_correlation(4, np.random.default_rng(5))
     levels = [0.5, 2.0, 1.0]
     for minus in (None, _random_correlation(4, np.random.default_rng(6))):
-        accs = max_cdf_mc(d, levels, 70_000, np.random.default_rng(17), minus=minus)
+        accs = max_cdf_mc(d, levels, 140_001, np.random.default_rng(17), minus=minus)
         assert len(accs) == len(levels)
         for s, acc in zip(levels, accs):
-            single = max_cdf_mc(d, s, 70_000, np.random.default_rng(17), minus=minus)
+            single = max_cdf_mc(d, s, 140_001, np.random.default_rng(17), minus=minus)
             assert (acc.count, acc.mean, acc.m2) == (single.count, single.mean, single.m2)
-    accs = max_cdf_mc(d, levels, 70_000, np.random.default_rng(17))
+    accs = max_cdf_mc(d, levels, 140_001, np.random.default_rng(17))
     assert accs[0].mean < accs[2].mean < accs[1].mean
     with pytest.raises(ValueError):
         max_cdf_mc(d, [], 10, np.random.default_rng(0))
@@ -546,12 +546,13 @@ def test_max_cdf_mc_sequence_shares_draws():
 
 
 def test_max_cdf_mc_counts_match_indicator_path():
-    # 70,000 reps span two draw chunks; the mean is an exact count ratio
+    # 140,001 reps are 70,001 antithetic pairs, two draw chunks; the mean is
+    # an exact ratio of integer sums
     d0, d1 = (_random_correlation(6, np.random.default_rng(k)) for k in (31, 32))
     levels = [0.0, 0.5, 1.0, 2.0, 8.0]
     for minus in (None, d1):
-        accs = max_cdf_mc(d0, levels, 70_000, np.random.default_rng(41), minus=minus)
-        want = oracles.max_cdf_indicators(d0, levels, 70_000, np.random.default_rng(41),
+        accs = max_cdf_mc(d0, levels, 140_001, np.random.default_rng(41), minus=minus)
+        want = oracles.max_cdf_indicators(d0, levels, 140_001, np.random.default_rng(41),
                                           minus=minus)
         for acc, (count, mean, m2) in zip(accs, want):
             assert (acc.count, acc.mean) == (count, mean)
@@ -594,10 +595,11 @@ class _CountingNormals:
 
 
 def test_max_cdf_mc_paired_draws_one_vector_per_replica():
+    # one vector per antithetic pair of replicas serves both matrices
     d0, d1 = (_random_correlation(5, np.random.default_rng(k)) for k in (7, 8))
     rng = _CountingNormals(0)
-    max_cdf_mc(d0, [0.5, 1.0, 2.0], 70_000, rng, minus=d1)
-    assert rng.normals == 70_000 * 5
+    max_cdf_mc(d0, [0.5, 1.0, 2.0], 140_001, rng, minus=d1)
+    assert rng.normals == 70_001 * 5
     with pytest.raises(ValueError, match="share a shape"):
         max_cdf_mc(d0, 1.0, 10, rng, minus=np.eye(4))
 
@@ -605,19 +607,94 @@ def test_max_cdf_mc_paired_draws_one_vector_per_replica():
 @pytest.mark.parametrize("dim, seed", [(3, 51), (6, 52)])
 def test_max_cdf_mc_paired_counts_are_differences_of_unpaired_counts(dim, seed):
     # both paths draw through the same symmetric roots, so from one generator
-    # state the paired up - down is delta's count less minus's, exactly
+    # state the paired sum of v over the pairs is delta's sum less minus's, exactly
     rng = np.random.default_rng(seed)
     d0, d1 = _random_correlation(dim, rng), _random_correlation(dim, rng)
     levels = [0.0, 0.5, 1.0, 2.0]
 
     def counts(accs):
-        return [round(acc.mean * acc.count) for acc in accs]
+        # the mean of the pair means v / 2 is sum v / (2 count)
+        return [round(acc.mean * 2 * acc.count) for acc in accs]
 
     paired = counts(max_cdf_mc(d0, levels, 70_000, np.random.default_rng(9), minus=d1))
     c0, c1 = (counts(max_cdf_mc(d, levels, 70_000, np.random.default_rng(9)))
               for d in (d0, d1))
     assert paired == [a - b for a, b in zip(c0, c1)]
     assert any(paired)
+
+
+def test_max_cdf_mc_odd_reps_round_up_to_whole_pairs():
+    d = _random_correlation(3, np.random.default_rng(53))
+    for reps in (1, 7, 2001):
+        for minus in (None, np.eye(3)):
+            acc = max_cdf_mc(d, 1.0, reps, np.random.default_rng(0), minus=minus)
+            assert acc.count == (reps + 1) // 2
+    assert max_cdf_mc(d, 1.0, 1, np.random.default_rng(0)).sem == 0.0
+
+
+class _FixedNormals:
+    """A generator that hands out one fixed (dim, m) block of normals."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, size):
+        assert tuple(size) == self.z.shape
+        return self.z.copy()
+
+
+def test_max_cdf_mc_reads_minus_z_through_min_h():
+    # with delta = I, H = z: z counts 1{max z <= s} and -z counts 1{min z >= -s}
+    z = [[0.5, 3.0, 0.5, -0.5],
+         [-3.0, -0.5, 0.7, 2.0]]
+    levels = [1.0, 2.5, 4.0]
+    accs = max_cdf_mc(np.eye(2), levels, 8, _FixedNormals(z))
+    # pair sums v = z's + -z's per level: s = 1: 1+0, 0+1, 1+1, 0+1;
+    # s = 2.5: 1+0, 0+1, 1+1, 1+1; s = 4: 1+1 each
+    assert [a.count for a in accs] == [4, 4, 4]
+    assert [a.mean for a in accs] == [5 / 8, 3 / 4, 1.0]
+    assert [a.m2 for a in accs] == pytest.approx([3 / 16, 1 / 4, 0.0], abs=1e-15)
+    # paired with the rank-one minus, H' = (z_1 + z_2) / sqrt 2 in both
+    # coordinates: -1.77, 1.77, 0.85 and 1.06, so a pair with |H'| > s has
+    # one replica below s and one above
+    ones = np.ones((2, 2))
+    gaps = max_cdf_mc(np.eye(2), [1.0, 1.5], 8, _FixedNormals(z), minus=ones)
+    # v - v' at s = 1: (1, 1, 2, 1) - (1, 1, 2, 1); at s = 1.5: (1, 1, 2, 1) - (1, 1, 2, 2)
+    assert [(g.count, g.mean) for g in gaps] == [(4, 0.0), (4, -1 / 8)]
+    assert [g.m2 for g in gaps] == pytest.approx([0.0, 3 / 16], abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_max_cdf_mc_sem_matches_spread_over_seeds(dim):
+    # the reported SE over pairs is honest: the sd of the estimates across
+    # seeds lies within 20% of their mean sem, alone and paired
+    d0, d1 = (_random_correlation(dim, np.random.default_rng(k)) for k in (61, 62))
+    s = 0.5 if dim == 2 else 1.5
+    for minus in (None, d1):
+        accs = [max_cdf_mc(d0, s, 2000, np.random.default_rng(seed), minus=minus)
+                for seed in range(200)]
+        sd = float(np.std([a.mean for a in accs], ddof=1))
+        sem = float(np.mean([a.sem for a in accs]))
+        assert 0.8 <= sd / sem <= 1.2, (dim, minus is None, sd, sem)
+
+
+def test_comparison_rejects_nan_levels():
+    d0, d1 = np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2)
+    rng = np.random.default_rng(0)
+    for s in (float("nan"), [float("nan"), 1.0]):
+        with pytest.raises(ValueError, match="^s must not be NaN$"):
+            max_cdf_mc(d0, s, 100, rng)
+        with pytest.raises(ValueError, match="^s must not be NaN$"):
+            max_cdf_mc(d0, s, 100, rng, minus=d1)
+        with pytest.raises(ValueError, match="^s must not be NaN$"):
+            gaussian_comparison_rhs(d0, d1, s)
+    # s = inf stays exact: the bound is 0 and every replica lies below
+    assert gaussian_comparison_rhs(d0, d1, float("inf")) == 0.0
+    assert gaussian_comparison_rhs(d0, d1, [float("inf"), 1.0])[0] == 0.0
+    acc = max_cdf_mc(d0, float("inf"), 100, rng)
+    assert (acc.count, acc.mean, acc.sem) == (50, 1.0, 0.0)
+    gap = max_cdf_mc(d0, [float("inf"), 1.0], 100, rng, minus=d1)[0]
+    assert (gap.mean, gap.sem) == (0.0, 0.0)
 
 
 def test_comparison_errors_name_their_matrix():

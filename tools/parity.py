@@ -93,8 +93,9 @@ def matrix() -> list:
                                             "replicas": 40}),
                # theta = 3 n^2 runs 75 and 108 blocks of the Ehrenfest law propagator
                ("ehrenfest-n48", "ehrenfest", {"n_grid": [40, 48], "replicas": 2000}),
-               # 70,000 replicas are two draw chunks of max_cdf_mc
-               ("compare-2chunks", "compare", {"pairs": 3, "replicas": 70000}),
+               # 140,001 replicas are 70,001 antithetic pairs (an odd count
+               # rounds up), two draw chunks of max_cdf_mc
+               ("compare-2chunks", "compare", {"pairs": 3, "replicas": 140001}),
                # per-n beta, and variance's beta = 0 case without a schedule
                ("verify-beta-seq", "verify", {"n_grid": [8, 12], "beta": [1.0, 2.0],
                                               "replicas": 400}),
