@@ -44,7 +44,7 @@ for t, s in ((1.0, 1.0), (1.0, 3.0)):
     acc = MCAccumulator.from_values(ind.astype(float))
     print(f"P(no record in ({t}, {t + s}]): {acc.mean:.4f} +- {acc.sem:.4f}  "
           f"limit {t / (t + s):.4f}  "
-          f"(closed form {measures.range_avoidance_prob(K, t, s):.4f})")
+          f"(closed form {measures.range_avoidance_prob(t, s):.4f})")
 
 # Finite-dimensional laws are products of powers of one distribution.
 p = measures.fdd_probability(measure, [1.0, 2.0], [4.0, 4.0])

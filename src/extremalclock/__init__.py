@@ -1,6 +1,6 @@
 """Clock processes of reversible jump chains and their extremal limits.
 
-Subpackages: ``measures`` (tail measures, Poisson constructions and
+Subpackages: ``measures`` (Pareto tail measures, Poisson constructions and
 extremal paths), ``engine`` (generic jump-chain clock machinery),
 ``pspin`` (the p-spin landscape on the hypercube with vectorised
 kernels), ``ehrenfest`` (the exact distance-chain oracle),

@@ -582,7 +582,7 @@ def _cmd_ageing(cfg: ExperimentConfig):
         return [(table, prov, dict(
             t=t, s=s, epsilon=cfg.epsilon, estimate=est.value, se=est.se,
             completed=est.completed, truncated=est.truncated,
-            limit=measures.range_avoidance_prob(2.0 * cfg.p, t, s)))
+            limit=measures.range_avoidance_prob(t, s)))
             for (t, s), est in zip(pairs, estimates)]
 
     filed = _landscape_rows(job, cfg)

@@ -22,7 +22,6 @@ __all__ = [
     "EhrenfestChain",
     "transition_matrix",
     "distance_laws",
-    "exact_distribution",
     "expected_hitting_adjacent",
     "expected_hitting_from_zero",
     "hitting_bound",
@@ -75,13 +74,6 @@ def distance_laws(chain: EhrenfestChain, start: int = 0):
     while True:
         yield v
         v = v @ P
-
-
-def exact_distribution(chain: EhrenfestChain, start: int, steps: int) -> np.ndarray:
-    """Law of the chain after ``steps`` moves from ``start``."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return next(itertools.islice(distance_laws(chain, start), steps, None))
 
 
 def expected_hitting_adjacent(chain: EhrenfestChain, l: int) -> float:

@@ -81,15 +81,10 @@ class JumpChainModel:
     """Base interface for jump chains.
 
     Subclasses implement ``initial_state`` (a draw from mu_n),
-    ``next_state`` (one transition of p_n), and ``log_pi``; ``period``
-    is the chain period q.  Enumerable toy chains may also provide
-    ``enumerate_states`` so invariance and reversibility can be checked
-    exactly, and ``transition_prob`` for those checks.  The batch
+    ``next_state`` (one transition of p_n), and ``log_pi``.  The batch
     methods below are list-based defaults that models may override with
     array versions.
     """
-
-    period = 1
 
     def initial_state(self, rng):
         raise NotImplementedError
@@ -125,7 +120,6 @@ class CompleteGraphChain(JumpChainModel):
         if m < 2:
             raise ValueError(f"complete graph needs at least 2 states, got {m}")
         self.m = m
-        self.period = 2 if m == 2 else 1
 
     def initial_state(self, rng):
         return int(rng.integers(self.m))
@@ -136,12 +130,6 @@ class CompleteGraphChain(JumpChainModel):
 
     def log_pi(self, x) -> float:
         return -math.log(self.m)
-
-    def enumerate_states(self):
-        return range(self.m)
-
-    def transition_prob(self, x, y) -> float:
-        return 0.0 if x == y else 1.0 / (self.m - 1)
 
     def overlap(self, x, y) -> float:
         return 1.0 if x == y else -1.0

@@ -1,11 +1,10 @@
-"""Extremal processes driven by sigma-finite intensity measures on (0, inf).
+"""Extremal processes driven by Pareto intensity measures on (0, inf).
 
 The limit objects of rescaled clock processes are extremal processes
 M(t) = sup of Poisson point magnitudes with birth time <= t, where the
-points live on (0, inf) x (0, inf) with intensity dt x d(nu).  A measure
-here is described by its tail mass ``tail(u) = nu(u, inf)``, finite and
-non-increasing on (0, inf) and diverging at 0+.  The workhorse family is
-the Pareto-type tail K/u, for which everything is in closed form:
+points live on (0, inf) x (0, inf) with intensity dt x d(nu).  Every
+limit law checked here has the Pareto tail ``nu(u, inf) = K/u``, for
+which everything is in closed form:
 
 * marginal law       P(M(t) <= u) = exp(-t * K / u)
 * finite-dimensional products of marginal factors over time increments
@@ -19,7 +18,7 @@ below which the points are irrelevant for suprema above u_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,103 +35,42 @@ __all__ = [
     "sup_path",
     "ExtremalPath",
     "extremal_path",
-    "record_interval_mass",
     "range_avoidance_prob",
     "sample_sup_levels",
     "sample_record_avoidance",
 ]
 
-_INVERSION_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TailMeasure:
-    """Intensity measure on (0, inf), described by its tail mass.
+    """Pareto intensity measure on (0, inf): tail mass K/u.
 
-    Parameters
-    ----------
-    kind : str
-        "pareto" for tail K/u, "custom" for a user-supplied tail.
-    constant : float
-        The Pareto constant K (ignored for custom measures).
-    tail_fn : callable, optional
-        Tail mass u -> nu(u, inf) for custom measures.  Must be finite,
-        nonnegative and non-increasing on (0, inf).
-
-    Notes
-    -----
-    Custom tails are inverted numerically (bisection to relative
-    tolerance 1e-12); the Pareto family inverts in closed form.
+    Build it with ``TailMeasure.pareto(K)``; ``constant`` is K.
     """
 
-    kind: str
-    constant: float = 0.0
-    tail_fn: object = field(default=None, repr=False)
+    constant: float
 
     @classmethod
     def pareto(cls, constant: float) -> "TailMeasure":
         if not (constant > 0.0 and math.isfinite(constant)):
             raise ValueError(f"Pareto constant must be positive and finite, got {constant}")
-        return cls(kind="pareto", constant=float(constant))
-
-    @classmethod
-    def from_tail(cls, tail_fn) -> "TailMeasure":
-        return cls(kind="custom", tail_fn=tail_fn)
+        return cls(constant=float(constant))
 
 
 def tail_mass(measure: TailMeasure, u):
-    """nu(u, inf) for u > 0; an array of u gives the array of masses.
-
-    Pareto tails are evaluated in closed form on the whole array; a
-    custom ``tail_fn`` is called once per entry with a Python float.
-    """
+    """nu(u, inf) = K/u for u > 0; an array of u gives the array of masses."""
     arr = np.asarray(u, dtype=float)
     if not np.all(arr > 0.0):
         raise ValueError(f"tail mass is defined for u > 0, got u={arr[~(arr > 0.0)].flat[0]}")
-    if measure.kind == "pareto":
-        mass = measure.constant / arr
-    else:
-        mass = np.array([_custom_mass(measure, x) for x in arr.ravel().tolist()],
-                        dtype=float).reshape(arr.shape)
+    mass = measure.constant / arr
     return float(mass) if mass.ndim == 0 else mass
 
 
-def _custom_mass(measure: TailMeasure, u: float) -> float:
-    """The custom tail at one u > 0, checked finite and nonnegative."""
-    mass = float(measure.tail_fn(u))
-    if not (math.isfinite(mass) and mass >= 0.0):
-        raise ValueError(f"tail function returned invalid mass {mass} at u={u}")
-    return mass
-
-
 def tail_inverse(measure: TailMeasure, mass: float) -> float:
-    """Smallest u with tail(u) <= mass.
-
-    Exact for Pareto.  For a custom tail the returned u satisfies
-    tail(u) <= mass and lies within relative 1e-12 above the crossing.
-    """
+    """The u with tail(u) = mass, K/mass in closed form."""
     if not mass > 0.0:
         raise ValueError(f"tail inverse needs a positive mass, got {mass}")
-    if measure.kind == "pareto":
-        return measure.constant / mass
-    # Bracket the crossing, tail(lo) >= mass >= tail(hi), expanding outward.
-    lo, hi = 1.0, 1.0
-    while _custom_mass(measure, lo) < mass:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ValueError("tail inverse bracket underflow; mass too large")
-    while _custom_mass(measure, hi) > mass:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("tail inverse bracket overflow; mass too small")
-    # Bisect, keeping tail(hi) <= mass, until hi is within the tolerance of lo.
-    while hi - lo > _INVERSION_RTOL * lo:
-        mid = 0.5 * (lo + hi)
-        if _custom_mass(measure, mid) <= mass:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return measure.constant / mass
 
 
 def extremal_marginal(measure: TailMeasure, t: float, u):
@@ -192,25 +130,14 @@ class PointSample:
         return int(self.times.size)
 
 
-def _sample_magnitudes(measure: TailMeasure, u_min: float, size: int, rng) -> np.ndarray:
-    # Conditional law above the truncation: P(mag > u) = tail(u)/tail(u_min).
-    v = rng.random(size)
-    np.subtract(1.0, v, out=v)  # uniform on (0, 1]
-    if measure.kind == "pareto":
-        return np.divide(u_min, v, out=v)
-    base = tail_mass(measure, u_min)
-    return np.asarray([tail_inverse(measure, vi * base) for vi in v])
-
-
 def sample_poisson_points(measure: TailMeasure, t_max: float, u_min: float,
                           rng: np.random.Generator) -> PointSample:
     """Draw the points of the process on (0, t_max] x (u_min, inf).
 
     Count ~ Poisson(t_max * tail(u_min)), times i.i.d. uniform on
     (0, t_max], magnitudes i.i.d. from the tail law conditioned above
-    u_min (inverse-CDF: u_min/U for the Pareto family).  Draw order is
-    fixed (count, times, magnitudes) so results are reproducible from
-    the generator state.
+    u_min, u_min/U by inverse CDF.  Draw order is fixed (count, times,
+    magnitudes) so results are reproducible from the generator state.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -219,7 +146,7 @@ def sample_poisson_points(measure: TailMeasure, t_max: float, u_min: float,
         raise ValueError(f"infinite point intensity at u_min={u_min}")
     count = int(rng.poisson(lam))
     times = t_max * (1.0 - rng.random(count))
-    mags = _sample_magnitudes(measure, u_min, count, rng)
+    mags = u_min / (1.0 - rng.random(count))
     return PointSample(times=times, magnitudes=mags, t_max=t_max, u_min=u_min)
 
 
@@ -274,24 +201,12 @@ def extremal_path(points: PointSample) -> ExtremalPath:
     return ExtremalPath(breakpoints=tuple(bps), floor=float(points.u_min))
 
 
-def record_interval_mass(a: float, b: float) -> float:
-    """Intensity mass log(b/a) of record times falling in (a, b]."""
-    if not (0.0 < a <= b):
-        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
-    return math.log(b / a)
-
-
-def range_avoidance_prob(K: float, t: float, s: float) -> float:
+def range_avoidance_prob(t: float, s: float) -> float:
     """Probability that the record set avoids (t, t+s]: t / (t + s).
 
-    This is exp(-record_interval_mass(t, t+s)), returned in closed form.
-    K is the tail constant of the driving measure; the value does not
-    depend on it (it cancels in the interval mass), but it is kept in the
-    signature because the avoidance event is only meaningful for a record
-    process driven by some measure.  s = 0 returns 1.
+    Record times have intensity dr/r, so this is exp(-log((t+s)/t)),
+    the same for every Pareto constant K.  s = 0 returns 1.
     """
-    if not K > 0.0:
-        raise ValueError(f"need K > 0, got {K}")
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
     if not s >= 0.0:
@@ -312,10 +227,9 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
     array, then one (reps, T) array of uniforms U.  A mark's tail
     fraction tail(mag) / tail(u_min) is uniform, so the largest of k
     marks has tail fraction g = 1 - U^(1/k) in (0, 1] and level
-    tail_inverse(g * tail(u_min)), u_min / g for Pareto; k = 0 or U = 0
-    gives g = 1, the floor.  The levels are the running maximum over the
-    sorted intervals.  Time and memory are O(reps * len(t_grid)), and
-    ``t_max`` only bounds the query times.
+    u_min / g; k = 0 or U = 0 gives g = 1, the floor.  The levels are
+    the running maximum over the sorted intervals.  Time and memory are
+    O(reps * len(t_grid)), and ``t_max`` only bounds the query times.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid > t_max):
@@ -330,12 +244,7 @@ def sample_sup_levels(measure: TailMeasure, t_grid, t_max: float, u_min: float,
         g /= counts
     np.expm1(g, out=g)
     np.negative(g, out=g)
-    if measure.kind == "pareto":
-        cell = np.divide(u_min, g, out=g)
-    else:
-        cell = np.full(g.shape, float(u_min))
-        filled = counts > 0
-        cell[filled] = [tail_inverse(measure, gi * base) for gi in g[filled].tolist()]
+    cell = np.divide(u_min, g, out=g)
     prefix_scan(np.maximum, cell.T)
     out = np.empty_like(cell)
     out[:, order] = cell

@@ -893,8 +893,6 @@ class HypercubeSRW(JumpChainModel):
     then, running its reference loops for every other environment.
     """
 
-    period = 2
-
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")

@@ -3,10 +3,9 @@
 This module owns the statistical plumbing shared by the simulation and
 verification code:
 
-* ``MCAccumulator`` -- streaming count/mean/M2 triples with an exact
-  parallel merge rule, so replica chunks can be combined in a fixed
-  order regardless of how many worker threads produced them.
-* ``EmpiricalDistribution`` -- sorted-sample wrapper with ECDF and
+* ``MCAccumulator`` -- the count/mean/M2 triple of a batch of Monte
+  Carlo values, with its variance and standard error of the mean.
+* ``EmpiricalDistribution`` -- sorted-sample wrapper with
   order-statistic quantile queries.
 * ``ks_statistic`` / ``ks_threshold`` -- Kolmogorov-Smirnov distance
   against a continuous, vectorised reference CDF, evaluated with both
@@ -28,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "MCAccumulator",
-    "merge",
     "EmpiricalDistribution",
     "ks_statistic",
     "ks_threshold",
@@ -51,38 +49,16 @@ _SCAN_ROW_WIDTH = 256
 
 @dataclass
 class MCAccumulator:
-    """Streaming mean/variance accumulator (count, mean, M2).
+    """Mean/variance summary (count, mean, M2) of a batch of values.
 
-    M2 is the sum of squared deviations from the running mean, so
-    ``variance = M2 / (count - 1)``.  Merging two accumulators with the
-    parallel combination rule is exact up to floating-point roundoff,
-    which lets chunked Monte Carlo runs be reduced deterministically:
-    merge chunk results in chunk order and the outcome does not depend
-    on the number of threads that produced them.
+    M2 is the sum of squared deviations from the mean, so
+    ``variance = M2 / (count - 1)``.  ``from_values`` builds it from the
+    values; kernels that count exactly build the triple directly.
     """
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def update_many(self, values) -> None:
-        """Absorb a batch of values (vectorised one-pass, then merged)."""
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size == 0:
-            return
-        batch = MCAccumulator(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            m2=float(((arr - arr.mean()) ** 2).sum()),
-        )
-        merged = merge(self, batch)
-        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
 
     @property
     def variance(self) -> float:
@@ -100,31 +76,16 @@ class MCAccumulator:
 
     @classmethod
     def from_values(cls, values) -> "MCAccumulator":
-        acc = cls()
-        acc.update_many(values)
-        return acc
-
-
-def merge(a: MCAccumulator, b: MCAccumulator) -> MCAccumulator:
-    """Combine two accumulators as if their samples were pooled.
-
-    Uses the standard parallel update (Chan et al.): exact in exact
-    arithmetic, associative to roundoff in floating point.  Merging with
-    an empty accumulator returns the other operand unchanged.
-    """
-    if a.count == 0:
-        return MCAccumulator(b.count, b.mean, b.m2)
-    if b.count == 0:
-        return MCAccumulator(a.count, a.mean, a.m2)
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return MCAccumulator(n, mean, m2)
+        """The triple of ``values``; an empty batch gives (0, 0.0, 0.0)."""
+        arr = np.asarray(values, dtype=float).ravel()
+        if arr.size == 0:
+            return cls()
+        mean = arr.mean()
+        return cls(int(arr.size), float(mean), float(((arr - mean) ** 2).sum()))
 
 
 class EmpiricalDistribution:
-    """Sorted-sample view with ECDF and quantile queries."""
+    """Sorted-sample view with order-statistic quantile queries."""
 
     def __init__(self, samples):
         xs = np.sort(np.asarray(samples, dtype=float).ravel())
@@ -137,10 +98,6 @@ class EmpiricalDistribution:
     @property
     def count(self) -> int:
         return int(self.samples.size)
-
-    def cdf(self, x: float) -> float:
-        """Right-continuous ECDF: fraction of samples <= x."""
-        return float(np.searchsorted(self.samples, x, side="right")) / self.count
 
     def quantile(self, q: float) -> float:
         """Order-statistic quantile: smallest x with ECDF(x) >= q."""
@@ -159,7 +116,8 @@ def ks_statistic(samples, cdf) -> float:
     through the cumulative counts on either side of the tied value.
 
     ``cdf`` must be vectorised: it is called once, on the sorted array
-    of distinct sample points, and returns one value per point.
+    of distinct sample points, and returns one value per point, each
+    in [0, 1] (a NaN is rejected).
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     xs, counts = np.unique(emp.samples, return_counts=True)
@@ -169,7 +127,7 @@ def ks_statistic(samples, cdf) -> float:
     if f.shape != xs.shape:
         raise ValueError(f"reference CDF must return one value per point: got shape "
                          f"{f.shape} for {xs.size} points")
-    if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
+    if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):  # NaN fails both
         raise ValueError("reference CDF returned values outside [0, 1]")
     d = max(float(np.max(cum_hi - f)), float(np.max(f - cum_lo)))
     return max(d, 0.0)

@@ -1,5 +1,6 @@
 """Condition estimators against the 2-state closed forms and exact checks."""
 
+import itertools
 import math
 import warnings
 
@@ -153,9 +154,8 @@ def test_mixing_window_needed():
     # is what the deviation bound is about
     n = 4
     single_dev = []
-    from extremalclock.ehrenfest import EhrenfestChain, exact_distribution
-    chain = EhrenfestChain(n)
-    v = exact_distribution(chain, 0, 48)
+    from extremalclock.ehrenfest import EhrenfestChain, distance_laws
+    v = next(itertools.islice(distance_laws(EhrenfestChain(n)), 48, None))
     comb = np.array([math.comb(n, d) for d in range(n + 1)])
     pi = 2.0 ** -n
     dev = np.abs(pi * v / comb - pi * pi)

@@ -12,7 +12,6 @@ from extremalclock.ehrenfest import (
     _passage_laws,
     distance_laws,
     distance_process_check,
-    exact_distribution,
     expected_hitting_adjacent,
     expected_hitting_from_zero,
     hitting_bound,
@@ -65,22 +64,21 @@ def test_distance_laws_are_matrix_power_rows(n):
 
 def test_exact_distribution_small_cases():
     chain = EhrenfestChain(2)
-    np.testing.assert_allclose(exact_distribution(chain, 0, 1), [0.0, 1.0, 0.0])
-    # from 1: half down to 0, half up to 2
-    np.testing.assert_allclose(exact_distribution(chain, 1, 1), [0.5, 0.0, 0.5])
+    from_0 = list(itertools.islice(distance_laws(chain, 0), 3))
+    np.testing.assert_allclose(from_0[0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(from_0[1], [0.0, 1.0, 0.0])
     # two steps from 0: back at 0 w.p. 1/2, at 2 w.p. 1/2
-    np.testing.assert_allclose(exact_distribution(chain, 0, 2), [0.5, 0.0, 0.5])
-    assert np.allclose(exact_distribution(chain, 0, 0), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(from_0[2], [0.5, 0.0, 0.5])
+    # from 1: half down to 0, half up to 2
+    np.testing.assert_allclose(list(itertools.islice(distance_laws(chain, 1), 2))[1],
+                               [0.5, 0.0, 0.5])
     with pytest.raises(ValueError):
-        exact_distribution(chain, 3, 1)
-    with pytest.raises(ValueError):
-        exact_distribution(chain, 0, -1)
+        next(distance_laws(chain, 3))
 
 
 def test_exact_distribution_parity_and_mass():
     chain = EhrenfestChain(5)
-    for k in range(8):
-        v = exact_distribution(chain, 0, k)
+    for k, v in enumerate(itertools.islice(distance_laws(chain, 0), 8)):
         assert v.sum() == pytest.approx(1.0, abs=1e-14)
         # parity: support only on states with the same parity as k
         wrong_parity = v[(np.arange(6) + k) % 2 == 1]

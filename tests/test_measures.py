@@ -15,7 +15,6 @@ from extremalclock.measures import (
     extremal_path,
     fdd_probability,
     range_avoidance_prob,
-    record_interval_mass,
     sample_poisson_points,
     sample_record_avoidance,
     sample_sup_levels,
@@ -23,7 +22,6 @@ from extremalclock.measures import (
     tail_inverse,
     tail_mass,
 )
-from extremalclock.stats import empirical_vs_extremal
 
 
 def test_pareto_tail_values():
@@ -60,32 +58,6 @@ def test_tail_inverse_round_trip():
         tail_inverse(m, 0.0)
 
 
-def test_custom_tail_matches_pareto():
-    # same K/u law supplied as a bare callable: numeric inversion must
-    # agree with the closed form
-    m = TailMeasure.from_tail(lambda u: 4.0 / u)
-    ref = TailMeasure.pareto(4.0)
-    for u in (0.2, 1.0, 5.0, 80.0):
-        assert tail_mass(m, u) == pytest.approx(tail_mass(ref, u))
-    for mass in (0.03, 1.0, 12.0):
-        assert tail_inverse(m, mass) == pytest.approx(tail_inverse(ref, mass), rel=1e-9)
-
-
-def test_custom_tail_inverse_is_the_smallest_level_below_mass():
-    # bisection returns the bracket end with tail(u) <= mass, within 1e-12
-    # relative of the closed-form crossing 4 / mass
-    m = TailMeasure.from_tail(lambda u: 4.0 / u)
-    for mass in (1e-6, 0.03, 1.0, 3.999, 4.0, 12.0, 1e5):
-        u = tail_inverse(m, mass)
-        assert tail_mass(m, u) <= mass
-        assert u == pytest.approx(4.0 / mass, rel=1e-12)
-    # a step tail: every u >= 3 has tail 1, every u < 3 has tail 2
-    step = TailMeasure.from_tail(lambda u: 2.0 if u < 3.0 else 1.0)
-    for mass in (1.0, 1.5):
-        u = tail_inverse(step, mass)
-        assert u >= 3.0 and u == pytest.approx(3.0, rel=1e-12)
-
-
 def test_extremal_marginal_closed_form():
     m = TailMeasure.pareto(4.0)
     # t=1, u=4: exp(-1)
@@ -98,17 +70,15 @@ def test_extremal_marginal_closed_form():
 
 def test_extremal_marginal_array_matches_scalar():
     us = np.array([[0.3, 1.0], [4.0, 25.0]])
-    for m in (TailMeasure.pareto(4.0), TailMeasure.from_tail(lambda u: 4.0 / u + math.exp(-u))):
-        arr = extremal_marginal(m, 1.5, us)
-        assert arr.shape == us.shape
-        for idx, u in np.ndenumerate(us):
-            assert arr[idx] == pytest.approx(extremal_marginal(m, 1.5, float(u)), rel=1e-15)
-        np.testing.assert_array_equal(
-            tail_mass(m, us), [[tail_mass(m, float(u)) for u in row] for row in us])
+    m = TailMeasure.pareto(4.0)
+    arr = extremal_marginal(m, 1.5, us)
+    assert arr.shape == us.shape
+    for idx, u in np.ndenumerate(us):
+        assert arr[idx] == pytest.approx(extremal_marginal(m, 1.5, float(u)), rel=1e-15)
+    np.testing.assert_array_equal(
+        tail_mass(m, us), [[tail_mass(m, float(u)) for u in row] for row in us])
     with pytest.raises(ValueError, match="u=0.0"):
-        tail_mass(TailMeasure.pareto(4.0), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="invalid mass"):
-        tail_mass(TailMeasure.from_tail(lambda u: -1.0), np.array([1.0, 2.0]))
+        tail_mass(m, np.array([1.0, 0.0]))
 
 
 def test_fdd_product_form():
@@ -208,28 +178,15 @@ def test_extremal_path_agrees_with_sup_path():
             assert path.level_at(t) == pytest.approx(sup_path(pts, t))
 
 
-def test_record_interval_mass():
-    assert record_interval_mass(1.0, 2.0) == pytest.approx(math.log(2.0))
-    assert record_interval_mass(2.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        record_interval_mass(0.0, 1.0)
-    with pytest.raises(ValueError):
-        record_interval_mass(2.0, 1.0)
-
-
 def test_range_avoidance_closed_form():
-    assert range_avoidance_prob(4.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert range_avoidance_prob(4.0, 1.0, 3.0) == pytest.approx(0.25)
-    assert range_avoidance_prob(4.0, 2.0, 1.0) == pytest.approx(2.0 / 3.0)
-    assert range_avoidance_prob(4.0, 1.0, 0.0) == 1.0
-    # K-independence
-    assert range_avoidance_prob(0.5, 1.0, 1.0) == range_avoidance_prob(40.0, 1.0, 1.0)
+    assert range_avoidance_prob(1.0, 1.0) == pytest.approx(0.5)
+    assert range_avoidance_prob(1.0, 3.0) == pytest.approx(0.25)
+    assert range_avoidance_prob(2.0, 1.0) == pytest.approx(2.0 / 3.0)
+    assert range_avoidance_prob(1.0, 0.0) == 1.0
     with pytest.raises(ValueError):
-        range_avoidance_prob(0.0, 1.0, 1.0)
+        range_avoidance_prob(0.0, 1.0)
     with pytest.raises(ValueError):
-        range_avoidance_prob(4.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        range_avoidance_prob(4.0, 1.0, -0.5)
+        range_avoidance_prob(1.0, -0.5)
 
 
 def test_sample_sup_levels_matches_scalar_path():
@@ -252,15 +209,6 @@ def test_sample_sup_levels_matches_scalar_path():
             assert abs(p_vec - p_ref) <= 4.0 * se, (t_grid[j], u, p_vec, p_ref)
     with pytest.raises(ValueError):
         sample_sup_levels(m, [3.0], 2.0, 0.05, 10, rng)
-
-
-def test_sample_sup_levels_inverts_a_custom_tail():
-    # K/u given as a plain function takes the numerical tail_inverse per
-    # non-empty interval, and must still follow the Pareto(4) marginal
-    custom = TailMeasure.from_tail(lambda u: 4.0 / u)
-    levels = sample_sup_levels(custom, [1.0], 2.0, 0.05, 2000, np.random.default_rng(24))
-    report = empirical_vs_extremal(levels[:, 0], TailMeasure.pareto(4.0), 1.0)
-    assert report.passed, (report.statistic, report.threshold)
 
 
 def test_sample_sup_levels_memory_scales_with_the_query_cells():

@@ -42,8 +42,6 @@ from extremalclock.pspin import (
 class PlainCube:
     """Hook-free adapter so engine falls back to its reference loops."""
 
-    period = 2
-
     def __init__(self, n):
         self._m = HypercubeSRW(n)
         self.n = n
@@ -835,7 +833,6 @@ def test_hypercube_basics():
     y = model.next_state(x, rng)
     assert int(np.sum(y != x)) == 1
     assert model.log_pi(x) == pytest.approx(-6.0 * math.log(2.0))
-    assert model.period == 2
     X = model.sample_stationary(100, rng)
     assert X.shape == (100, 6) and np.all(np.abs(X) == 1.0)
     stepped = model.step_batch(X, rng, steps=3)
